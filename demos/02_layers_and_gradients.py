@@ -17,14 +17,24 @@ from somatic_vae.layers import (
     BatchNorm,
     Dense,
     Dropout,
-    init_stack_params,
+    init_layer_params,
     stack_backward,
     stack_forward,
+    stack_size,
+    stack_views,
 )
 
 
 def banner(title):
     print(f"\n=== {title} ===")
+
+
+def new_stack(specs, rng):
+    """Fresh layer tensors, and zeroed gradient arrays that are views into
+    one flat vector, which is where stack_backward writes."""
+    grad = np.zeros(stack_size(specs))
+    grads, _ = stack_views(specs, grad)
+    return [init_layer_params(spec, rng) for spec in specs], grads, grad
 
 
 specs = [
@@ -36,7 +46,7 @@ specs = [
     Activation("sigmoid"),
 ]
 rng = sv.sub_rng(0, "demo-stack")
-params = init_stack_params(specs, rng)
+params, grads, grad = new_stack(specs, rng)
 x = (rng.random((8, 10)) < 0.3).astype(np.float64)
 
 banner("train vs inference mode")
@@ -52,8 +62,8 @@ print(f"dropout kept {kept:.2%} of units (rate 0.25 -> expect ~75%)")
 
 banner("analytic backward pass")
 upstream = np.ones_like(out_train) / out_train.size
-dx, grads = stack_backward(specs, params, tape, upstream)
-print(f"d(input) shape {dx.shape}")
+dx = stack_backward(specs, params, tape, upstream, grads)
+print(f"d(input) shape {dx.shape}; {grad.size} parameter gradients in one flat vector")
 for i, g in enumerate(grads):
     keys = {k: tuple(v.shape) for k, v in g.items()}
     print(f"layer {i} ({type(specs[i]).__name__}): "
@@ -68,11 +78,11 @@ print(report)
 banner("a corrupted gradient is flagged")
 # batch-norm-free stack, so plain f64 central differences are clean here
 small = [Dense(6, 5), Activation("sigmoid"), Dense(5, 3)]
-small_params = init_stack_params(small, sv.sub_rng(3, "demo-small"))
+small_params, honest, _ = new_stack(small, sv.sub_rng(3, "demo-small"))
 xs = sv.sub_rng(4, "demo-small-x").standard_normal((5, 6))
 w2 = sv.sub_rng(5, "demo-small-w").standard_normal((5, 3))
 out_small, tape_small = stack_forward(small, small_params, xs, TRAIN)
-_, honest = stack_backward(small, small_params, tape_small, w2)
+stack_backward(small, small_params, tape_small, w2, honest)
 
 
 def objective(ps):

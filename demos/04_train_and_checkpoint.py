@@ -49,9 +49,9 @@ print(f"retraining with the same seed reproduces every epoch stat: {identical}")
 banner("checkpoint roundtrip")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.ckpt"
-    sv.save_checkpoint(model, config, None, epoch=config.epochs, path=path)
+    sv.save_checkpoint(model, config, epoch=config.epochs, path=path)
     print(f"wrote {path.stat().st_size} bytes")
-    loaded, loaded_config, _, epoch = sv.load_checkpoint(path)
+    loaded, loaded_config, epoch = sv.load_checkpoint(path)
     x = cohort.matrix.astype(np.float64)
     same = np.array_equal(sv.reconstruct_mu(model, x), sv.reconstruct_mu(loaded, x))
     print(f"reloaded at epoch {epoch}, inference outputs bit-identical: {same}")

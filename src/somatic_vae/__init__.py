@@ -5,7 +5,7 @@ The package is organized as:
 - :mod:`somatic_vae.cohort` - TSV ingestion, filtering, splits, synthesis
 - :mod:`somatic_vae.layers` - dense / batch-norm / activation / dropout stacks
 - :mod:`somatic_vae.losses` - reconstruction losses, KL term, beta schedule
-- :mod:`somatic_vae.optim` - RMSprop
+- :mod:`somatic_vae.optim` - RMSprop, one blocked in-place pass over the parameter vector
 - :mod:`somatic_vae.vae` - model assembly, training loop, encoding
 - :mod:`somatic_vae.gradcheck` - finite-difference gradient verification
 - :mod:`somatic_vae.checkpoint` - binary checkpoint format
@@ -71,7 +71,6 @@ from .vae import (
     decode_batch,
     encode_batch,
     reconstruct_mu,
-    reparameterize,
     train,
     vae_grad_check,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "reconstruct_mu",
     "reconstruction_grad",
     "reconstruction_loss",
-    "reparameterize",
     "rmsprop_update",
     "save_checkpoint",
     "save_cohort",

@@ -1,12 +1,11 @@
 """Binary checkpoint format.
 
 Layout: 8-byte magic ``FLATVAE\\0``, version u32, then a length-prefixed
-canonical (key-sorted, compact) JSON block holding the config, the epoch
-reached, and optimizer metadata, then a tensor count and the named
-tensors themselves (u32 name length, UTF-8 name, u32 ndim, u64 dims,
-float64 little-endian data), and finally a CRC32 trailer computed over
-everything between the magic and the trailer. Tensors round-trip
-bit-exactly.
+canonical (key-sorted, compact) JSON block holding the config and the
+epoch reached, then a tensor count and the named tensors themselves (u32
+name length, UTF-8 name, u32 ndim, u64 dims, float64 little-endian data),
+and finally a CRC32 trailer computed over everything between the magic
+and the trailer. Tensors round-trip bit-exactly.
 """
 
 import json
@@ -15,10 +14,9 @@ import zlib
 
 import numpy as np
 
-from .layers import init_layer_params
+from .layers import BUFFER_KEYS, layer_shapes
 from .losses import BetaSchedule
-from .optim import RmspropState
-from .vae import VaeConfig, VaeModel, _architecture
+from .vae import VaeConfig, assemble
 
 MAGIC = b"FLATVAE\x00"
 VERSION = 1
@@ -80,18 +78,16 @@ def _pack_tensor(name, arr):
     return b"".join(parts)
 
 
-def save_checkpoint(model, config, optimizer_state, epoch, path):
-    """Write model parameters, buffers, and optional optimizer state."""
+def save_checkpoint(model, config, epoch, path):
+    """Write model parameters and batch-norm buffers."""
     tensors = list(model.named_tensors())
-    if optimizer_state is not None:
-        for i, acc in enumerate(optimizer_state.accumulators):
-            for key in sorted(acc):
-                tensors.append((f"opt/{i}/{key}", acc[key]))
+    # constant keys from when the format could also hold optimizer state,
+    # kept so that files stay byte-identical to the ones written then
     meta = {
         "config": _config_to_dict(config),
         "epoch": int(epoch),
-        "has_optimizer": optimizer_state is not None,
-        "opt_step": int(optimizer_state.step) if optimizer_state is not None else 0,
+        "has_optimizer": False,
+        "opt_step": 0,
     }
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = [struct.pack("<I", VERSION), struct.pack("<I", len(blob)), blob]
@@ -122,61 +118,51 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (model, config, optimizer_state or None, epoch)."""
+    """Returns (model, config, epoch). Every tensor the architecture
+    expects must be present with its shape, and no other may be."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a checkpoint")
     if len(raw) < len(MAGIC) + 4:
         raise CheckpointError("corrupt checkpoint: truncated file")
-    body, trailer = raw[len(MAGIC) : -4], raw[-4:]
+    # a view, so the tensor data is copied once: into the model's theta
+    body, trailer = memoryview(raw)[len(MAGIC) : -4], raw[-4:]
     if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
         raise CheckpointError("corrupt checkpoint: CRC mismatch")
     r = _Reader(body)
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    meta = json.loads(r.take(r.u32()).decode("utf-8"))
+    meta = json.loads(bytes(r.take(r.u32())).decode("utf-8"))
     n_tensors = r.u32()
     tensors = {}
     for _ in range(n_tensors):
-        name = r.take(r.u32()).decode("utf-8")
+        name = bytes(r.take(r.u32())).decode("utf-8")
         ndim = r.u32()
         shape = struct.unpack(f"<{ndim}Q", r.take(8 * ndim))
         count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
-        tensors[name] = data
+        tensors[name] = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
     if r.pos != len(body):
         raise CheckpointError("corrupt checkpoint: trailing bytes")
 
     config = config_from_dict(meta["config"])
-    enc, mu, lv, dec = _architecture(config)
-    model = VaeModel(config, enc, [], mu, [], lv, [], dec, [])
-    for section, specs, params in model.param_stacks():
-        for i, spec in enumerate(specs):
-            # init gives the expected key set and shapes for this layer
-            template = init_layer_params(spec, np.random.default_rng(0))
-            p = {}
-            for key in template:
-                full = f"{section}/{i}/{key}"
-                if full not in tensors:
-                    raise CheckpointError(f"corrupt checkpoint: missing tensor {full}")
-                if tensors[full].shape != template[key].shape:
-                    raise CheckpointError(f"corrupt checkpoint: bad shape for {full}")
-                p[key] = tensors[full]
-            params.append(p)
 
-    optimizer_state = None
-    if meta.get("has_optimizer"):
-        flat = model.flat_params()
-        accs = []
-        for i, p in enumerate(flat):
-            acc = {}
-            for key in p:
-                full = f"opt/{i}/{key}"
-                if full not in tensors:
-                    raise CheckpointError(f"corrupt checkpoint: missing tensor {full}")
-                acc[key] = tensors[full]
-            accs.append(acc)
-        optimizer_state = RmspropState(accs, int(meta.get("opt_step", 0)))
-    return model, config, optimizer_state, int(meta["epoch"])
+    def layer_tensors(prefix, spec):
+        out = {}
+        for key, shape in layer_shapes(spec).items():
+            name = prefix + key
+            if name not in tensors:
+                raise CheckpointError(f"corrupt checkpoint: missing tensor {name}")
+            data = tensors.pop(name)
+            if data.shape != shape:
+                raise CheckpointError(f"corrupt checkpoint: bad shape for {name}")
+            out[key] = data.copy() if key in BUFFER_KEYS else data
+        return out
+
+    model = assemble(config, layer_tensors)
+    if tensors:
+        raise CheckpointError(
+            f"corrupt checkpoint: unexpected tensor {', '.join(sorted(tensors))}"
+        )
+    return model, config, int(meta["epoch"])

@@ -28,7 +28,7 @@ CONFIG_FIELDS = {
     "leaky_slope": (float, 0.3),
     "loss_kind": (str, "soft_f1"),
     "beta_kind": (str, "linear_warmup"),
-    "beta_max": (float, 1.0),
+    "beta_max": (float, 3e-2),
     "warmup_epochs": (int, 25),
     "learning_rate": (float, 1e-3),
     "rho": (float, 0.9),
@@ -228,7 +228,7 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     write_effective_config(merged, os.path.join(args.out, "effective-config.toml"))
     emit_history(history, os.path.join(args.out, "history.tsv"))
-    save_checkpoint(model, config, None, config.epochs, os.path.join(args.out, "checkpoint.bin"))
+    save_checkpoint(model, config, config.epochs, os.path.join(args.out, "checkpoint.bin"))
     last = history[-1]
     print(
         f"trained {config.epochs} epochs; final recon {last.recon:.6g}, "
@@ -238,7 +238,7 @@ def cmd_train(args):
 
 
 def cmd_embed(args):
-    model, _, _, _ = load_checkpoint(_require_file(args.checkpoint))
+    model, _, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
     dist = encode_batch(model, data.matrix.astype(np.float64))
     write_embeddings(data.sample_ids, dist.mu, args.out)
@@ -247,7 +247,7 @@ def cmd_embed(args):
 
 
 def cmd_eval_recon(args):
-    model, _, _, _ = load_checkpoint(_require_file(args.checkpoint))
+    model, _, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
     x = data.matrix.astype(np.float64)
     probs = reconstruct_mu(model, x)

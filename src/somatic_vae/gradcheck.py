@@ -9,9 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import stack_backward, stack_forward, stack_l1_penalty
-
-BUFFER_KEYS = ("run_mean", "run_var")
+from .layers import (
+    BUFFER_KEYS,
+    TRAIN,
+    stack_backward,
+    stack_forward,
+    stack_l1_penalty,
+    stack_size,
+    stack_views,
+)
 
 # Finite differences of a structurally zero gradient (e.g. a bias feeding
 # batch norm, which cancels any constant shift) bottom out at one f64 ulp
@@ -19,10 +25,6 @@ BUFFER_KEYS = ("run_mean", "run_var")
 # Replaying the objective in x86 extended precision pushes that noise
 # below the floor; platforms without real long double fall back to f64.
 FD_DTYPE = np.longdouble if np.finfo(np.longdouble).eps < 1e-18 else np.float64
-
-
-def _cast_stack(params, dtype):
-    return [{k: v.astype(dtype) for k, v in p.items()} for p in params]
 
 
 @dataclass
@@ -112,19 +114,27 @@ def grad_check(specs, params, x, reduction, tolerance=1e-5, fd_step=1e-5, rng=No
     """Compare stack_backward against central finite differences.
 
     The objective is reduction(stack output) plus the stack's L1 penalty,
-    matching what the backward pass differentiates. Dropout masks are
-    drawn once and frozen for every finite-difference evaluation.
+    matching what the backward pass differentiates. The trainable tensors
+    are copied into one flat vector, which the finite differences perturb
+    and every evaluation replays at FD_DTYPE; params itself is not
+    touched. Dropout masks are drawn once and frozen for every
+    finite-difference evaluation.
     """
-    out, tape = stack_forward(specs, params, x, "train", rng=rng)
+    theta = np.empty(stack_size(specs))
+    views, _ = stack_views(specs, theta)
+    for view, p in zip(views, params):
+        for key in view:
+            view[key][...] = p[key]
+    params = [{**p, **view} for p, view in zip(params, views)]
+    analytic, _ = stack_views(specs, np.zeros_like(theta))
+    out, tape = stack_forward(specs, params, x, TRAIN, rng=rng)
     loss_value, dout = reduction(out)
-    _, analytic = stack_backward(specs, params, tape, dout)
+    stack_backward(specs, params, tape, dout, analytic)
     x_fd = np.asarray(x).astype(FD_DTYPE)
 
-    def objective(ps):
-        wide = _cast_stack(ps, FD_DTYPE)
-        o, _ = stack_forward(
-            specs, wide, x_fd, "train", masks=tape.masks, update_running=False
-        )
+    def objective(_params):
+        wide, _ = stack_views(specs, theta.astype(FD_DTYPE))
+        o, _ = stack_forward(specs, wide, x_fd, TRAIN, masks=tape.masks, update_running=False)
         return reduction(o)[0] + stack_l1_penalty(specs, wide)
 
     # sanity: the frozen replay must reproduce the recorded pass

@@ -5,31 +5,28 @@ products delegate to numpy's BLAS matmul, whose reduction over the inner
 dimension is a fixed tree for a given build, so repeated calls are
 bit-deterministic. Each layer follows the (out, cache) convention and
 the stack records caches on a Tape for the backward pass.
+
+A stack's trainable tensors are views into consecutive slices of one flat
+vector (stack_views), and the backward pass writes every parameter
+gradient into the same views of a twin vector, so an optimizer can step
+the whole model as one array. Batch-norm running statistics are buffers
+and live outside that vector.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 TRAIN = "train"
 INFERENCE = "inference"
+BUFFER_KEYS = ("run_mean", "run_var")
 
 
 def _as_real(t):
     # promote ints/float32 to float64; leave extended precision alone so
     # finite-difference replays can run the same code at higher precision
     return np.asarray(t, dtype=np.result_type(t, np.float64))
-
-
-def matmul(a, b):
-    """Shape-checked matrix product of two 2-D float64 arrays."""
-    a = _as_real(a)
-    b = _as_real(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D arrays")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(x):
@@ -41,35 +38,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def elementwise(op, *tensors, lo=None, hi=None):
-    """Elementwise kernel used by the loss plumbing.
-
-    op is one of add, sub, mul (binary), sigmoid, log, clamp (unary).
-    """
-    arrays = [_as_real(t) for t in tensors]
-    if op in ("add", "sub", "mul"):
-        if len(arrays) != 2:
-            raise ValueError(f"{op} expects exactly two tensors")
-        a, b = arrays
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        return {"add": a + b, "sub": a - b, "mul": a * b}[op]
-    if len(arrays) != 1:
-        raise ValueError(f"{op} expects exactly one tensor")
-    (a,) = arrays
-    if op == "sigmoid":
-        return sigmoid(a)
-    if op == "log":
-        if np.any(a <= 0):
-            raise ValueError("log of non-positive value (clamp first)")
-        return np.log(a)
-    if op == "clamp":
-        if lo is None or hi is None:
-            raise ValueError("clamp requires lo and hi")
-        return np.clip(a, lo, hi)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 @dataclass
@@ -107,9 +75,42 @@ class Tape:
     masks: list
 
 
-def init_layer_params(spec, rng):
+def layer_shapes(spec):
+    """Shape of each tensor a layer owns, trainable ones first in draw
+    order; the BUFFER_KEYS entries are batch-norm running statistics."""
     if isinstance(spec, Dense):
-        # uniform Glorot scaling, biases zero
+        return {"w": (spec.in_dim, spec.out_dim), "b": (spec.out_dim,)}
+    if isinstance(spec, BatchNorm):
+        return dict.fromkeys(("gamma", "delta") + BUFFER_KEYS, (spec.dim,))
+    return {}
+
+
+def stack_views(specs, vec, offset=0):
+    """One dict per layer of views into consecutive slices of vec, from
+    offset on, one view per trainable tensor; returns (dicts, end offset)."""
+    views = []
+    for spec in specs:
+        p = {}
+        for key, shape in layer_shapes(spec).items():
+            if key in BUFFER_KEYS:
+                continue
+            size = math.prod(shape)
+            p[key] = vec[offset : offset + size].reshape(shape)
+            offset += size
+        views.append(p)
+    return views, offset
+
+
+def stack_size(specs):
+    """Trainable scalars in a stack."""
+    shapes = (s for spec in specs for k, s in layer_shapes(spec).items() if k not in BUFFER_KEYS)
+    return sum(math.prod(shape) for shape in shapes)
+
+
+def init_layer_params(spec, rng):
+    """Fresh tensors for one layer: Glorot-uniform weights, zero biases,
+    unit batch-norm scale, zero shift, and the running-statistic buffers."""
+    if isinstance(spec, Dense):
         limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         return {
             "w": rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)),
@@ -125,35 +126,17 @@ def init_layer_params(spec, rng):
     return {}
 
 
-def init_stack_params(specs, rng):
-    return [init_layer_params(spec, rng) for spec in specs]
-
-
-def check_stack_dims(specs):
-    """Raise if adjacent layers are dimension-incompatible."""
-    width = None
-    for i, spec in enumerate(specs):
-        if isinstance(spec, Dense):
-            if width is not None and width != spec.in_dim:
-                raise ValueError(f"layer {i} (Dense) expects {spec.in_dim}, gets {width}")
-            width = spec.out_dim
-        elif isinstance(spec, BatchNorm):
-            if width is not None and width != spec.dim:
-                raise ValueError(f"layer {i} (BatchNorm) expects {spec.dim}, gets {width}")
-            width = spec.dim
-    return width
-
-
 def _dense_forward(x, p):
     return x @ p["w"] + p["b"], x
 
 
-def _dense_backward(dout, cache, p, l1_coefficient):
+def _dense_backward(dout, cache, p, g, l1_coefficient):
     x = cache
-    dw = x.T @ dout
+    np.matmul(x.T, dout, out=g["w"])
     if l1_coefficient > 0.0:
-        dw = dw + l1_coefficient * np.sign(p["w"])
-    return dout @ p["w"].T, {"w": dw, "b": dout.sum(axis=0)}
+        g["w"] += l1_coefficient * np.sign(p["w"])
+    dout.sum(axis=0, out=g["b"])
+    return dout @ p["w"].T
 
 
 def _batchnorm_forward(x, p, spec, mode, update_running):
@@ -173,17 +156,16 @@ def _batchnorm_forward(x, p, spec, mode, update_running):
     return p["gamma"] * xhat + p["delta"], (xmu, inv, xhat)
 
 
-def _batchnorm_backward(dout, cache, p):
+def _batchnorm_backward(dout, cache, p, g):
     # full backprop through the batch statistics
     xmu, inv, xhat = cache
     n = dout.shape[0]
-    dgamma = (dout * xhat).sum(axis=0)
-    ddelta = dout.sum(axis=0)
+    (dout * xhat).sum(axis=0, out=g["gamma"])
+    dout.sum(axis=0, out=g["delta"])
     dxhat = dout * p["gamma"]
     dvar = (dxhat * xmu).sum(axis=0) * (-0.5) * inv**3
     dmean = -(dxhat.sum(axis=0)) * inv + dvar * (-2.0) * xmu.mean(axis=0)
-    dx = dxhat * inv + dvar * 2.0 * xmu / n + dmean / n
-    return dx, {"gamma": dgamma, "delta": ddelta}
+    return dxhat * inv + dvar * 2.0 * xmu / n + dmean / n
 
 
 def _activation_forward(x, spec):
@@ -252,36 +234,30 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
     return out, Tape(mode, caches, used_masks)
 
 
-def stack_backward(specs, params, tape, dout):
+def stack_backward(specs, params, tape, dout, grads):
     """Reverse-mode gradients through a recorded train-mode pass.
 
-    Returns (input gradient, per-layer parameter gradient dicts). Dense
-    weight gradients include the L1 subgradient term.
+    Writes each layer's parameter gradients into the matching arrays of
+    grads (one dict per layer, shaped like stack_views' dicts) and returns
+    the input gradient. Dense weight gradients include the L1 subgradient
+    term.
     """
     if tape.mode != TRAIN:
         raise ValueError("stack_backward requires a train-mode tape")
     if len(tape.caches) != len(specs):
         raise ValueError("tape does not match the layer stack")
-    dout = _as_real(dout)
-    grads = [None] * len(specs)
-    dx = dout
+    dx = _as_real(dout)
     for i in range(len(specs) - 1, -1, -1):
         spec, p, cache = specs[i], params[i], tape.caches[i]
         if isinstance(spec, Dense):
-            dx, g = _dense_backward(dx, cache, p, spec.l1_coefficient)
-            grads[i] = g
+            dx = _dense_backward(dx, cache, p, grads[i], spec.l1_coefficient)
         elif isinstance(spec, BatchNorm):
-            dx, g = _batchnorm_backward(dx, cache, p)
-            grads[i] = g
+            dx = _batchnorm_backward(dx, cache, p, grads[i])
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
-            grads[i] = {}
-        else:  # Dropout
-            mask = tape.masks[i]
-            if mask is not None:
-                dx = dx * mask
-            grads[i] = {}
-    return dx, grads
+        elif tape.masks[i] is not None:  # Dropout
+            dx = dx * tape.masks[i]
+    return dx
 
 
 def stack_l1_penalty(specs, params):

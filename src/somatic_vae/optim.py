@@ -2,40 +2,59 @@
 
 s <- rho * s + (1 - rho) * g^2
 theta <- theta - lr * g / (sqrt(s) + eps)
+
+The update runs over one flat parameter vector and its twin gradient
+vector, in blocks small enough that the operands of every step stay in
+cache.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+BLOCK = 1 << 15  # entries per block: 256 KiB of float64 per operand
 
 
 @dataclass
 class RmspropState:
-    accumulators: list  # mirrors the parameter structure
+    accumulator: np.ndarray  # one running mean of g^2 per entry of theta
+    scratch: tuple  # two work buffers of min(BLOCK, theta.size) entries
     step: int = 0
 
 
-def init_rmsprop(params):
+def init_rmsprop(theta):
+    n = min(BLOCK, theta.size)
     return RmspropState(
-        [{k: np.zeros_like(v) for k, v in p.items()} for p in params]
+        np.zeros_like(theta), (np.empty(n, theta.dtype), np.empty(n, theta.dtype))
     )
 
 
-def rmsprop_update(params, grads, state, lr=1e-3, rho=0.9, eps=1e-8):
-    """Apply one update in place; returns (params, state) for chaining.
+def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8):
+    """Apply one update to theta in place; returns (theta, state).
 
-    grads may omit buffer entries (e.g. batch-norm running stats); only
-    keys present in grads are updated.
+    Every entry sees the same operations, in the same order and with the
+    same rounding, as the whole-array expressions in the module docstring.
     """
-    for p, g, s in zip(params, grads, state.accumulators):
-        for key, grad in g.items():
-            if grad is None:
-                continue
-            if p[key].shape != np.shape(grad):
-                raise ValueError(f"shape mismatch for {key!r}: {p[key].shape} vs {np.shape(grad)}")
-            acc = s[key]
-            acc *= rho
-            acc += (1.0 - rho) * np.square(grad)
-            p[key] -= lr * grad / (np.sqrt(acc) + eps)
+    if not theta.shape == grad.shape == state.accumulator.shape:
+        raise ValueError(
+            f"shape mismatch: theta {theta.shape}, grad {grad.shape}, "
+            f"accumulator {state.accumulator.shape}"
+        )
+    sq_buf, step_buf = state.scratch
+    for start in range(0, theta.size, BLOCK):
+        stop = min(start + BLOCK, theta.size)
+        g = grad[start:stop]
+        acc = state.accumulator[start:stop]
+        sq = sq_buf[: stop - start]
+        step = step_buf[: stop - start]
+        acc *= rho
+        np.square(g, out=sq)
+        sq *= 1.0 - rho
+        acc += sq
+        np.multiply(g, lr, out=step)
+        np.sqrt(acc, out=sq)
+        sq += eps
+        step /= sq
+        theta[start:stop] -= step
     state.step += 1
-    return params, state
+    return theta, state

@@ -7,9 +7,13 @@ Training is plain minibatch RMSprop on
     recon + beta * KL + L1
 with beta following the configured schedule. The whole run is a pure
 function of (cohort, split, config.seed).
+
+Every trainable tensor is a view into one float64 vector, model.theta,
+laid out encoder, mu head, logvar head, decoder; the backward pass
+writes the gradients into the same views of model.grad.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,12 +24,14 @@ from .layers import (
     BatchNorm,
     Dense,
     Dropout,
-    init_stack_params,
+    init_layer_params,
     stack_backward,
     stack_forward,
     stack_l1_penalty,
+    stack_size,
+    stack_views,
 )
-from .gradcheck import FD_DTYPE, _cast_stack, compare_grads, finite_difference_grads
+from .gradcheck import FD_DTYPE, compare_grads, finite_difference_grads
 from .losses import (
     BetaSchedule,
     beta_at_epoch,
@@ -113,6 +119,9 @@ class VaeModel:
     lv_params: list
     dec_specs: list
     dec_params: list
+    theta: np.ndarray  # every trainable scalar; the params dicts view it
+    grad: np.ndarray  # twin of theta, written by the backward pass
+    grads: list  # per stack, per layer views into grad
 
     def param_stacks(self):
         """(section name, specs, params) triples in canonical order."""
@@ -125,10 +134,7 @@ class VaeModel:
 
     def flat_params(self):
         """One flat list of parameter dicts (canonical order, shared refs)."""
-        out = []
-        for _, _, params in self.param_stacks():
-            out.extend(params)
-        return out
+        return [p for _, _, params in self.param_stacks() for p in params]
 
     def named_tensors(self):
         """(name, array) pairs for every parameter and buffer."""
@@ -173,30 +179,52 @@ def _architecture(config):
     return enc, mu, lv, dec
 
 
+def _bind(config, theta=None):
+    """A model whose trainable tensors are views into theta (a fresh,
+    unfilled vector when None), with a zeroed twin gradient vector. Its
+    batch-norm layers have no running statistics yet."""
+    stacks = _architecture(config)
+    if theta is None:
+        theta = np.empty(sum(stack_size(specs) for specs in stacks))
+    grad = np.zeros(theta.size, theta.dtype)  # calloc: no memory until written
+    params, grads, offset = [], [], 0
+    for specs in stacks:
+        views, _ = stack_views(specs, theta, offset)
+        gviews, offset = stack_views(specs, grad, offset)
+        params.append(views)
+        grads.append(gviews)
+    # the dataclass fields take each stack's specs, then its params
+    specs_and_params = [part for pair in zip(stacks, params) for part in pair]
+    return VaeModel(config, *specs_and_params, theta, grad, grads)
+
+
+def assemble(config, layer_tensors):
+    """A model filled layer by layer, in canonical order, from
+    layer_tensors(name prefix, spec) -> {key: array}: trainable tensors
+    are copied into the model's views of theta, the batch-norm buffers
+    are kept as given."""
+    model = _bind(config)
+    for section, specs, params in model.param_stacks():
+        for i, (spec, p) in enumerate(zip(specs, params)):
+            for key, value in layer_tensors(f"{section}/{i}/", spec).items():
+                if key in p:
+                    p[key][...] = value
+                else:
+                    p[key] = value
+    return model
+
+
 def build_vae(config, rng):
     """Initialize a model: Glorot-uniform weights, zero biases, unit
     batch-norm scale. Draw order is encoder, mu head, logvar head,
     decoder."""
     config.validate()
-    enc, mu, lv, dec = _architecture(config)
-    return VaeModel(
-        config,
-        enc, init_stack_params(enc, rng),
-        mu, init_stack_params(mu, rng),
-        lv, init_stack_params(lv, rng),
-        dec, init_stack_params(dec, rng),
-    )
+    return assemble(config, lambda _, spec: init_layer_params(spec, rng))
 
 
 def count_parameters(model):
     """Trainable scalars (weights, biases, batch-norm scale/shift)."""
-    total = 0
-    for _, _, params in model.param_stacks():
-        for p in params:
-            for key, arr in p.items():
-                if key not in ("run_mean", "run_var"):
-                    total += arr.size
-    return total
+    return model.theta.size
 
 
 def _check_binary(x):
@@ -219,12 +247,6 @@ def encode_batch(model, x, mode=INFERENCE, rng=None):
     mu, _ = stack_forward(model.mu_specs, model.mu_params, h, mode)
     lv, _ = stack_forward(model.lv_specs, model.lv_params, h, mode)
     return LatentDistribution(mu, lv)
-
-
-def reparameterize(dist, rng):
-    """z = mu + exp(logvar / 2) * eps with eps ~ N(0, 1) from rng."""
-    eps = rng.standard_normal(dist.mu.shape)
-    return dist.mu + np.exp(0.5 * dist.logvar) * eps
 
 
 def decode_batch(model, z, mode=INFERENCE, rng=None):
@@ -278,30 +300,50 @@ def _forward_train(model, x, beta, rngs, masks=None, eps=None, update_running=Tr
 
 
 def _backward_train(model, x, beta, fwd):
-    """Gradients of the total loss for every parameter dict, in the
-    canonical flat order matching model.flat_params()."""
+    """Writes the gradients of the total loss into model.grad; returns its
+    per-layer views in the canonical flat order of model.flat_params()."""
     enc_tape, mu_tape, lv_tape, dec_tape = fwd["tapes"]
+    enc_grads, mu_grads, lv_grads, dec_grads = model.grads
     mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
     dprobs = reconstruction_grad(model.config.loss_kind, fwd["probs"], x)
-    dz, dec_grads = stack_backward(model.dec_specs, model.dec_params, dec_tape, dprobs)
+    dz = stack_backward(model.dec_specs, model.dec_params, dec_tape, dprobs, dec_grads)
     dmu_kl, dlv_kl = kl_grads(mu, lv)
     dmu = dz + beta * dmu_kl
     dlv = dz * eps * 0.5 * np.exp(0.5 * lv) + beta * dlv_kl
-    dh_mu, mu_grads = stack_backward(model.mu_specs, model.mu_params, mu_tape, dmu)
-    dh_lv, lv_grads = stack_backward(model.lv_specs, model.lv_params, lv_tape, dlv)
-    _, enc_grads = stack_backward(
-        model.enc_specs, model.enc_params, enc_tape, dh_mu + dh_lv
-    )
+    dh_mu = stack_backward(model.mu_specs, model.mu_params, mu_tape, dmu, mu_grads)
+    dh_lv = stack_backward(model.lv_specs, model.lv_params, lv_tape, dlv, lv_grads)
+    stack_backward(model.enc_specs, model.enc_params, enc_tape, dh_mu + dh_lv, enc_grads)
     return enc_grads + mu_grads + lv_grads + dec_grads
+
+
+def _fd_objective(model, x, beta, fwd):
+    """Total loss of fwd's training pass, dropout masks and noise frozen,
+    replayed at FD_DTYPE on a copy of model.theta taken at each call, so
+    it sees every in-place perturbation of the model's parameter views."""
+    enc_tape, _, _, dec_tape = fwd["tapes"]
+    masks = (enc_tape.masks, dec_tape.masks)
+    x_fd = x.astype(FD_DTYPE)
+    wide = _bind(model.config, np.empty(model.theta.size, FD_DTYPE))
+
+    def objective(_params):
+        wide.theta[...] = model.theta
+        out = _forward_train(
+            wide, x_fd, beta, rngs={}, masks=masks, eps=fwd["eps"], update_running=False
+        )
+        return out["breakdown"].total
+
+    return objective
 
 
 def train(cohort, split, config):
     """Train on the split's training rows; returns (model, history).
 
-    Per epoch: seeded shuffle, minibatches (last partial batch kept),
-    forward in train mode, RMSprop step, then validation micro-F1 and
-    mean cosine similarity on deterministic mu reconstructions. History
-    loss components are per-sample means over the epoch's batches.
+    Per epoch: seeded shuffle, minibatches (a last partial batch is kept,
+    except that a single row joins the batch before it, where batch norm
+    would otherwise see zero variance), forward in train mode, one RMSprop
+    step over model.theta, then validation micro-F1 and mean cosine
+    similarity on deterministic mu reconstructions. History loss
+    components are per-sample means over the epoch's batches.
     """
     config.validate()
     if cohort.n_loci != config.input_dim:
@@ -321,34 +363,32 @@ def train(cohort, split, config):
         "reparam": sub_rng(config.seed, "reparam"),
     }
     model = build_vae(config, sub_rng(config.seed, "init"))
-    params = model.flat_params()
-    state = init_rmsprop(params)
+    state = init_rmsprop(model.theta)
     shuffle_rng = sub_rng(config.seed, "shuffle")
 
     history = []
-    bs = int(config.batch_size)
+    n, bs = train_idx.size, int(config.batch_size)
+    starts = list(range(0, n, bs))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
     for epoch in range(int(config.epochs)):
         beta = beta_at_epoch(config.beta_schedule, epoch)
-        perm = shuffle_rng.permutation(train_idx.size)
+        perm = shuffle_rng.permutation(n)
         sums = {"recon": 0.0, "kl": 0.0, "l1": 0.0, "total": 0.0}
         seen = 0
-        for start in range(0, train_idx.size, bs):
-            rows = perm[start : start + bs]
+        for batch, (start, stop) in enumerate(zip(starts, starts[1:] + [n])):
+            rows = perm[start:stop]
             xb = x_train[rows]
             try:
                 fwd = _forward_train(model, xb, beta, rngs)
             except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"epoch {epoch} batch {start // bs}: {exc}"
-                ) from None
+                raise FloatingPointError(f"epoch {epoch} batch {batch}: {exc}") from None
             breakdown = fwd["breakdown"]
             if not np.isfinite(breakdown.total):
-                raise FloatingPointError(
-                    f"epoch {epoch} batch {start // bs}: non-finite loss"
-                )
-            grads = _backward_train(model, xb, beta, fwd)
+                raise FloatingPointError(f"epoch {epoch} batch {batch}: non-finite loss")
+            _backward_train(model, xb, beta, fwd)
             rmsprop_update(
-                params, grads, state,
+                model.theta, model.grad, state,
                 lr=config.learning_rate, rho=config.rho, eps=config.epsilon,
             )
             for key in sums:
@@ -359,20 +399,11 @@ def train(cohort, split, config):
             val_f1 = micro_f1((probs >= 0.5).astype(np.uint8), x_val.astype(np.uint8))
             val_cos = mean_cosine_similarity(probs, x_val)
         else:
-            val_f1 = float("nan")
-            val_cos = float("nan")
-        history.append(
-            EpochStats(
-                epoch,
-                sums["recon"] / seen,
-                sums["kl"] / seen,
-                sums["l1"] / seen,
-                beta,
-                sums["total"] / seen,
-                val_f1,
-                val_cos,
-            )
-        )
+            val_f1 = val_cos = float("nan")
+        mean = {key: total / seen for key, total in sums.items()}
+        history.append(EpochStats(
+            epoch, mean["recon"], mean["kl"], mean["l1"], beta, mean["total"], val_f1, val_cos
+        ))
     return model, history
 
 
@@ -391,29 +422,7 @@ def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
 
     rngs = {"dropout": rng, "reparam": rng}
     fwd = _forward_train(model, x, beta, rngs)
-    enc_tape, _, _, dec_tape = fwd["tapes"]
-    masks = (enc_tape.masks, dec_tape.masks)
-    eps = fwd["eps"]
     analytic = _backward_train(model, x, beta, fwd)
-
-    flat = model.flat_params()
-    x_fd = x.astype(FD_DTYPE)
-
-    def objective(_params):
-        # _params aliases flat, whose arrays the finite-difference loop
-        # perturbs in place; each evaluation re-clones them at extended
-        # precision so the replay sees the perturbed values
-        wide = replace(
-            model,
-            enc_params=_cast_stack(model.enc_params, FD_DTYPE),
-            mu_params=_cast_stack(model.mu_params, FD_DTYPE),
-            lv_params=_cast_stack(model.lv_params, FD_DTYPE),
-            dec_params=_cast_stack(model.dec_params, FD_DTYPE),
-        )
-        out = _forward_train(
-            wide, x_fd, beta, rngs={}, masks=masks, eps=eps, update_running=False
-        )
-        return out["breakdown"].total
-
-    numeric = finite_difference_grads(objective, flat, fd_step)
+    objective = _fd_objective(model, x, beta, fwd)
+    numeric = finite_difference_grads(objective, model.flat_params(), fd_step)
     return compare_grads(analytic, numeric, tolerance)

@@ -9,21 +9,15 @@ is a small helper with its own model-free test.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import somatic_vae as sv
 from somatic_vae.cli import emit_history
-from somatic_vae.gradcheck import (
-    FD_DTYPE,
-    _cast_stack,
-    compare_grads,
-    finite_difference_grads,
-)
+from somatic_vae.gradcheck import compare_grads, finite_difference_grads
 from somatic_vae.seeding import sub_rng
-from somatic_vae.vae import _backward_train, _forward_train, build_vae
+from somatic_vae.vae import _backward_train, _fd_objective, _forward_train, build_vae
 
 CANONICAL = sv.SyntheticSpec(
     n_samples=600, n_loci=2000, n_clusters=6,
@@ -93,27 +87,9 @@ def _grad_reports_with_fault(config, beta):
     x = (rng.random((4, config.input_dim)) < 0.3).astype(np.float64)
     rngs = {"dropout": rng, "reparam": rng}
     fwd = _forward_train(model, x, beta, rngs)
-    enc_tape, _, _, dec_tape = fwd["tapes"]
-    masks = (enc_tape.masks, dec_tape.masks)
-    eps = fwd["eps"]
     analytic = _backward_train(model, x, beta, fwd)
-    flat = model.flat_params()
-    x_fd = x.astype(FD_DTYPE)
-
-    def objective(_params):
-        wide = replace(
-            model,
-            enc_params=_cast_stack(model.enc_params, FD_DTYPE),
-            mu_params=_cast_stack(model.mu_params, FD_DTYPE),
-            lv_params=_cast_stack(model.lv_params, FD_DTYPE),
-            dec_params=_cast_stack(model.dec_params, FD_DTYPE),
-        )
-        out = _forward_train(
-            wide, x_fd, beta, rngs={}, masks=masks, eps=eps, update_running=False
-        )
-        return out["breakdown"].total
-
-    numeric = finite_difference_grads(objective, flat, 1e-5)
+    objective = _fd_objective(model, x, beta, fwd)
+    numeric = finite_difference_grads(objective, model.flat_params(), 1e-5)
     clean = compare_grads(analytic, numeric, 1e-5)
     faulted = [dict(p) for p in analytic]
     faulted[0]["w"] = faulted[0]["w"] * 1.01
@@ -432,8 +408,8 @@ def test_criterion_09_determinism_and_persistence(tmp_path, capsys):
     same_bytes = (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
     ckpt = tmp_path / "model.ckpt"
-    sv.save_checkpoint(model_a, cfg, None, cfg.epochs, ckpt)
-    loaded, _, _, _ = sv.load_checkpoint(ckpt)
+    sv.save_checkpoint(model_a, cfg, cfg.epochs, ckpt)
+    loaded, _, _ = sv.load_checkpoint(ckpt)
     t_orig = dict(model_a.named_tensors())
     t_load = dict(loaded.named_tensors())
     bit_identical = t_orig.keys() == t_load.keys() and all(

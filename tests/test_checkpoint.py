@@ -38,10 +38,9 @@ def trained_model():
 def test_roundtrip_reproduces_every_tensor_bit_exactly(tmp_path):
     model, config, _ = trained_model()
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, None, epoch=2, path=path)
-    loaded, loaded_config, opt, epoch = load_checkpoint(path)
+    save_checkpoint(model, config, epoch=2, path=path)
+    loaded, loaded_config, epoch = load_checkpoint(path)
     assert epoch == 2
-    assert opt is None
     assert loaded_config == config
     original = dict(model.named_tensors())
     restored = dict(loaded.named_tensors())
@@ -50,34 +49,13 @@ def test_roundtrip_reproduces_every_tensor_bit_exactly(tmp_path):
         assert np.array_equal(original[name], restored[name]), name
 
 
-def test_roundtrip_preserves_optimizer_state(tmp_path):
-    from somatic_vae.optim import init_rmsprop
-
-    model, config, _ = trained_model()
-    state = init_rmsprop(model.flat_params())
-    rng = np.random.default_rng(0)
-    for acc in state.accumulators:
-        for key in acc:
-            acc[key][:] = rng.random(acc[key].shape)
-    state.step = 17
-    path = tmp_path / "model.bin"
-    save_checkpoint(model, config, state, epoch=5, path=path)
-    _, _, loaded_state, _ = load_checkpoint(path)
-    assert loaded_state is not None
-    assert loaded_state.step == 17
-    for a, b in zip(state.accumulators, loaded_state.accumulators):
-        assert a.keys() == b.keys()
-        for key in a:
-            assert np.array_equal(a[key], b[key])
-
-
 def test_roundtrip_inference_outputs_identical(tmp_path):
     model, config, cohort = trained_model()
     x = cohort.matrix[:10].astype(np.float64)
     before = reconstruct_mu(model, x)
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, None, epoch=2, path=path)
-    loaded, _, _, _ = load_checkpoint(path)
+    save_checkpoint(model, config, epoch=2, path=path)
+    loaded, _, _ = load_checkpoint(path)
     after = reconstruct_mu(loaded, x)
     assert np.array_equal(before, after)
 
@@ -92,7 +70,7 @@ def test_wrong_magic_rejected(tmp_path):
 def test_truncated_file_rejected(tmp_path):
     model, config, _ = trained_model()
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, None, epoch=1, path=path)
+    save_checkpoint(model, config, epoch=1, path=path)
     raw = path.read_bytes()
     (tmp_path / "cut.bin").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CheckpointError, match="corrupt"):
@@ -115,7 +93,7 @@ def test_truncated_body_with_valid_crc_rejected(tmp_path):
 def test_flipped_byte_fails_crc(tmp_path):
     model, config, _ = trained_model()
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, None, epoch=1, path=path)
+    save_checkpoint(model, config, epoch=1, path=path)
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     (tmp_path / "flip.bin").write_bytes(bytes(raw))
@@ -135,10 +113,52 @@ def test_untrained_model_roundtrip(tmp_path):
     config = VaeConfig(input_dim=9, hidden_dims=(6, 4), latent_dim=2, epochs=1)
     model = build_vae(config, sub_rng(0, "init"))
     path = tmp_path / "fresh.bin"
-    save_checkpoint(model, config, None, epoch=0, path=path)
-    loaded, loaded_config, _, epoch = load_checkpoint(path)
+    save_checkpoint(model, config, epoch=0, path=path)
+    loaded, loaded_config, epoch = load_checkpoint(path)
     assert epoch == 0
     assert loaded_config.hidden_dims == (6, 4)
     for (na, ta), (nb, tb) in zip(model.named_tensors(), loaded.named_tensors()):
         assert na == nb
         assert np.array_equal(ta, tb)
+
+
+class WithExtraTensors:
+    """A model whose snapshot carries tensors no architecture owns, as a
+    file from a writer that also stored optimizer state would."""
+
+    def __init__(self, model, extra):
+        self.model = model
+        self.extra = extra
+
+    def named_tensors(self):
+        yield from self.model.named_tensors()
+        yield from self.extra
+
+
+def test_unexpected_tensor_rejected_by_name(tmp_path):
+    config = VaeConfig(input_dim=9, hidden_dims=(6, 4), latent_dim=2, epochs=1)
+    model = build_vae(config, sub_rng(0, "init"))
+    path = tmp_path / "extra.bin"
+    extra = [("opt/0/w", np.zeros((9, 6))), ("enc/0/v", np.zeros(6))]
+    save_checkpoint(WithExtraTensors(model, extra), config, epoch=1, path=path)
+    with pytest.raises(CheckpointError, match="unexpected tensor enc/0/v, opt/0/w"):
+        load_checkpoint(path)
+    # the same file without the extras loads
+    save_checkpoint(WithExtraTensors(model, []), config, epoch=1, path=path)
+    loaded, _, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.theta, model.theta)
+
+
+def test_file_layout_keeps_the_constant_optimizer_keys(tmp_path):
+    # files stay byte-identical to those written when the format could
+    # also carry optimizer state: same metadata keys, then the tensors
+    config = VaeConfig(input_dim=3, hidden_dims=(2, 2), latent_dim=1, epochs=1)
+    model = build_vae(config, sub_rng(0, "init"))
+    path = tmp_path / "small.bin"
+    save_checkpoint(model, config, epoch=7, path=path)
+    body = path.read_bytes()[len(MAGIC) : -4]
+    (meta_len,) = struct.unpack("<I", body[4:8])
+    meta = body[8 : 8 + meta_len].decode("utf-8")
+    assert meta.endswith(',"epoch":7,"has_optimizer":false,"opt_step":0}')
+    (count,) = struct.unpack("<I", body[8 + meta_len : 12 + meta_len])
+    assert count == len(list(model.named_tensors()))

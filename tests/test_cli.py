@@ -275,6 +275,18 @@ def test_effective_config_reproduces_the_run(tmp_path, capsys):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r3" / name).read_bytes()
 
 
+def test_effective_config_echoes_reference_beta_max_by_default(tmp_path, capsys):
+    # at beta_max = 1.0 the posterior collapses; the reference recipe is 3e-2
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    assert run([
+        "train", "--cohort", cohort_dir, "--out", str(tmp_path / "run"),
+        "--hidden-dims", "24,12", "--latent-dim", "4", "--epochs", "1", "--batch-size", "16",
+    ]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "run" / "effective-config.toml").read_text(encoding="utf-8").splitlines()
+    assert "beta_max = 0.03" in lines
+
+
 def test_eval_cluster_pca_route_and_argument_exclusivity(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     assert run(["eval-cluster", "--cohort", cohort_dir, "--pca", "4"]) == 0

@@ -13,9 +13,11 @@ from somatic_vae.gradcheck import (
 from somatic_vae.layers import (
     Activation,
     Dense,
-    init_stack_params,
+    init_layer_params,
     stack_backward,
     stack_forward,
+    stack_size,
+    stack_views,
 )
 
 
@@ -74,6 +76,16 @@ def test_grad_report_verdict_and_str():
     assert "FAIL" in str(report)
 
 
+def test_grad_check_leaves_the_callers_params_untouched():
+    rng = np.random.default_rng(1)
+    specs = [Dense(3, 2), Activation("leaky_relu", slope=0.3)]
+    params = [init_layer_params(spec, rng) for spec in specs]
+    before = params[0]["w"].copy()
+    report = grad_check(specs, params, rng.random((4, 3)), make_weighted_sum(rng.random((4, 2))))
+    assert report.passed, str(report)
+    assert np.array_equal(params[0]["w"], before)
+
+
 def test_grad_check_all_zero_case():
     specs = [Dense(3, 2), Activation("identity")]
     params = [{"w": np.zeros((3, 2)), "b": np.zeros(2)}, {}]
@@ -86,13 +98,14 @@ def test_grad_check_detects_injected_fault():
     # scale one analytic gradient by 1.01 and require the check to name it
     rng = np.random.default_rng(0)
     specs = [Dense(4, 3), Activation("leaky_relu", slope=0.3), Dense(3, 2)]
-    params = init_stack_params(specs, rng)
+    params = [init_layer_params(spec, rng) for spec in specs]
     x = rng.random((5, 4))
     reduction = make_weighted_sum(rng.standard_normal((5, 2)))
 
     out, tape = stack_forward(specs, params, x, "train")
     _, dout = reduction(out)
-    _, analytic = stack_backward(specs, params, tape, dout)
+    analytic, _ = stack_views(specs, np.zeros(stack_size(specs)))
+    stack_backward(specs, params, tape, dout, analytic)
     analytic[0]["w"] = analytic[0]["w"] * 1.01
 
     numeric = finite_difference_grads(

@@ -10,17 +10,22 @@ from somatic_vae.layers import (
     BatchNorm,
     Dense,
     Dropout,
-    check_stack_dims,
-    elementwise,
     init_layer_params,
-    init_stack_params,
-    matmul,
+    layer_shapes,
     sigmoid,
     stack_backward,
     stack_forward,
     stack_l1_penalty,
+    stack_size,
+    stack_views,
 )
 from somatic_vae.gradcheck import grad_check, make_weighted_sum
+
+
+def new_stack(specs, rng):
+    """Freshly initialised layer tensors and zeroed gradient buffers."""
+    grads, _ = stack_views(specs, np.zeros(stack_size(specs)))
+    return [init_layer_params(spec, rng) for spec in specs], grads
 
 
 def triple_loop_matmul(a, b):
@@ -34,19 +39,26 @@ def triple_loop_matmul(a, b):
     return out
 
 
-# ---------------------------------------------------------------- matmul
+def dense_product(a, b):
+    """a @ b through a bias-free Dense layer, the library's matrix product."""
+    params = [{"w": b, "b": np.zeros(b.shape[1])}]
+    out, _ = stack_forward([Dense(*b.shape)], params, a, INFERENCE)
+    return out
+
+
+# ---------------------------------------------------------------- dense product
 
 
 def test_matmul_small_example():
     # oracle: naive triple loop
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
+    out = dense_product(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
     assert out.tolist() == [[17.0], [39.0]]
 
 
 def test_matmul_identity_and_annihilator():
     a = np.random.default_rng(0).random((2, 2))
-    assert np.array_equal(matmul(np.eye(2), a), a)
-    assert np.array_equal(matmul(a, np.zeros((2, 3))), np.zeros((2, 3)))
+    assert np.array_equal(dense_product(np.eye(2), a), a)
+    assert np.array_equal(dense_product(a, np.zeros((2, 3))), np.zeros((2, 3)))
 
 
 def test_matmul_matches_triple_loop_on_random_inputs():
@@ -54,7 +66,7 @@ def test_matmul_matches_triple_loop_on_random_inputs():
     for _ in range(5):
         a = rng.standard_normal((4, 6))
         b = rng.standard_normal((6, 3))
-        assert np.allclose(matmul(a, b), triple_loop_matmul(a, b), rtol=1e-12)
+        assert np.allclose(dense_product(a, b), triple_loop_matmul(a, b), rtol=1e-12)
 
 
 def test_matmul_associative_on_well_conditioned_triples():
@@ -63,48 +75,18 @@ def test_matmul_associative_on_well_conditioned_triples():
         a = rng.uniform(-1, 1, (32, 16))
         b = rng.uniform(-1, 1, (16, 24))
         c = rng.uniform(-1, 1, (24, 8))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
+        left = dense_product(dense_product(a, b), c)
+        right = dense_product(a, dense_product(b, c))
         rel = np.abs(left - right) / np.maximum(np.abs(left), 1e-12)
         assert rel.max() < 1e-10
 
 
 def test_matmul_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        matmul(np.ones(3), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="expects 3 columns, got 2"):
+        dense_product(np.ones((2, 2)), np.ones((3, 2)))
 
 
-# ---------------------------------------------------------------- elementwise
-
-
-def test_elementwise_binary_ops():
-    a = np.array([[1.0, 2.0]])
-    b = np.array([[3.0, 4.0]])
-    assert elementwise("add", a, b).tolist() == [[4.0, 6.0]]
-    assert elementwise("sub", a, b).tolist() == [[-2.0, -2.0]]
-    assert elementwise("mul", a, b).tolist() == [[3.0, 8.0]]
-    with pytest.raises(ValueError, match="shape"):
-        elementwise("add", a, np.ones((2, 2)))
-
-
-def test_elementwise_sigmoid_and_clamp():
-    assert elementwise("sigmoid", np.array([[0.0]]))[0, 0] == 0.5
-    assert elementwise("clamp", np.array([[1.5]]), lo=0.0, hi=1.0)[0, 0] == 1.0
-    assert elementwise("clamp", np.array([[-0.5]]), lo=0.0, hi=1.0)[0, 0] == 0.0
-
-
-def test_elementwise_log_rejects_non_positive():
-    with pytest.raises(ValueError, match="clamp first"):
-        elementwise("log", np.array([[0.0]]))
-    out = elementwise("log", np.array([[np.e]]))
-    assert np.isclose(out[0, 0], 1.0)
-
-
-def test_elementwise_unknown_op_rejected():
-    with pytest.raises(ValueError):
-        elementwise("pow", np.ones((1, 1)))
+# ---------------------------------------------------------------- sigmoid
 
 
 def test_sigmoid_is_stable_at_extreme_inputs():
@@ -137,9 +119,28 @@ def test_batchnorm_init_unit_scale_zero_shift():
 
 
 def test_check_stack_dims_flags_incompatible_layers():
-    with pytest.raises(ValueError, match="layer 1"):
-        check_stack_dims([Dense(4, 8), Dense(7, 2)])
-    assert check_stack_dims([Dense(4, 8), BatchNorm(8), Dense(8, 2)]) == 2
+    specs = [Dense(4, 8), Dense(7, 2)]
+    params, _ = new_stack(specs, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"layer 1 \(Dense\) expects 7 columns, got 8"):
+        stack_forward(specs, params, np.ones((2, 4)), INFERENCE)
+
+
+def test_layer_shapes_match_init_and_views_tile_the_vector():
+    rng = np.random.default_rng(0)
+    specs = [Dense(4, 3), BatchNorm(3), Activation("relu"), Dropout(0.5), Dense(3, 2)]
+    for spec in specs:
+        fresh = init_layer_params(spec, rng)
+        assert {k: v.shape for k, v in fresh.items()} == layer_shapes(spec)
+    vec = np.arange(float(stack_size(specs)))
+    views, end = stack_views(specs, vec, 0)
+    assert end == vec.size == 4 * 3 + 3 + 2 * 3 + 3 * 2 + 2
+    assert [list(v) for v in views] == [["w", "b"], ["gamma", "delta"], [], [], ["w", "b"]]
+    # consecutive, in layer and draw order, and sharing memory with vec
+    flat = np.concatenate([a.ravel() for v in views for a in v.values()])
+    assert np.array_equal(flat, vec)
+    assert all(np.shares_memory(a, vec) for v in views for a in v.values())
+    _, offset_end = stack_views(specs, np.zeros(end + 5), 5)
+    assert offset_end == end + 5
 
 
 # ---------------------------------------------------------------- forward
@@ -235,7 +236,7 @@ def test_batchnorm_inference_is_affine_in_running_stats():
 
 def test_non_finite_intermediate_names_the_layer():
     specs = [Dense(2, 2), Activation("relu")]
-    params = init_stack_params(specs, np.random.default_rng(0))
+    params, _ = new_stack(specs, np.random.default_rng(0))
     params[0]["w"][0, 0] = np.inf
     with pytest.raises(FloatingPointError, match=r"layer 0 \(Dense\)"):
         stack_forward(specs, params, np.ones((3, 2)), INFERENCE)
@@ -243,7 +244,7 @@ def test_non_finite_intermediate_names_the_layer():
 
 def test_stack_forward_rejects_unknown_mode_and_bad_width():
     specs = [Dense(3, 2)]
-    params = init_stack_params(specs, np.random.default_rng(0))
+    params, _ = new_stack(specs, np.random.default_rng(0))
     with pytest.raises(ValueError, match="mode"):
         stack_forward(specs, params, np.ones((2, 3)), "test")
     with pytest.raises(ValueError, match="expects 3"):
@@ -253,7 +254,7 @@ def test_stack_forward_rejects_unknown_mode_and_bad_width():
 def test_inference_forward_is_bit_deterministic():
     rng = np.random.default_rng(7)
     specs = [Dense(6, 5), BatchNorm(5), Activation("leaky_relu", slope=0.3), Dense(5, 4)]
-    params = init_stack_params(specs, rng)
+    params, _ = new_stack(specs, rng)
     x = rng.random((8, 6))
     a, _ = stack_forward(specs, params, x, INFERENCE)
     b, _ = stack_forward(specs, params, x, INFERENCE)
@@ -266,24 +267,29 @@ def test_inference_forward_is_bit_deterministic():
 def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(8)
     specs = [Dense(4, 3), BatchNorm(3), Activation("relu")]
-    params = init_stack_params(specs, rng)
+    params, grads = new_stack(specs, rng)
+    for g in grads:
+        for arr in g.values():
+            arr[...] = 7.0  # stale values must be overwritten, not added to
     x = rng.random((5, 4))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    dx, grads = stack_backward(specs, params, tape, np.zeros((5, 3)))
+    dx = stack_backward(specs, params, tape, np.zeros((5, 3)), grads)
     assert np.array_equal(dx, np.zeros((5, 4)))
     assert np.array_equal(grads[0]["w"], np.zeros((4, 3)))
+    assert np.array_equal(grads[0]["b"], np.zeros(3))
     assert np.array_equal(grads[1]["gamma"], np.zeros(3))
+    assert np.array_equal(grads[1]["delta"], np.zeros(3))
 
 
 def test_backward_single_dense_matches_hand_formulas():
     # d/dW (dout . (XW + b)) = X^T dout, d/db = column sums, dx = dout W^T
     rng = np.random.default_rng(9)
     specs = [Dense(4, 3, l1_coefficient=0.0)]
-    params = init_stack_params(specs, rng)
+    params, grads = new_stack(specs, rng)
     x = rng.standard_normal((6, 4))
     dout = rng.standard_normal((6, 3))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    dx, grads = stack_backward(specs, params, tape, dout)
+    dx = stack_backward(specs, params, tape, dout, grads)
     assert np.allclose(grads[0]["w"], x.T @ dout, rtol=1e-14)
     assert np.allclose(grads[0]["b"], dout.sum(axis=0), rtol=1e-14)
     assert np.allclose(dx, dout @ params[0]["w"].T, rtol=1e-14)
@@ -293,23 +299,24 @@ def test_backward_includes_l1_subgradient_with_sign_zero_zero():
     specs = [Dense(2, 2, l1_coefficient=0.1)]
     params = [{"w": np.array([[1.0, -2.0], [0.0, 3.0]]), "b": np.zeros(2)}]
     x = np.zeros((1, 2))
+    _, grads = new_stack(specs, np.random.default_rng(0))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    _, grads = stack_backward(specs, params, tape, np.zeros((1, 2)))
+    stack_backward(specs, params, tape, np.zeros((1, 2)), grads)
     # data gradient is zero, so only the subgradient remains; sign(0) = 0
     assert np.allclose(grads[0]["w"], 0.1 * np.array([[1.0, -1.0], [0.0, 1.0]]))
 
 
 def test_backward_requires_train_tape():
     specs = [Dense(2, 2)]
-    params = init_stack_params(specs, np.random.default_rng(0))
+    params, grads = new_stack(specs, np.random.default_rng(0))
     _, tape = stack_forward(specs, params, np.ones((2, 2)), INFERENCE)
     with pytest.raises(ValueError, match="train"):
-        stack_backward(specs, params, tape, np.ones((2, 2)))
+        stack_backward(specs, params, tape, np.ones((2, 2)), grads)
 
 
 def test_stack_l1_penalty_sums_dense_weights():
     specs = [Dense(2, 2, l1_coefficient=0.5), BatchNorm(2), Dense(2, 1, l1_coefficient=0.0)]
-    params = init_stack_params(specs, np.random.default_rng(0))
+    params, _ = new_stack(specs, np.random.default_rng(0))
     params[0]["w"] = np.array([[1.0, -2.0], [3.0, -4.0]])
     expected = 0.5 * 10.0
     assert np.isclose(stack_l1_penalty(specs, params), expected)
@@ -324,7 +331,7 @@ def test_two_layer_stack_passes_grad_check():
         Dense(4, 3),
         Activation("sigmoid"),
     ]
-    params = init_stack_params(specs, rng)
+    params, _ = new_stack(specs, rng)
     x = rng.random((6, 5))
     reduction = make_weighted_sum(rng.standard_normal((6, 3)))
     report = grad_check(specs, params, x, reduction, tolerance=1e-5)
@@ -334,7 +341,7 @@ def test_two_layer_stack_passes_grad_check():
 def test_dropout_stack_passes_grad_check_with_frozen_masks():
     rng = np.random.default_rng(11)
     specs = [Dense(5, 6), Activation("relu"), Dropout(0.25), Dense(6, 2)]
-    params = init_stack_params(specs, rng)
+    params, _ = new_stack(specs, rng)
     x = rng.random((4, 5))
     reduction = make_weighted_sum(rng.standard_normal((4, 2)))
     report = grad_check(specs, params, x, reduction, tolerance=1e-5, rng=rng)

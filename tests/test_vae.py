@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
-from somatic_vae.cohort import Cohort, SplitPlan, SyntheticSpec, generate_synthetic_cohort, holdout_split
-from somatic_vae.layers import Activation, Dense
+import somatic_vae.vae as vae_module
+from somatic_vae.checkpoint import load_checkpoint, save_checkpoint
+from somatic_vae.cohort import SplitPlan, SyntheticSpec, generate_synthetic_cohort, holdout_split
+from somatic_vae.layers import BUFFER_KEYS, Activation, Dense
 from somatic_vae.losses import BetaSchedule
 from somatic_vae.seeding import sub_rng
 from somatic_vae.vae import (
-    LatentDistribution,
     VaeConfig,
+    _forward_train,
     build_vae,
     count_parameters,
     decode_batch,
     encode_batch,
     reconstruct_mu,
-    reparameterize,
     train,
     vae_grad_check,
 )
@@ -148,24 +149,41 @@ def test_encode_rejects_non_binary_and_wrong_width():
         encode_batch(model, np.zeros((2, 9)))
 
 
+def training_latents(model, x, noise):
+    """(mu, z) of one training pass whose reparameterization noise comes
+    from noise; z is the input the decoder's first Dense layer recorded."""
+    fwd = _forward_train(model, x, 0.0, {"reparam": noise, "dropout": sub_rng(0, "dropout")})
+    return fwd["mu"], fwd["tapes"][3].caches[0]
+
+
+def fix_heads(model, mu, logvar):
+    """Zero both heads' weights so every row gets the given mu and logvar."""
+    for params, value in ((model.mu_params, mu), (model.lv_params, logvar)):
+        params[0]["w"][...] = 0.0
+        params[0]["b"][...] = value
+
+
 def test_reparameterize_zero_noise_returns_mu():
-    dist = LatentDistribution(np.array([[1.0, -2.0]]), np.array([[0.3, -0.1]]))
-    assert np.array_equal(reparameterize(dist, ZeroNoise()), dist.mu)
+    model, _ = tiny_model()
+    x = (np.random.default_rng(6).random((5, 12)) < 0.3).astype(float)
+    mu, z = training_latents(model, x, ZeroNoise())
+    assert np.array_equal(z, mu)
 
 
 def test_reparameterize_unit_variance_adds_noise_directly():
-    dist = LatentDistribution(np.array([[1.0, 2.0]]), np.zeros((1, 2)))
-    z = reparameterize(dist, FixedNoise(0.5))
-    assert np.allclose(z, [[1.5, 2.5]])
+    model, _ = tiny_model()
+    fix_heads(model, [1.0, 2.0, 3.0], 0.0)
+    _, z = training_latents(model, np.zeros((2, 12)), FixedNoise(0.5))
+    assert np.allclose(z, [[1.5, 2.5, 3.5]] * 2)
 
 
 def test_reparameterize_moments_over_many_draws():
     n = 100_000
     mu_val, logvar_val = 0.7, np.log(2.25)  # sigma = 1.5
-    dist = LatentDistribution(
-        np.full((n, 1), mu_val), np.full((n, 1), logvar_val)
-    )
-    z = reparameterize(dist, sub_rng(0, "moment-test"))
+    config = tiny_config(latent_dim=1)
+    model = build_vae(config, sub_rng(0, "init"))
+    fix_heads(model, mu_val, logvar_val)
+    _, z = training_latents(model, np.zeros((n, 12)), sub_rng(0, "moment-test"))
     sigma = 1.5
     assert abs(z.mean() - mu_val) < 4 * sigma / np.sqrt(n)
     assert abs(z.var() - sigma**2) < 4 * sigma**2 * np.sqrt(2.0 / n)
@@ -269,6 +287,51 @@ def test_train_parameter_trajectory_ignores_validation_rows():
         assert (ha.recon, ha.kl, ha.l1, ha.beta, ha.total) == (
             hb.recon, hb.kl, hb.l1, hb.beta, hb.total,
         )
+
+
+def test_single_row_final_batch_joins_the_previous_one(monkeypatch):
+    # 449 = 14 * 32 + 1: a 1-row batch would give batch norm zero variance
+    cohort = small_cohort(n=469, d=30, seed=3)
+    split = SplitPlan(np.arange(449), np.arange(449, 469), 0)
+    config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=32)
+    sizes = []
+
+    def recording(model, x, *args, **kwargs):
+        sizes.append(x.shape[0])
+        return _forward_train(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(vae_module, "_forward_train", recording)
+    _, history = train(cohort, split, config)
+    assert sizes == ([32] * 13 + [33]) * 2
+    assert len(history) == 2
+
+
+def assert_views_of_flat_vectors(model):
+    names = [name for name, _ in model.named_tensors()]
+    trainable = [t for n, t in model.named_tensors() if n.rsplit("/", 1)[1] not in BUFFER_KEYS]
+    buffers = [t for n, t in model.named_tensors() if n.rsplit("/", 1)[1] in BUFFER_KEYS]
+    grads = [layer[k] for stack in model.grads for layer in stack for k in sorted(layer)]
+    assert len(names) == len(trainable) + len(buffers) and buffers
+    assert sum(t.size for t in trainable) == model.theta.size == count_parameters(model)
+    assert all(np.shares_memory(t, model.theta) for t in trainable)
+    assert not any(np.shares_memory(b, model.theta) for b in buffers)
+    assert [g.shape for g in grads] == [t.shape for t in trainable]
+    assert all(np.shares_memory(g, model.grad) for g in grads)
+    assert model.grad.shape == model.theta.shape
+
+
+def test_trainable_tensors_are_views_of_theta(tmp_path):
+    assert_views_of_flat_vectors(tiny_model()[0])
+    cohort = small_cohort()
+    split = holdout_split(cohort.n_samples, 0.8, seed=0)
+    config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=16)
+    model, _ = train(cohort, split, config)
+    assert_views_of_flat_vectors(model)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, config, epoch=2, path=path)
+    loaded, _, _ = load_checkpoint(path)
+    assert_views_of_flat_vectors(loaded)
+    assert np.array_equal(loaded.theta, model.theta)
 
 
 def test_train_loss_decreases_on_easy_cohort():
