@@ -11,11 +11,11 @@ and the trailer. Tensors round-trip bit-exactly.
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
 from .layers import BUFFER_KEYS, layer_shapes
-from .losses import BetaSchedule
 from .vae import VaeConfig, assemble
 
 MAGIC = b"FLATVAE\x00"
@@ -24,49 +24,6 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     pass
-
-
-def _config_to_dict(config):
-    return {
-        "input_dim": int(config.input_dim),
-        "hidden_dims": [int(h) for h in config.hidden_dims],
-        "latent_dim": int(config.latent_dim),
-        "dropout_rate": float(config.dropout_rate),
-        "l1_coefficient": float(config.l1_coefficient),
-        "leaky_slope": float(config.leaky_slope),
-        "loss_kind": config.loss_kind,
-        "beta_schedule": {
-            "kind": config.beta_schedule.kind,
-            "beta_max": float(config.beta_schedule.beta_max),
-            "warmup_epochs": int(config.beta_schedule.warmup_epochs),
-        },
-        "learning_rate": float(config.learning_rate),
-        "rho": float(config.rho),
-        "epsilon": float(config.epsilon),
-        "batch_size": int(config.batch_size),
-        "epochs": int(config.epochs),
-        "seed": int(config.seed),
-    }
-
-
-def config_from_dict(d):
-    sched = d["beta_schedule"]
-    return VaeConfig(
-        input_dim=d["input_dim"],
-        hidden_dims=tuple(d["hidden_dims"]),
-        latent_dim=d["latent_dim"],
-        dropout_rate=d["dropout_rate"],
-        l1_coefficient=d["l1_coefficient"],
-        leaky_slope=d["leaky_slope"],
-        loss_kind=d["loss_kind"],
-        beta_schedule=BetaSchedule(sched["kind"], sched["beta_max"], sched["warmup_epochs"]),
-        learning_rate=d["learning_rate"],
-        rho=d["rho"],
-        epsilon=d["epsilon"],
-        batch_size=d["batch_size"],
-        epochs=d["epochs"],
-        seed=d["seed"],
-    )
 
 
 def _pack_tensor(name, arr):
@@ -84,12 +41,14 @@ def save_checkpoint(model, config, epoch, path):
     # constant keys from when the format could also hold optimizer state,
     # kept so that files stay byte-identical to the ones written then
     meta = {
-        "config": _config_to_dict(config),
+        "config": asdict(config),
         "epoch": int(epoch),
         "has_optimizer": False,
         "opt_step": 0,
     }
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # numpy scalars in a caller's config are written as plain numbers
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=lambda v: v.item())
+    blob = blob.encode("utf-8")
     payload = [struct.pack("<I", VERSION), struct.pack("<I", len(blob)), blob]
     payload.append(struct.pack("<I", len(tensors)))
     for name, arr in tensors:
@@ -146,7 +105,13 @@ def load_checkpoint(path):
     if r.pos != len(body):
         raise CheckpointError("corrupt checkpoint: trailing bytes")
 
-    config = config_from_dict(meta["config"])
+    try:
+        config = VaeConfig.from_dict(meta["config"])
+        epoch = int(meta["epoch"])
+    except KeyError as exc:
+        raise CheckpointError(f"corrupt checkpoint: missing {exc.args[0]}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from None
 
     def layer_tensors(prefix, spec):
         out = {}
@@ -165,4 +130,4 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"corrupt checkpoint: unexpected tensor {', '.join(sorted(tensors))}"
         )
-    return model, config, int(meta["epoch"])
+    return model, config, epoch

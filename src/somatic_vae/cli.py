@@ -11,6 +11,7 @@ back. Exit codes: 0 success, 1 runtime or input failure, 2 usage error.
 import argparse
 import os
 import sys
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -19,24 +20,14 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .losses import BetaSchedule
 from .vae import VaeConfig, encode_batch, reconstruct_mu, train
 
-# training-run options: name -> (python type, default)
-CONFIG_FIELDS = {
-    "hidden_dims": (str, "1024,256"),
-    "latent_dim": (int, 64),
-    "dropout_rate": (float, 0.2),
-    "l1_coefficient": (float, 1e-5),
-    "leaky_slope": (float, 0.3),
-    "loss_kind": (str, "soft_f1"),
-    "beta_kind": (str, "linear_warmup"),
-    "beta_max": (float, 3e-2),
-    "warmup_epochs": (int, 25),
-    "learning_rate": (float, 1e-3),
-    "rho": (float, 0.9),
-    "epsilon": (float, 1e-8),
-    "batch_size": (int, 128),
-    "epochs": (int, 100),
-    "seed": (int, 0),
-    "train_fraction": (float, 0.8),
+# training option -> default, whose type parses it: VaeConfig's fields but
+# input_dim, its beta schedule's (kind as beta_kind), and the holdout
+# split's train_fraction
+SCHEDULE_OPTIONS = {"kind": "beta_kind"}
+DEFAULTS = {
+    **{f.name: f.default for f in fields(VaeConfig) if f.default is not MISSING},
+    **{SCHEDULE_OPTIONS.get(k, k): v for k, v in asdict(BetaSchedule()).items()},
+    "train_fraction": 0.8,
 }
 
 
@@ -55,6 +46,8 @@ def parse_config_file(path):
             text = text.strip()
             if not key or not text:
                 raise ValueError(f"{path} line {lineno}: expected key = value")
+            if key in values:
+                raise ValueError(f"{path} line {lineno}: duplicate key {key!r}")
             if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
                 text = text[1:-1]
             values[key] = text
@@ -62,26 +55,26 @@ def parse_config_file(path):
 
 
 def coerce_config_value(key, text):
-    if key not in CONFIG_FIELDS:
+    """Parse text by the type of the option's default; a tuple is
+    comma-separated ints."""
+    if key not in DEFAULTS:
         raise ValueError(f"unknown config key {key!r}")
-    kind = CONFIG_FIELDS[key][0]
+    kind = type(DEFAULTS[key])
     try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
+        if kind is tuple:
+            return tuple(int(part) for part in text.split(","))
+        return kind(text)
     except ValueError:
         raise ValueError(f"config key {key!r}: cannot parse {text!r}") from None
-    return str(text)
 
 
 def resolve_run_config(args):
     """Defaults, then config file, then command-line flags."""
-    merged = {k: default for k, (_, default) in CONFIG_FIELDS.items()}
+    merged = dict(DEFAULTS)
     if getattr(args, "config", None):
         for key, text in parse_config_file(args.config).items():
             merged[key] = coerce_config_value(key, text)
-    for key in CONFIG_FIELDS:
+    for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = coerce_config_value(key, flag)
@@ -92,6 +85,8 @@ def write_effective_config(merged, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(merged):
             value = merged[key]
+            if isinstance(value, tuple):
+                value = ",".join(str(v) for v in value)
             if isinstance(value, str):
                 fh.write(f'{key} = "{value}"\n')
             else:
@@ -99,26 +94,10 @@ def write_effective_config(merged, path):
 
 
 def build_vae_config(merged, input_dim):
-    dims = tuple(int(part) for part in str(merged["hidden_dims"]).split(",") if part != "")
-    config = VaeConfig(
-        input_dim=input_dim,
-        hidden_dims=dims,
-        latent_dim=merged["latent_dim"],
-        dropout_rate=merged["dropout_rate"],
-        l1_coefficient=merged["l1_coefficient"],
-        leaky_slope=merged["leaky_slope"],
-        loss_kind=merged["loss_kind"],
-        beta_schedule=BetaSchedule(
-            merged["beta_kind"], merged["beta_max"], merged["warmup_epochs"]
-        ),
-        learning_rate=merged["learning_rate"],
-        rho=merged["rho"],
-        epsilon=merged["epsilon"],
-        batch_size=merged["batch_size"],
-        epochs=merged["epochs"],
-        seed=merged["seed"],
-    )
-    config.validate()
+    """The flat options nested back into a validated VaeConfig."""
+    schedule = {k: merged[SCHEDULE_OPTIONS.get(k, k)] for k in asdict(BetaSchedule())}
+    values = {f.name: merged.get(f.name) for f in fields(VaeConfig)}
+    config = VaeConfig.from_dict({**values, "input_dim": input_dim, "beta_schedule": schedule})
     if not 0.0 < merged["train_fraction"] < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     return config
@@ -372,7 +351,7 @@ def cmd_plot_data(args):
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
-    for key in CONFIG_FIELDS:
+    for key in DEFAULTS:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V")
 
 

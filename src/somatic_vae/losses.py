@@ -96,7 +96,7 @@ def total_loss(recon, kl, l1, beta):
 @dataclass
 class BetaSchedule:
     kind: str = "linear_warmup"  # constant | linear_warmup
-    beta_max: float = 1.0
+    beta_max: float = 3e-2  # the reference recipe; near 1.0 the posterior collapses
     warmup_epochs: int = 25
 
     def validate(self):

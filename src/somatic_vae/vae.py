@@ -13,7 +13,7 @@ laid out encoder, mu head, logvar head, decoder; the backward pass
 writes the gradients into the same views of model.grad.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,6 +62,20 @@ class VaeConfig:
     batch_size: int = 128
     epochs: int = 100
     seed: int = 0
+
+    @classmethod
+    def from_dict(cls, values):
+        """Inverse of dataclasses.asdict, validated: every field of the
+        config and of its beta schedule must be present, and no other."""
+        for kind, given in ((cls, values), (BetaSchedule, values.get("beta_schedule", {}))):
+            names = {f.name for f in fields(kind)}
+            for problem, keys in (("missing", names - given.keys()), ("unknown", given.keys() - names)):
+                if keys:
+                    raise ValueError(f"{problem} config field {', '.join(sorted(keys))}")
+        config = cls(**{**values, "hidden_dims": tuple(values["hidden_dims"]),
+                        "beta_schedule": BetaSchedule(**values["beta_schedule"])})
+        config.validate()
+        return config
 
     def validate(self):
         if int(self.input_dim) < 1:

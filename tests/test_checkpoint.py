@@ -1,5 +1,6 @@
 """Binary checkpoint round-trips and corruption handling."""
 
+import json
 import struct
 import zlib
 
@@ -13,6 +14,7 @@ from somatic_vae.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from somatic_vae.cli import run
 from somatic_vae.cohort import SyntheticSpec, generate_synthetic_cohort, holdout_split
 from somatic_vae.seeding import sub_rng
 from somatic_vae.vae import VaeConfig, build_vae, reconstruct_mu, train
@@ -122,6 +124,17 @@ def test_untrained_model_roundtrip(tmp_path):
         assert np.array_equal(ta, tb)
 
 
+def test_numpy_scalars_in_config_saved_as_plain_numbers(tmp_path):
+    config = VaeConfig(input_dim=np.int64(9), hidden_dims=(6, 4), latent_dim=2, epochs=1,
+                       dropout_rate=np.float32(0.25))
+    model = build_vae(config, sub_rng(0, "init"))
+    path = tmp_path / "numpy.bin"
+    save_checkpoint(model, config, epoch=1, path=path)
+    _, loaded_config, _ = load_checkpoint(path)
+    assert type(loaded_config.input_dim) is int and loaded_config.input_dim == 9
+    assert type(loaded_config.dropout_rate) is float and loaded_config.dropout_rate == 0.25
+
+
 class WithExtraTensors:
     """A model whose snapshot carries tensors no architecture owns, as a
     file from a writer that also stored optimizer state would."""
@@ -159,6 +172,60 @@ def test_file_layout_keeps_the_constant_optimizer_keys(tmp_path):
     body = path.read_bytes()[len(MAGIC) : -4]
     (meta_len,) = struct.unpack("<I", body[4:8])
     meta = body[8 : 8 + meta_len].decode("utf-8")
-    assert meta.endswith(',"epoch":7,"has_optimizer":false,"opt_step":0}')
+    assert meta == (
+        '{"config":{"batch_size":128,'
+        '"beta_schedule":{"beta_max":0.03,"kind":"linear_warmup","warmup_epochs":25},'
+        '"dropout_rate":0.2,"epochs":1,"epsilon":1e-08,"hidden_dims":[2,2],"input_dim":3,'
+        '"l1_coefficient":1e-05,"latent_dim":1,"leaky_slope":0.3,"learning_rate":0.001,'
+        '"loss_kind":"soft_f1","rho":0.9,"seed":0},'
+        '"epoch":7,"has_optimizer":false,"opt_step":0}'
+    )
     (count,) = struct.unpack("<I", body[8 + meta_len : 12 + meta_len])
     assert count == len(list(model.named_tensors()))
+
+
+def small_checkpoint_with_meta(path, edit):
+    """A small model's checkpoint whose metadata edit(meta) has changed,
+    re-sealed with a valid CRC, so only the config check can catch it."""
+    config = VaeConfig(input_dim=3, hidden_dims=(2, 2), latent_dim=1, epochs=1)
+    save_checkpoint(build_vae(config, sub_rng(0, "init")), config, epoch=1, path=path)
+    body = path.read_bytes()[len(MAGIC) : -4]
+    (meta_len,) = struct.unpack("<I", body[4:8])
+    meta = json.loads(body[8 : 8 + meta_len])
+    edit(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    body = body[:4] + struct.pack("<I", len(blob)) + blob + body[8 + meta_len :]
+    path.write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m["config"].pop("rho"), "missing config field rho"),
+        (lambda m: m["config"]["beta_schedule"].pop("warmup_epochs"),
+         "missing config field warmup_epochs"),
+        (lambda m: m.pop("epoch"), "missing epoch"),
+        (lambda m: m["config"].update(momentum=0.5), "unknown config field momentum"),
+        (lambda m: m["config"].update(dropout_rate=1.5), "dropout_rate must be in"),
+        (lambda m: m["config"].update(loss_kind="mse"), "loss_kind must be"),
+    ],
+    ids=["missing-rho", "missing-schedule-field", "missing-epoch", "unknown-key",
+         "dropout-rate-1.5", "loss-kind-mse"],
+)
+def test_malformed_config_rejected_naming_the_field(tmp_path, edit, message):
+    path = tmp_path / "bad-config.bin"
+    small_checkpoint_with_meta(path, edit)
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint: {message}"):
+        load_checkpoint(path)
+
+
+def test_embed_with_malformed_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad-config.bin"
+    small_checkpoint_with_meta(path, lambda m: m["config"].pop("rho"))
+    code = run([
+        "embed", "--checkpoint", str(path), "--cohort", str(tmp_path),
+        "--out", str(tmp_path / "emb.tsv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: corrupt checkpoint: missing config field rho")

@@ -1,15 +1,18 @@
 """Command-line pipeline: config handling, subcommands, reproducibility."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from somatic_vae.cli import (
-    CONFIG_FIELDS,
     coerce_config_value,
     emit_history,
     parse_config_file,
     read_embeddings,
+    resolve_run_config,
     run,
+    write_effective_config,
     write_embeddings,
 )
 from somatic_vae.vae import EpochStats
@@ -45,8 +48,16 @@ def test_parse_config_file_reports_line_numbers(tmp_path):
         parse_config_file(cfg)
 
 
+def test_parse_config_file_rejects_duplicate_keys(tmp_path):
+    cfg = tmp_path / "dup.toml"
+    cfg.write_text("latent_dim = 16\nepochs = 3\nlatent_dim = 8\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3: duplicate key 'latent_dim'"):
+        parse_config_file(cfg)
+
+
 def test_coerce_rejects_unknown_keys_and_bad_values():
     assert coerce_config_value("latent_dim", "8") == 8
+    assert coerce_config_value("hidden_dims", "64,32") == (64, 32)
     assert coerce_config_value("learning_rate", "1e-3") == 1e-3
     assert coerce_config_value("loss_kind", "soft_f1") == "soft_f1"
     with pytest.raises(ValueError, match="unknown config key"):
@@ -55,12 +66,29 @@ def test_coerce_rejects_unknown_keys_and_bad_values():
         coerce_config_value("latent_dim", "eight")
 
 
-def test_config_defaults_cover_training_surface():
-    assert CONFIG_FIELDS["batch_size"][1] == 128
-    assert CONFIG_FIELDS["epochs"][1] == 100
-    assert CONFIG_FIELDS["latent_dim"][1] == 64
-    assert CONFIG_FIELDS["hidden_dims"][1] == "1024,256"
-    assert CONFIG_FIELDS["warmup_epochs"][1] == 25
+def test_effective_config_of_the_defaults_is_pinned(tmp_path):
+    # the options and defaults all come from VaeConfig and BetaSchedule;
+    # this is the echo they must keep producing, byte for byte
+    path = tmp_path / "effective-config.toml"
+    write_effective_config(resolve_run_config(argparse.Namespace()), path)
+    assert path.read_bytes() == (
+        b"batch_size = 128\n"
+        b'beta_kind = "linear_warmup"\n'
+        b"beta_max = 0.03\n"
+        b"dropout_rate = 0.2\n"
+        b"epochs = 100\n"
+        b"epsilon = 1e-08\n"
+        b'hidden_dims = "1024,256"\n'
+        b"l1_coefficient = 1e-05\n"
+        b"latent_dim = 64\n"
+        b"leaky_slope = 0.3\n"
+        b"learning_rate = 0.001\n"
+        b'loss_kind = "soft_f1"\n'
+        b"rho = 0.9\n"
+        b"seed = 0\n"
+        b"train_fraction = 0.8\n"
+        b"warmup_epochs = 25\n"
+    )
 
 
 # ---------------------------------------------------------------- history
@@ -149,12 +177,13 @@ def test_missing_input_file_exits_one_with_path(tmp_path, capsys):
 
 def test_invalid_config_value_exits_one_naming_field(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
-    code = run([
-        "train", "--cohort", cohort_dir, "--out", str(tmp_path / "run"),
-        "--latent-dim", "0",
-    ])
-    assert code == 1
-    assert "latent_dim" in capsys.readouterr().err
+    for flag, value, field in (
+        ("--latent-dim", "0", "latent_dim"),
+        ("--hidden-dims", "a,b", "hidden_dims"),
+    ):
+        code = run(["train", "--cohort", cohort_dir, "--out", str(tmp_path / "run"), flag, value])
+        assert code == 1
+        assert field in capsys.readouterr().err
 
 
 def test_unknown_config_key_in_file_exits_one(tmp_path, capsys):
