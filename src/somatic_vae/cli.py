@@ -326,14 +326,7 @@ def cmd_plot_data(args):
     clusters = {}
     if args.assignments:
         with open(_require_file(args.assignments), encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != "sample_id\tcluster":
-                raise ValueError(f"{args.assignments}: not an assignment TSV")
-            for raw in fh:
-                line = raw.rstrip("\n")
-                if line:
-                    sid, _, c = line.partition("\t")
-                    clusters[sid] = c
+            clusters = dict(cohort_io._parse_two_columns(fh, "sample_id\tcluster", "assignment"))
     labels = {}
     if args.labels:
         with open(_require_file(args.labels), encoding="utf-8") as fh:

@@ -287,8 +287,7 @@ def load_cohort(cache_dir):
             raise FileNotFoundError(f"missing cohort cache file: {p}")
     with open(loci_path, encoding="utf-8") as fh:
         locus_ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    sample_ids = []
-    rows = []
+    sample_ids, rows, linenos = [], [], []
     with open(matrix_path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[0] != "sample_id" or header[1:] != locus_ids:
@@ -301,15 +300,18 @@ def load_cohort(cache_dir):
             if len(parts) != len(locus_ids) + 1:
                 raise ValueError(f"matrix.tsv line {lineno}: wrong column count")
             sample_ids.append(parts[0])
+            linenos.append(lineno)
             try:
                 rows.append([int(v) for v in parts[1:]])
             except ValueError:
                 raise ValueError(f"matrix.tsv line {lineno}: non-integer cell") from None
-    matrix = (
-        np.array(rows, dtype=np.uint8)
-        if rows
-        else np.zeros((0, len(locus_ids)), dtype=np.uint8)
-    )
+    try:
+        matrix = np.array(rows, dtype=np.uint8).reshape(len(rows), len(locus_ids))
+    except OverflowError:  # a cell outside uint8
+        matrix = None
+    if matrix is None or (matrix.size and matrix.max() > 1):
+        bad = next(i for i, row in enumerate(rows) if not 0 <= min(row) <= max(row) <= 1)
+        raise ValueError(f"matrix.tsv line {linenos[bad]}: cell outside {{0, 1}}")
     labels = None
     labels_path = os.path.join(cache_dir, "labels.tsv")
     if os.path.exists(labels_path):

@@ -127,7 +127,8 @@ def grad_check(specs, params, x, reduction, tolerance=1e-5, fd_step=1e-5, rng=No
             view[key][...] = p[key]
     params = [{**p, **view} for p, view in zip(params, views)]
     analytic, _ = stack_views(specs, np.zeros_like(theta))
-    out, tape = stack_forward(specs, params, x, TRAIN, rng=rng)
+    # batch-norm buffers are updated in place, and they are the caller's
+    out, tape = stack_forward(specs, params, x, TRAIN, rng=rng, update_running=False)
     loss_value, dout = reduction(out)
     stack_backward(specs, params, tape, dout, analytic)
     x_fd = np.asarray(x).astype(FD_DTYPE)

@@ -9,8 +9,8 @@ the stack records caches on a Tape for the backward pass.
 A stack's trainable tensors are views into consecutive slices of one flat
 vector (stack_views), and the backward pass writes every parameter
 gradient into the same views of a twin vector, so an optimizer can step
-the whole model as one array. Batch-norm running statistics are buffers
-and live outside that vector.
+the whole model as one array. Batch-norm running statistics are buffers,
+viewed the same way from a second vector (buffers=True).
 """
 
 import math
@@ -85,26 +85,28 @@ def layer_shapes(spec):
     return {}
 
 
-def stack_views(specs, vec, offset=0):
+def stack_views(specs, vec, offset=0, buffers=False):
     """One dict per layer of views into consecutive slices of vec, from
-    offset on, one view per trainable tensor; returns (dicts, end offset)."""
+    offset on, one view per trainable tensor (per running statistic with
+    buffers=True); returns (dicts, end offset)."""
     views = []
     for spec in specs:
         p = {}
         for key, shape in layer_shapes(spec).items():
-            if key in BUFFER_KEYS:
-                continue
-            size = math.prod(shape)
-            p[key] = vec[offset : offset + size].reshape(shape)
-            offset += size
+            if (key in BUFFER_KEYS) == buffers:
+                size = math.prod(shape)
+                p[key] = vec[offset : offset + size].reshape(shape)
+                offset += size
         views.append(p)
     return views, offset
 
 
-def stack_size(specs):
-    """Trainable scalars in a stack."""
-    shapes = (s for spec in specs for k, s in layer_shapes(spec).items() if k not in BUFFER_KEYS)
-    return sum(math.prod(shape) for shape in shapes)
+def stack_size(specs, buffers=False):
+    """Trainable scalars in a stack (running statistics with buffers=True)."""
+    return sum(
+        math.prod(shape) for spec in specs
+        for key, shape in layer_shapes(spec).items() if (key in BUFFER_KEYS) == buffers
+    )
 
 
 def init_layer_params(spec, rng):
@@ -151,8 +153,9 @@ def _batchnorm_forward(x, p, spec, mode, update_running):
     xhat = xmu * inv
     if update_running:
         m = spec.momentum
-        p["run_mean"] = m * p["run_mean"] + (1.0 - m) * mean
-        p["run_var"] = m * p["run_var"] + (1.0 - m) * var
+        # in place: the buffers may be views of a model's stats vector
+        p["run_mean"][...] = m * p["run_mean"] + (1.0 - m) * mean
+        p["run_var"][...] = m * p["run_var"] + (1.0 - m) * var
     return p["gamma"] * xhat + p["delta"], (xmu, inv, xhat)
 
 

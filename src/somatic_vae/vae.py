@@ -10,9 +10,12 @@ function of (cohort, split, config.seed).
 
 Every trainable tensor is a view into one float64 vector, model.theta,
 laid out encoder, mu head, logvar head, decoder; the backward pass
-writes the gradients into the same views of model.grad.
+writes the gradients into the same views of model.grad. The batch-norm
+running statistics are views of a second vector, model.stats, in the
+same layer order.
 """
 
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -78,30 +81,44 @@ class VaeConfig:
         return config
 
     def validate(self):
-        if int(self.input_dim) < 1:
+        _check_field_types(self)
+        _check_field_types(self.beta_schedule)
+        if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        dims = tuple(int(h) for h in self.hidden_dims)
-        if len(dims) != 2 or any(h < 1 for h in dims):
+        if len(self.hidden_dims) != 2 or any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden_dims must be two dimensions >= 1")
-        if int(self.latent_dim) < 1:
+        if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if not 0.0 <= float(self.dropout_rate) < 1.0:
+        if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if float(self.l1_coefficient) < 0.0:
+        if self.l1_coefficient < 0.0:
             raise ValueError("l1_coefficient must be nonnegative")
         if self.loss_kind not in ("bce", "soft_f1"):
             raise ValueError("loss_kind must be bce or soft_f1")
         self.beta_schedule.validate()
-        if float(self.learning_rate) <= 0.0:
+        if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 < float(self.rho) < 1.0:
+        if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
-        if float(self.epsilon) <= 0.0:
+        if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if int(self.batch_size) < 1:
+        if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if int(self.epochs) < 1:
+        if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+
+
+def _check_field_types(config):
+    """Every int field (and hidden_dims entry) must hold an integral number
+    and every float field a real one; a bool is neither."""
+    for f in fields(config):
+        kind = {int: numbers.Integral, tuple: numbers.Integral, float: numbers.Real}.get(f.type)
+        values = getattr(config, f.name)
+        for value in values if f.type is tuple else (values,):
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                name = f"{f.name} entry" if f.type is tuple else f.name
+                noun = "an integer" if kind is numbers.Integral else "a real number"
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass
@@ -136,32 +153,23 @@ class VaeModel:
     theta: np.ndarray  # every trainable scalar; the params dicts view it
     grad: np.ndarray  # twin of theta, written by the backward pass
     grads: list  # per stack, per layer views into grad
+    stats: np.ndarray  # batch-norm running statistics; the params dicts view it
 
     def param_stacks(self):
-        """(section name, specs, params) triples in canonical order."""
+        """(specs, params) pairs in canonical order."""
         return [
-            ("enc", self.enc_specs, self.enc_params),
-            ("mu", self.mu_specs, self.mu_params),
-            ("lv", self.lv_specs, self.lv_params),
-            ("dec", self.dec_specs, self.dec_params),
+            (self.enc_specs, self.enc_params),
+            (self.mu_specs, self.mu_params),
+            (self.lv_specs, self.lv_params),
+            (self.dec_specs, self.dec_params),
         ]
 
     def flat_params(self):
         """One flat list of parameter dicts (canonical order, shared refs)."""
-        return [p for _, _, params in self.param_stacks() for p in params]
-
-    def named_tensors(self):
-        """(name, array) pairs for every parameter and buffer."""
-        for section, _, params in self.param_stacks():
-            for i, p in enumerate(params):
-                for key in sorted(p):
-                    yield f"{section}/{i}/{key}", p[key]
+        return [p for _, params in self.param_stacks() for p in params]
 
     def l1_penalty(self):
-        return sum(
-            stack_l1_penalty(specs, params)
-            for _, specs, params in self.param_stacks()
-        )
+        return sum(stack_l1_penalty(specs, params) for specs, params in self.param_stacks())
 
 
 def _architecture(config):
@@ -195,37 +203,23 @@ def _architecture(config):
 
 def _bind(config, theta=None):
     """A model whose trainable tensors are views into theta (a fresh,
-    unfilled vector when None), with a zeroed twin gradient vector. Its
-    batch-norm layers have no running statistics yet."""
+    unfilled vector when None), with a zeroed twin gradient vector, and
+    whose running statistics are views into a fresh, unfilled stats."""
     stacks = _architecture(config)
     if theta is None:
         theta = np.empty(sum(stack_size(specs) for specs in stacks))
     grad = np.zeros(theta.size, theta.dtype)  # calloc: no memory until written
-    params, grads, offset = [], [], 0
+    stats = np.empty(sum(stack_size(specs, buffers=True) for specs in stacks))
+    params, grads, offset, stats_offset = [], [], 0, 0
     for specs in stacks:
         views, _ = stack_views(specs, theta, offset)
         gviews, offset = stack_views(specs, grad, offset)
-        params.append(views)
+        sviews, stats_offset = stack_views(specs, stats, stats_offset, buffers=True)
+        params.append([{**v, **s} for v, s in zip(views, sviews)])
         grads.append(gviews)
     # the dataclass fields take each stack's specs, then its params
     specs_and_params = [part for pair in zip(stacks, params) for part in pair]
-    return VaeModel(config, *specs_and_params, theta, grad, grads)
-
-
-def assemble(config, layer_tensors):
-    """A model filled layer by layer, in canonical order, from
-    layer_tensors(name prefix, spec) -> {key: array}: trainable tensors
-    are copied into the model's views of theta, the batch-norm buffers
-    are kept as given."""
-    model = _bind(config)
-    for section, specs, params in model.param_stacks():
-        for i, (spec, p) in enumerate(zip(specs, params)):
-            for key, value in layer_tensors(f"{section}/{i}/", spec).items():
-                if key in p:
-                    p[key][...] = value
-                else:
-                    p[key] = value
-    return model
+    return VaeModel(config, *specs_and_params, theta, grad, grads, stats)
 
 
 def build_vae(config, rng):
@@ -233,7 +227,12 @@ def build_vae(config, rng):
     batch-norm scale. Draw order is encoder, mu head, logvar head,
     decoder."""
     config.validate()
-    return assemble(config, lambda _, spec: init_layer_params(spec, rng))
+    model = _bind(config)
+    for specs, params in model.param_stacks():
+        for spec, p in zip(specs, params):
+            for key, value in init_layer_params(spec, rng).items():
+                p[key][...] = value
+    return model
 
 
 def count_parameters(model):

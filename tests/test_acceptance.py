@@ -410,10 +410,8 @@ def test_criterion_09_determinism_and_persistence(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     sv.save_checkpoint(model_a, cfg, cfg.epochs, ckpt)
     loaded, _, _ = sv.load_checkpoint(ckpt)
-    t_orig = dict(model_a.named_tensors())
-    t_load = dict(loaded.named_tensors())
-    bit_identical = t_orig.keys() == t_load.keys() and all(
-        np.array_equal(t_orig[k], t_load[k]) for k in t_orig
+    bit_identical = np.array_equal(model_a.theta, loaded.theta) and np.array_equal(
+        model_a.stats, loaded.stats
     )
     x = filtered.matrix.astype(np.float64)
     same_outputs = np.array_equal(

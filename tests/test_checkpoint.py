@@ -44,11 +44,11 @@ def test_roundtrip_reproduces_every_tensor_bit_exactly(tmp_path):
     loaded, loaded_config, epoch = load_checkpoint(path)
     assert epoch == 2
     assert loaded_config == config
-    original = dict(model.named_tensors())
-    restored = dict(loaded.named_tensors())
-    assert original.keys() == restored.keys()
-    for name in original:
-        assert np.array_equal(original[name], restored[name]), name
+    assert np.array_equal(loaded.theta, model.theta)
+    assert np.array_equal(loaded.stats, model.stats)
+    for p, q in zip(model.flat_params(), loaded.flat_params()):
+        assert p.keys() == q.keys()
+        assert all(np.array_equal(p[key], q[key]) for key in p)
 
 
 def test_roundtrip_inference_outputs_identical(tmp_path):
@@ -119,9 +119,8 @@ def test_untrained_model_roundtrip(tmp_path):
     loaded, loaded_config, epoch = load_checkpoint(path)
     assert epoch == 0
     assert loaded_config.hidden_dims == (6, 4)
-    for (na, ta), (nb, tb) in zip(model.named_tensors(), loaded.named_tensors()):
-        assert na == nb
-        assert np.array_equal(ta, tb)
+    assert np.array_equal(loaded.theta, model.theta)
+    assert np.array_equal(loaded.stats, model.stats)
 
 
 def test_numpy_scalars_in_config_saved_as_plain_numbers(tmp_path):
@@ -135,67 +134,109 @@ def test_numpy_scalars_in_config_saved_as_plain_numbers(tmp_path):
     assert type(loaded_config.dropout_rate) is float and loaded_config.dropout_rate == 0.25
 
 
-class WithExtraTensors:
-    """A model whose snapshot carries tensors no architecture owns, as a
-    file from a writer that also stored optimizer state would."""
-
-    def __init__(self, model, extra):
-        self.model = model
-        self.extra = extra
-
-    def named_tensors(self):
-        yield from self.model.named_tensors()
-        yield from self.extra
-
-
-def test_unexpected_tensor_rejected_by_name(tmp_path):
-    config = VaeConfig(input_dim=9, hidden_dims=(6, 4), latent_dim=2, epochs=1)
-    model = build_vae(config, sub_rng(0, "init"))
-    path = tmp_path / "extra.bin"
-    extra = [("opt/0/w", np.zeros((9, 6))), ("enc/0/v", np.zeros(6))]
-    save_checkpoint(WithExtraTensors(model, extra), config, epoch=1, path=path)
-    with pytest.raises(CheckpointError, match="unexpected tensor enc/0/v, opt/0/w"):
-        load_checkpoint(path)
-    # the same file without the extras loads
-    save_checkpoint(WithExtraTensors(model, []), config, epoch=1, path=path)
-    loaded, _, _ = load_checkpoint(path)
-    assert np.array_equal(loaded.theta, model.theta)
-
-
-def test_file_layout_keeps_the_constant_optimizer_keys(tmp_path):
-    # files stay byte-identical to those written when the format could
-    # also carry optimizer state: same metadata keys, then the tensors
+def small_checkpoint(path):
     config = VaeConfig(input_dim=3, hidden_dims=(2, 2), latent_dim=1, epochs=1)
     model = build_vae(config, sub_rng(0, "init"))
-    path = tmp_path / "small.bin"
+    model.stats[...] = np.arange(model.stats.size)  # not the initial zeros and ones
     save_checkpoint(model, config, epoch=7, path=path)
-    body = path.read_bytes()[len(MAGIC) : -4]
-    (meta_len,) = struct.unpack("<I", body[4:8])
-    meta = body[8 : 8 + meta_len].decode("utf-8")
-    assert meta == (
+    return model
+
+
+SECTIONS = ("magic", "version", "meta-length", "meta", "theta", "stats", "trailer")
+
+
+def section_bounds(raw, model):
+    """Section name -> (start, stop) byte offsets in a checkpoint file."""
+    (meta_len,) = struct.unpack_from("<I", raw, len(MAGIC) + 4)
+    sizes = [len(MAGIC), 4, 4, meta_len, 8 * model.theta.size, 8 * model.stats.size, 4]
+    ends = np.cumsum(sizes)
+    assert ends[-1] == len(raw)
+    return {name: (int(end - size), int(end)) for name, size, end in zip(SECTIONS, sizes, ends)}
+
+
+def reseal(path, body):
+    path.write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_file_layout_is_config_then_theta_then_stats(tmp_path):
+    path = tmp_path / "small.bin"
+    model = small_checkpoint(path)
+    raw = path.read_bytes()
+    bounds = section_bounds(raw, model)
+    assert raw[slice(*bounds["version"])] == struct.pack("<I", VERSION) == struct.pack("<I", 2)
+    assert raw[slice(*bounds["meta"])].decode("utf-8") == (
         '{"config":{"batch_size":128,'
         '"beta_schedule":{"beta_max":0.03,"kind":"linear_warmup","warmup_epochs":25},'
         '"dropout_rate":0.2,"epochs":1,"epsilon":1e-08,"hidden_dims":[2,2],"input_dim":3,'
         '"l1_coefficient":1e-05,"latent_dim":1,"leaky_slope":0.3,"learning_rate":0.001,'
-        '"loss_kind":"soft_f1","rho":0.9,"seed":0},'
-        '"epoch":7,"has_optimizer":false,"opt_step":0}'
+        '"loss_kind":"soft_f1","rho":0.9,"seed":0},"epoch":7}'
     )
-    (count,) = struct.unpack("<I", body[8 + meta_len : 12 + meta_len])
-    assert count == len(list(model.named_tensors()))
+    assert raw[slice(*bounds["theta"])] == model.theta.astype("<f8").tobytes()
+    assert raw[slice(*bounds["stats"])] == model.stats.astype("<f8").tobytes()
+    assert raw[slice(*bounds["trailer"])] == struct.pack("<I", zlib.crc32(raw[8:-4]))
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_file_cut_inside_each_section_rejected(tmp_path, section):
+    path = tmp_path / "small.bin"
+    model = small_checkpoint(path)
+    raw = path.read_bytes()
+    start, stop = section_bounds(raw, model)[section]
+    for cut in (start + 1, (start + stop) // 2, stop - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_bit_flip_in_each_section_rejected(tmp_path, section):
+    path = tmp_path / "small.bin"
+    model = small_checkpoint(path)
+    raw = path.read_bytes()
+    start, stop = section_bounds(raw, model)[section]
+    for at in (start, stop - 1):
+        flipped = bytearray(raw)
+        flipped[at] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(CheckpointError, match="not a checkpoint|CRC mismatch"):
+            load_checkpoint(path)
+
+
+def test_payload_one_float_short_or_long_rejected_naming_both_sizes(tmp_path):
+    path = tmp_path / "small.bin"
+    model = small_checkpoint(path)
+    body = path.read_bytes()[len(MAGIC) : -4]
+    need = 8 * (model.theta.size + model.stats.size)  # bytes after the JSON block
+    for edited, size in ((body[:-8], need - 8), (body + struct.pack("<d", 1.0), need + 8)):
+        reseal(path, edited)
+        message = f"payload has {size} bytes, the config needs {need}"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+    reseal(path, body)  # the same bytes, re-sealed, still load
+    assert np.array_equal(load_checkpoint(path)[0].stats, model.stats)
+
+
+def test_version_1_file_rejected(tmp_path):
+    # the first format: the same header, optimizer keys in the JSON block,
+    # then a tensor count and named tensors
+    meta = json.dumps({"config": {}, "epoch": 1, "has_optimizer": False, "opt_step": 0}).encode()
+    body = struct.pack("<II", 1, len(meta)) + meta + struct.pack("<I", 0)
+    path = tmp_path / "v1.bin"
+    reseal(path, body)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1$"):
+        load_checkpoint(path)
 
 
 def small_checkpoint_with_meta(path, edit):
     """A small model's checkpoint whose metadata edit(meta) has changed,
     re-sealed with a valid CRC, so only the config check can catch it."""
-    config = VaeConfig(input_dim=3, hidden_dims=(2, 2), latent_dim=1, epochs=1)
-    save_checkpoint(build_vae(config, sub_rng(0, "init")), config, epoch=1, path=path)
+    small_checkpoint(path)
     body = path.read_bytes()[len(MAGIC) : -4]
     (meta_len,) = struct.unpack("<I", body[4:8])
     meta = json.loads(body[8 : 8 + meta_len])
     edit(meta)
     blob = json.dumps(meta).encode("utf-8")
-    body = body[:4] + struct.pack("<I", len(blob)) + blob + body[8 + meta_len :]
-    path.write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    reseal(path, body[:4] + struct.pack("<I", len(blob)) + blob + body[8 + meta_len :])
 
 
 @pytest.mark.parametrize(
@@ -208,9 +249,14 @@ def small_checkpoint_with_meta(path, edit):
         (lambda m: m["config"].update(momentum=0.5), "unknown config field momentum"),
         (lambda m: m["config"].update(dropout_rate=1.5), "dropout_rate must be in"),
         (lambda m: m["config"].update(loss_kind="mse"), "loss_kind must be"),
+        (lambda m: m["config"].update(latent_dim=1.7), "latent_dim must be an integer, got 1.7"),
+        (lambda m: m["config"].update(hidden_dims=[2.9, 2]),
+         "hidden_dims entry must be an integer, got 2.9"),
+        (lambda m: m["config"].update(seed="3"), "seed must be an integer, got '3'"),
     ],
     ids=["missing-rho", "missing-schedule-field", "missing-epoch", "unknown-key",
-         "dropout-rate-1.5", "loss-kind-mse"],
+         "dropout-rate-1.5", "loss-kind-mse", "latent-dim-1.7", "hidden-dims-2.9",
+         "seed-string"],
 )
 def test_malformed_config_rejected_naming_the_field(tmp_path, edit, message):
     path = tmp_path / "bad-config.bin"

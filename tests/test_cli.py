@@ -330,6 +330,16 @@ def test_eval_cluster_pca_route_and_argument_exclusivity(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_cluster_on_a_cache_with_an_out_of_range_cell_exits_one(tmp_path, capsys):
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    matrix = tmp_path / "cache" / "matrix.tsv"
+    lines = matrix.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2][: -1] + "300"
+    matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["eval-cluster", "--cohort", cohort_dir, "--pca", "4"]) == 1
+    assert capsys.readouterr().err == "error: matrix.tsv line 3: cell outside {0, 1}\n"
+
+
 def test_sweep_latent_emits_fold_table(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     table_path = tmp_path / "sweep.tsv"
@@ -367,6 +377,22 @@ def test_plot_data_scatter_output(tmp_path, capsys):
     assert lines[1] == "a\t0\t1\t0\tlumA"
     assert lines[2] == "b\t2\t3\t1\tNA"  # missing label -> NA
     assert lines[3] == "c\t4\t5\tNA\tlumB"  # missing cluster -> NA
+
+
+def test_plot_data_rejects_a_malformed_assignment_row(tmp_path, capsys):
+    emb = tmp_path / "e2.tsv"
+    write_embeddings(["S1", "S2"], np.zeros((2, 2)), emb)
+    assign = tmp_path / "assign.tsv"
+    assign.write_text("sample_id\tcluster\nS1\t0\nS2 1\n", encoding="utf-8")
+    out_path = tmp_path / "scatter.tsv"
+    argv = ["plot-data", "--embeddings", str(emb), "--assignments", str(assign),
+            "--out", str(out_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: line 3: malformed assignment row 'S2 1'\n"
+    assert not out_path.exists()
+    assign.write_text("sample\tcluster\nS1\t0\n", encoding="utf-8")  # wrong header
+    assert run(argv) == 1
+    assert "line 1: expected header" in capsys.readouterr().err
 
 
 def test_plot_data_rejects_non_2d_embeddings(tmp_path, capsys):

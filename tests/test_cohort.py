@@ -279,6 +279,18 @@ def test_cohort_cache_header_mismatch_rejected(tmp_path):
         load_cohort(tmp_path / "cache")
 
 
+@pytest.mark.parametrize("cell", ["2", "300", "-1"])
+def test_cohort_cache_out_of_range_cell_rejected_with_line_number(tmp_path, cell):
+    save_cohort(build_cohort(np.eye(3, dtype=np.uint8)), tmp_path / "cache")
+    matrix = tmp_path / "cache" / "matrix.tsv"
+    lines = matrix.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3][: -1] + cell  # last cell of the third sample
+    lines.insert(1, "")  # a blank line is skipped but still counted
+    matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^matrix.tsv line 5: cell outside \{0, 1\}$"):
+        load_cohort(tmp_path / "cache")
+
+
 def test_cohort_cache_missing_file_rejected(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_cohort(tmp_path / "nowhere")

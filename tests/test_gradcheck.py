@@ -12,6 +12,7 @@ from somatic_vae.gradcheck import (
 )
 from somatic_vae.layers import (
     Activation,
+    BatchNorm,
     Dense,
     init_layer_params,
     stack_backward,
@@ -78,12 +79,14 @@ def test_grad_report_verdict_and_str():
 
 def test_grad_check_leaves_the_callers_params_untouched():
     rng = np.random.default_rng(1)
-    specs = [Dense(3, 2), Activation("leaky_relu", slope=0.3)]
+    specs = [Dense(3, 2), BatchNorm(2), Activation("leaky_relu", slope=0.3)]
     params = [init_layer_params(spec, rng) for spec in specs]
-    before = params[0]["w"].copy()
+    before = [{k: v.copy() for k, v in p.items()} for p in params]
     report = grad_check(specs, params, rng.random((4, 3)), make_weighted_sum(rng.random((4, 2))))
     assert report.passed, str(report)
-    assert np.array_equal(params[0]["w"], before)
+    for p, b in zip(params, before):
+        assert p.keys() == b.keys()
+        assert all(np.array_equal(p[k], b[k]) for k in p)  # running statistics too
 
 
 def test_grad_check_all_zero_case():

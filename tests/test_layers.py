@@ -141,6 +141,13 @@ def test_layer_shapes_match_init_and_views_tile_the_vector():
     assert all(np.shares_memory(a, vec) for v in views for a in v.values())
     _, offset_end = stack_views(specs, np.zeros(end + 5), 5)
     assert offset_end == end + 5
+    # the running statistics tile a second vector the same way
+    stats = np.arange(float(stack_size(specs, buffers=True)))
+    buffers, end = stack_views(specs, stats, 0, buffers=True)
+    assert end == stats.size == 2 * 3
+    assert [list(v) for v in buffers] == [[], ["run_mean", "run_var"], [], [], []]
+    assert np.array_equal(np.concatenate([a for v in buffers for a in v.values()]), stats)
+    assert all(np.shares_memory(a, stats) for v in buffers for a in v.values())
 
 
 # ---------------------------------------------------------------- forward

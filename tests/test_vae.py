@@ -93,6 +93,21 @@ def test_parameter_count_matches_shape_arithmetic():
 def test_build_rejects_invalid_config_naming_the_field():
     with pytest.raises(ValueError, match="latent_dim"):
         build_vae(tiny_config(latent_dim=0), sub_rng(0, "init"))
+    # wrong types are not truncated into a different architecture
+    for bad, message in (
+        (dict(latent_dim=1.7), "latent_dim must be an integer, got 1.7"),
+        (dict(hidden_dims=(2.9, 2)), "hidden_dims entry must be an integer, got 2.9"),
+        (dict(seed="3"), "seed must be an integer, got '3'"),
+        (dict(epochs=2.5), "epochs must be an integer"),
+        (dict(batch_size=True), "batch_size must be an integer, got True"),
+        (dict(dropout_rate="0.1"), "dropout_rate must be a real number"),
+        (dict(beta_schedule=BetaSchedule(warmup_epochs=2.0)), "warmup_epochs must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**bad).validate()
+    # numpy scalars, and an int where a float stands, are fine
+    tiny_config(latent_dim=np.int64(3), hidden_dims=(np.int32(8), 6), seed=np.uint8(1),
+                dropout_rate=0, learning_rate=np.float32(1e-3)).validate()
     with pytest.raises(ValueError, match="hidden_dims"):
         tiny_config(hidden_dims=(8,)).validate()
     with pytest.raises(ValueError, match="dropout_rate"):
@@ -108,9 +123,7 @@ def test_build_rejects_invalid_config_naming_the_field():
 def test_build_is_deterministic_in_rng():
     a, _ = tiny_model(seed=5)
     b, _ = tiny_model(seed=5)
-    for (name_a, ta), (name_b, tb) in zip(a.named_tensors(), b.named_tensors()):
-        assert name_a == name_b
-        assert np.array_equal(ta, tb)
+    assert_same_vectors(a, b)
 
 
 # ---------------------------------------------------------------- encode/decode
@@ -218,6 +231,11 @@ def test_decode_rejects_wrong_latent_width():
 # ---------------------------------------------------------------- training
 
 
+def assert_same_vectors(a, b):
+    assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(a.stats, b.stats)
+
+
 def small_cohort(n=40, d=30, seed=2):
     spec = SyntheticSpec(n, d, 3, 0.05, 0.6, 6, seed=seed)
     return generate_synthetic_cohort(spec)
@@ -241,9 +259,7 @@ def test_train_is_bit_deterministic():
     model_a, hist_a = train(cohort, split, config)
     model_b, hist_b = train(cohort, split, config)
     assert hist_a == hist_b
-    for (na, ta), (nb, tb) in zip(model_a.named_tensors(), model_b.named_tensors()):
-        assert na == nb
-        assert np.array_equal(ta, tb)
+    assert_same_vectors(model_a, model_b)
 
 
 def test_train_rejects_empty_training_split():
@@ -280,8 +296,7 @@ def test_train_parameter_trajectory_ignores_validation_rows():
     config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=8)
     model_a, hist_a = train(cohort, split_a, config)
     model_b, hist_b = train(cohort, split_b, config)
-    for (na, ta), (nb, tb) in zip(model_a.named_tensors(), model_b.named_tensors()):
-        assert np.array_equal(ta, tb), na
+    assert_same_vectors(model_a, model_b)
     # training-side history identical; only validation metrics may differ
     for ha, hb in zip(hist_a, hist_b):
         assert (ha.recon, ha.kl, ha.l1, ha.beta, ha.total) == (
@@ -307,13 +322,18 @@ def test_single_row_final_batch_joins_the_previous_one(monkeypatch):
 
 
 def assert_views_of_flat_vectors(model):
-    names = [name for name, _ in model.named_tensors()]
-    trainable = [t for n, t in model.named_tensors() if n.rsplit("/", 1)[1] not in BUFFER_KEYS]
-    buffers = [t for n, t in model.named_tensors() if n.rsplit("/", 1)[1] in BUFFER_KEYS]
-    grads = [layer[k] for stack in model.grads for layer in stack for k in sorted(layer)]
-    assert len(names) == len(trainable) + len(buffers) and buffers
-    assert sum(t.size for t in trainable) == model.theta.size == count_parameters(model)
+    tensors = [(key, t) for p in model.flat_params() for key, t in p.items()]
+    trainable = [t for key, t in tensors if key not in BUFFER_KEYS]
+    buffers = [t for key, t in tensors if key in BUFFER_KEYS]
+    grads = [g for stack in model.grads for layer in stack for g in layer.values()]
+    assert buffers
+    assert model.theta.size == count_parameters(model)
+    # the views tile each vector in layer order, so a rebound tensor
+    # would leave the vector, and a checkpoint of it, stale
+    assert np.array_equal(np.concatenate([t.ravel() for t in trainable]), model.theta)
+    assert np.array_equal(np.concatenate([b.ravel() for b in buffers]), model.stats)
     assert all(np.shares_memory(t, model.theta) for t in trainable)
+    assert all(np.shares_memory(b, model.stats) for b in buffers)
     assert not any(np.shares_memory(b, model.theta) for b in buffers)
     assert [g.shape for g in grads] == [t.shape for t in trainable]
     assert all(np.shares_memory(g, model.grad) for g in grads)
@@ -321,17 +341,19 @@ def assert_views_of_flat_vectors(model):
 
 
 def test_trainable_tensors_are_views_of_theta(tmp_path):
-    assert_views_of_flat_vectors(tiny_model()[0])
+    fresh = tiny_model()[0]
+    assert_views_of_flat_vectors(fresh)
     cohort = small_cohort()
     split = holdout_split(cohort.n_samples, 0.8, seed=0)
     config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=16)
     model, _ = train(cohort, split, config)
     assert_views_of_flat_vectors(model)
+    assert not np.array_equal(model.stats, fresh.stats)  # training moved the statistics
     path = tmp_path / "model.bin"
     save_checkpoint(model, config, epoch=2, path=path)
     loaded, _, _ = load_checkpoint(path)
     assert_views_of_flat_vectors(loaded)
-    assert np.array_equal(loaded.theta, model.theta)
+    assert_same_vectors(loaded, model)
 
 
 def test_train_loss_decreases_on_easy_cohort():
