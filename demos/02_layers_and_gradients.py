@@ -2,14 +2,14 @@
 
 Shows the dense / batch-norm / activation / dropout building blocks, the
 difference between train and inference modes, and the finite-difference
-harness that guards every analytic gradient in the package, including how
-it flags a deliberately corrupted gradient.
+harness that guards every analytic gradient in the package: the
+full-model check over the flat parameter vector, and how a deliberately
+corrupted gradient is flagged.
 """
 
 import numpy as np
 
 import somatic_vae as sv
-from somatic_vae.gradcheck import make_weighted_sum
 from somatic_vae.layers import (
     INFERENCE,
     TRAIN,
@@ -69,29 +69,43 @@ for i, g in enumerate(grads):
     print(f"layer {i} ({type(specs[i]).__name__}): "
           f"{keys if keys else 'no trainable parameters'}")
 
-banner("finite-difference verification of the full stack")
-weights = sv.sub_rng(1, "demo-weights").standard_normal((8, 4))
-report = sv.grad_check(specs, params, x, make_weighted_sum(weights),
-                       tolerance=1e-5, rng=sv.sub_rng(2, "demo-fd"))
+banner("finite-difference verification of the full model")
+# every trainable scalar of the VAE is perturbed in model.theta, and the
+# loss is replayed with the dropout masks and reparameterization noise frozen
+tiny = sv.VaeConfig(
+    input_dim=12, hidden_dims=(8, 6), latent_dim=3,
+    dropout_rate=0.25, l1_coefficient=1e-4, loss_kind="bce",
+    beta_schedule=sv.BetaSchedule("linear_warmup", 1e-4, 25),
+    learning_rate=1e-3, batch_size=4, epochs=1, seed=0,
+)
+report = sv.vae_grad_check(tiny, beta=1.0, tolerance=1e-5)
 print(report)
+print(f"{len(report.per_param)} tensors checked, e.g. layer1.gamma max rel error "
+      f"{report.per_param['layer1.gamma']:.1e} (running statistics are not parameters)")
 
 banner("a corrupted gradient is flagged")
 # batch-norm-free stack, so plain f64 central differences are clean here
 small = [Dense(6, 5), Activation("sigmoid"), Dense(5, 3)]
-small_params, honest, _ = new_stack(small, sv.sub_rng(3, "demo-small"))
+theta = np.empty(stack_size(small))
+small_params, _ = stack_views(small, theta)
+small_rng = sv.sub_rng(3, "demo-small")
+for spec, p in zip(small, small_params):
+    for key, value in init_layer_params(spec, small_rng).items():
+        p[key][...] = value
 xs = sv.sub_rng(4, "demo-small-x").standard_normal((5, 6))
 w2 = sv.sub_rng(5, "demo-small-w").standard_normal((5, 3))
 out_small, tape_small = stack_forward(small, small_params, xs, TRAIN)
-stack_backward(small, small_params, tape_small, w2, honest)
+honest = np.zeros_like(theta)
+stack_backward(small, small_params, tape_small, w2, stack_views(small, honest)[0])
 
 
-def objective(ps):
-    o, _ = stack_forward(small, ps, xs, TRAIN)
+def objective():
+    o, _ = stack_forward(small, small_params, xs, TRAIN)
     return (o * w2).sum()
 
 
-numeric = sv.finite_difference_grads(objective, small_params)
-print("honest  :", sv.compare_grads(honest, numeric, tolerance=1e-5))
-faulted = [dict(g) for g in honest]
-faulted[0]["w"] = faulted[0]["w"] * 1.01
-print("1% fault:", sv.compare_grads(faulted, numeric, tolerance=1e-5))
+numeric = sv.finite_difference_grads(objective, theta)
+print("honest  :", sv.compare_grads(small, honest, numeric, tolerance=1e-5))
+faulted = honest.copy()
+stack_views(small, faulted)[0][0]["w"][...] *= 1.01
+print("1% fault:", sv.compare_grads(small, faulted, numeric, tolerance=1e-5))

@@ -37,7 +37,7 @@ from .cohort import (
     write_profile_tsv,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .gradcheck import GradReport, compare_grads, finite_difference_grads, grad_check
+from .gradcheck import GradReport, compare_grads, finite_difference_grads
 from .losses import (
     BetaSchedule,
     VaeLossBreakdown,
@@ -57,7 +57,6 @@ from .metrics import (
     mean_cosine_similarity,
     micro_f1,
     nmi,
-    probe_objective,
 )
 from .optim import RmspropState, init_rmsprop, rmsprop_update
 from .seeding import indexed_rng, sub_rng
@@ -106,7 +105,6 @@ __all__ = [
     "finite_difference_grads",
     "fit_probe",
     "generate_synthetic_cohort",
-    "grad_check",
     "holdout_split",
     "indexed_rng",
     "ingest_profiles",
@@ -122,7 +120,6 @@ __all__ = [
     "nmi",
     "pca_fit",
     "pca_project",
-    "probe_objective",
     "read_labels",
     "reconstruct_mu",
     "reconstruction_grad",

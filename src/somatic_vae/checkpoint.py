@@ -10,6 +10,7 @@ of both vectors. Both round-trip bit-exactly.
 """
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict
@@ -20,6 +21,7 @@ from .vae import VaeConfig, _bind
 
 MAGIC = b"FLATVAE\x00"
 VERSION = 2
+CHUNK = 1 << 20  # bytes per read while the CRC is checked
 
 
 class CheckpointError(ValueError):
@@ -51,40 +53,45 @@ def _u32(body, offset):
 def load_checkpoint(path):
     """Returns (model, config, epoch). The payload after the JSON block
     must be exactly the two vectors that the stored config's architecture
-    needs."""
+    needs. The CRC is checked in chunks before anything is parsed, then the
+    vectors are read into the model: the file is never held whole."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError("not a checkpoint")
-    if len(raw) < len(MAGIC) + 4:
-        raise CheckpointError("corrupt checkpoint: truncated file")
-    # a view, so the vectors are copied once: into the model
-    body, trailer = memoryview(raw)[len(MAGIC) : -4], raw[-4:]
-    if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
-        raise CheckpointError("corrupt checkpoint: CRC mismatch")
-    version = _u32(body, 0)
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    start = 8 + _u32(body, 4)
-    if len(body) < start:
-        raise CheckpointError("corrupt checkpoint: truncated file")
-    try:
-        meta = json.loads(bytes(body[8:start]).decode("utf-8"))
-        config = VaeConfig.from_dict(meta["config"])
-        epoch = int(meta["epoch"])
-    except KeyError as exc:
-        raise CheckpointError(f"corrupt checkpoint: missing {exc.args[0]}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint: {exc}") from None
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError("not a checkpoint")
+        size = os.fstat(fh.fileno()).st_size - len(MAGIC) - 4  # the CRC'd body
+        if size < 0:
+            raise CheckpointError("corrupt checkpoint: truncated file")
+        crc = 0
+        for done in range(0, size, CHUNK):
+            crc = zlib.crc32(fh.read(min(CHUNK, size - done)), crc)
+        if fh.read(4) != struct.pack("<I", crc):
+            raise CheckpointError("corrupt checkpoint: CRC mismatch")
+        fh.seek(len(MAGIC))
+        head = fh.read(min(size, 8))
+        version = _u32(head, 0)
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        start = 8 + _u32(head, 4)
+        if size < start:
+            raise CheckpointError("corrupt checkpoint: truncated file")
+        try:
+            meta = json.loads(fh.read(start - 8).decode("utf-8"))
+            config = VaeConfig.from_dict(meta["config"])
+            epoch = int(meta["epoch"])
+        except KeyError as exc:
+            raise CheckpointError(f"corrupt checkpoint: missing {exc.args[0]}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt checkpoint: {exc}") from None
 
-    model = _bind(config)
-    vectors = (model.theta, model.stats)
-    size = 8 * sum(v.size for v in vectors)
-    if len(body) - start != size:
-        raise CheckpointError(
-            f"corrupt checkpoint: payload has {len(body) - start} bytes, the config needs {size}"
-        )
-    for v in vectors:
-        v[...] = np.frombuffer(body, "<f8", v.size, start)
-        start += 8 * v.size
+        model = _bind(config)
+        vectors = (model.theta, model.stats)
+        need = 8 * sum(v.size for v in vectors)
+        if size - start != need:
+            raise CheckpointError(
+                f"corrupt checkpoint: payload has {size - start} bytes, the config needs {need}"
+            )
+        for v in vectors:
+            fh.readinto(v)
+            if not np.little_endian:  # the file is little-endian
+                v.byteswap(inplace=True)
     return model, config, epoch

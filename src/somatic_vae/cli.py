@@ -248,8 +248,8 @@ def cmd_eval_cluster(args):
             raise ValueError("--cohort requires --pca Q")
         data = cohort_io.load_cohort(_require_file(args.cohort))
         sample_ids = data.sample_ids
-        pca = baselines.pca_fit(data.matrix.astype(np.float64), args.pca)
-        points = baselines.pca_project(pca, data.matrix.astype(np.float64))
+        x = data.matrix.astype(np.float64)
+        points = baselines.pca_project(baselines.pca_fit(x, args.pca), x)
     labels = _load_labels_for(sample_ids, args.labels, data)
     k = args.k if args.k is not None else len(set(labels.tolist()))
     result = baselines.kmeans_cluster(points, k, args.seed, restarts=args.restarts)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import sub_rng
+from .vae import _check_field_types
 
 PROFILE_HEADER = "sample_id\tlocus_id"
 LABEL_HEADER = "sample_id\tlabel"
@@ -51,7 +52,9 @@ class Cohort:
             raise ValueError("locus_ids not in lexicographic order")
         if self.matrix.shape != (len(self.sample_ids), len(self.locus_ids)):
             raise ValueError("matrix shape does not match identifier counts")
-        if self.matrix.size and not np.isin(self.matrix, (0, 1)).all():
+        if self.matrix.dtype != np.uint8:
+            raise ValueError(f"matrix must be uint8, got {self.matrix.dtype}")
+        if self.matrix.size and self.matrix.max() > 1:
             raise ValueError("matrix entries must be 0 or 1")
         if self.labels is not None:
             known = set(self.sample_ids)
@@ -78,12 +81,12 @@ class SyntheticSpec:
     seed: int
 
     def validate(self):
+        _check_field_types(self)
         for name in ("n_samples", "n_loci", "n_clusters", "enriched_loci_per_cluster"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         for name in ("background_rate", "enriched_rate"):
-            rate = float(getattr(self, name))
-            if not 0.0 <= rate <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not self.enriched_rate > self.background_rate:
             raise ValueError("enriched_rate must exceed background_rate")

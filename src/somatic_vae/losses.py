@@ -35,6 +35,15 @@ def kl_grads(mu, logvar):
     return mu / b, 0.5 * np.expm1(logvar) / b
 
 
+def f1_counts(pred, target):
+    """True positives, false positives and false negatives pooled over
+    every cell; probabilistic (soft) counts when pred holds probabilities."""
+    tp = (pred * target).sum()
+    fp = (pred * (1.0 - target)).sum()
+    fn = ((1.0 - pred) * target).sum()
+    return tp, fp, fn
+
+
 def reconstruction_loss(kind, probs, targets):
     """bce: elementwise mean of the clamped cross-entropy.
     soft_f1: 1 - micro soft F1 with probabilistic counts pooled over the
@@ -48,9 +57,7 @@ def reconstruction_loss(kind, probs, targets):
         ll = targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p)
         return -ll.mean()
     if kind == "soft_f1":
-        tp = (probs * targets).sum()
-        fp = (probs * (1.0 - targets)).sum()
-        fn = ((1.0 - probs) * targets).sum()
+        tp, fp, fn = f1_counts(probs, targets)
         return 1.0 - (2.0 * tp + SOFT_F1_EPS) / (2.0 * tp + fp + fn + SOFT_F1_EPS)
     raise ValueError(f"unknown loss kind {kind!r}")
 
@@ -67,9 +74,7 @@ def reconstruction_grad(kind, probs, targets):
         grad[(probs < BCE_CLAMP) | (probs > 1.0 - BCE_CLAMP)] = 0.0
         return grad
     if kind == "soft_f1":
-        tp = (probs * targets).sum()
-        fp = (probs * (1.0 - targets)).sum()
-        fn = ((1.0 - probs) * targets).sum()
+        tp, fp, fn = f1_counts(probs, targets)
         num = 2.0 * tp + SOFT_F1_EPS
         den = 2.0 * tp + fp + fn + SOFT_F1_EPS
         # d num / dp = 2y, d den / dp = 1 everywhere

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import sigmoid
+from .losses import f1_counts
 
 
 def _check_same_shape(a, b):
@@ -22,9 +23,7 @@ def micro_f1(pred, target):
     pred, target = _check_same_shape(pred, target)
     p = np.asarray(pred, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
-    tp = float((p * y).sum())
-    fp = float((p * (1.0 - y)).sum())
-    fn = float(((1.0 - p) * y).sum())
+    tp, fp, fn = (float(c) for c in f1_counts(p, y))
     denom = 2.0 * tp + fp + fn
     if denom == 0.0:
         return 1.0
@@ -112,15 +111,6 @@ class ProbeModel:
     weights: np.ndarray
     bias: float
     l2_coefficient: float
-
-
-def probe_objective(weights, bias, x, y, l2):
-    """Mean logistic loss plus (l2/2) * ||w||^2 (bias unregularized)."""
-    scores = x @ weights + bias
-    # log(1 + exp(-m)) written stably for both signs of the margin
-    margins = np.where(y == 1, scores, -scores)
-    loss = np.logaddexp(0.0, -margins).mean()
-    return float(loss + 0.5 * l2 * (weights @ weights))
 
 
 def fit_probe(x, y, l2=1e-3, lr=0.1, iters=500):

@@ -164,9 +164,9 @@ class VaeModel:
             (self.dec_specs, self.dec_params),
         ]
 
-    def flat_params(self):
-        """One flat list of parameter dicts (canonical order, shared refs)."""
-        return [p for _, params in self.param_stacks() for p in params]
+    def specs(self):
+        """Every layer spec, in the order of theta."""
+        return [spec for specs, _ in self.param_stacks() for spec in specs]
 
     def l1_penalty(self):
         return sum(stack_l1_penalty(specs, params) for specs, params in self.param_stacks())
@@ -313,8 +313,7 @@ def _forward_train(model, x, beta, rngs, masks=None, eps=None, update_running=Tr
 
 
 def _backward_train(model, x, beta, fwd):
-    """Writes the gradients of the total loss into model.grad; returns its
-    per-layer views in the canonical flat order of model.flat_params()."""
+    """Writes the gradients of the total loss into model.grad."""
     enc_tape, mu_tape, lv_tape, dec_tape = fwd["tapes"]
     enc_grads, mu_grads, lv_grads, dec_grads = model.grads
     mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
@@ -326,19 +325,18 @@ def _backward_train(model, x, beta, fwd):
     dh_mu = stack_backward(model.mu_specs, model.mu_params, mu_tape, dmu, mu_grads)
     dh_lv = stack_backward(model.lv_specs, model.lv_params, lv_tape, dlv, lv_grads)
     stack_backward(model.enc_specs, model.enc_params, enc_tape, dh_mu + dh_lv, enc_grads)
-    return enc_grads + mu_grads + lv_grads + dec_grads
 
 
 def _fd_objective(model, x, beta, fwd):
     """Total loss of fwd's training pass, dropout masks and noise frozen,
     replayed at FD_DTYPE on a copy of model.theta taken at each call, so
-    it sees every in-place perturbation of the model's parameter views."""
+    it sees every in-place perturbation of model.theta."""
     enc_tape, _, _, dec_tape = fwd["tapes"]
     masks = (enc_tape.masks, dec_tape.masks)
     x_fd = x.astype(FD_DTYPE)
     wide = _bind(model.config, np.empty(model.theta.size, FD_DTYPE))
 
-    def objective(_params):
+    def objective():
         wide.theta[...] = model.theta
         out = _forward_train(
             wide, x_fd, beta, rngs={}, masks=masks, eps=fwd["eps"], update_running=False
@@ -367,9 +365,8 @@ def train(cohort, split, config):
     val_idx = np.asarray(split.val_indices, dtype=int)
     if train_idx.size == 0:
         raise ValueError("empty training split")
-    x_all = cohort.matrix.astype(np.float64)
-    x_train = x_all[train_idx]
-    x_val = x_all[val_idx] if val_idx.size else None
+    x_train = cohort.matrix[train_idx].astype(np.float64)
+    x_val = cohort.matrix[val_idx].astype(np.float64) if val_idx.size else None
 
     rngs = {
         "dropout": sub_rng(config.seed, "dropout"),
@@ -435,7 +432,6 @@ def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
 
     rngs = {"dropout": rng, "reparam": rng}
     fwd = _forward_train(model, x, beta, rngs)
-    analytic = _backward_train(model, x, beta, fwd)
-    objective = _fd_objective(model, x, beta, fwd)
-    numeric = finite_difference_grads(objective, model.flat_params(), fd_step)
-    return compare_grads(analytic, numeric, tolerance)
+    _backward_train(model, x, beta, fwd)
+    numeric = finite_difference_grads(_fd_objective(model, x, beta, fwd), model.theta, fd_step)
+    return compare_grads(model.specs(), model.grad, numeric, tolerance)

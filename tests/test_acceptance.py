@@ -16,6 +16,7 @@ import pytest
 import somatic_vae as sv
 from somatic_vae.cli import emit_history
 from somatic_vae.gradcheck import compare_grads, finite_difference_grads
+from somatic_vae.layers import stack_views
 from somatic_vae.seeding import sub_rng
 from somatic_vae.vae import _backward_train, _fd_objective, _forward_train, build_vae
 
@@ -87,13 +88,13 @@ def _grad_reports_with_fault(config, beta):
     x = (rng.random((4, config.input_dim)) < 0.3).astype(np.float64)
     rngs = {"dropout": rng, "reparam": rng}
     fwd = _forward_train(model, x, beta, rngs)
-    analytic = _backward_train(model, x, beta, fwd)
-    objective = _fd_objective(model, x, beta, fwd)
-    numeric = finite_difference_grads(objective, model.flat_params(), 1e-5)
-    clean = compare_grads(analytic, numeric, 1e-5)
-    faulted = [dict(p) for p in analytic]
-    faulted[0]["w"] = faulted[0]["w"] * 1.01
-    dirty = compare_grads(faulted, numeric, 1e-5)
+    _backward_train(model, x, beta, fwd)
+    numeric = finite_difference_grads(_fd_objective(model, x, beta, fwd), model.theta, 1e-5)
+    specs = model.specs()
+    clean = compare_grads(specs, model.grad, numeric, 1e-5)
+    faulted = model.grad.copy()
+    stack_views(specs, faulted)[0][0]["w"][...] *= 1.01
+    dirty = compare_grads(specs, faulted, numeric, 1e-5)
     return clean, dirty
 
 

@@ -76,6 +76,29 @@ def test_read_labels_rejects_conflicts():
         read_labels(io.StringIO("sample_id\tlabel\ns1\ta\ns1\tb\n"))
 
 
+def test_crlf_and_unicode_ids_survive_ingest_and_the_cache(tmp_path):
+    rows = [("Échantillon-1", "TP53:c.215C>G"), ("样本-2", "locus-β"),
+            ("Échantillon-1", "locus-β"), ("patient ☃", "TP53:c.215C>G")]
+    profiles, labels = tmp_path / "profiles.tsv", tmp_path / "labels.tsv"
+    profiles.write_bytes("".join(f"{a}\t{b}\r\n" for a, b in [("sample_id", "locus_id")] + rows)
+                         .encode("utf-8"))
+    labels.write_bytes("sample_id\tlabel\r\nÉchantillon-1\tα\r\n样本-2\tβ\r\n"
+                       "patient ☃\tα\r\n".encode("utf-8"))
+    # newline="" hands the reader the raw CRLF line ends
+    with open(profiles, encoding="utf-8", newline="") as pf, \
+            open(labels, encoding="utf-8", newline="") as lf:
+        cohort = ingest_profiles(pf, lf)
+    assert cohort.sample_ids == ["Échantillon-1", "样本-2", "patient ☃"]
+    assert cohort.locus_ids == ["TP53:c.215C>G", "locus-β"]
+    assert cohort.labels == {"Échantillon-1": "α", "样本-2": "β", "patient ☃": "α"}
+    assert cohort.matrix.tolist() == [[1, 1], [0, 1], [1, 0]]
+    save_cohort(cohort, tmp_path / "cache")
+    loaded = load_cohort(tmp_path / "cache")
+    assert (loaded.sample_ids, loaded.locus_ids, loaded.labels) == (
+        cohort.sample_ids, cohort.locus_ids, cohort.labels)
+    assert np.array_equal(loaded.matrix, cohort.matrix)
+
+
 # ---------------------------------------------------------------- filter
 
 
@@ -85,6 +108,17 @@ def build_cohort(matrix, labels=None):
     return Cohort(
         [f"s{i}" for i in range(n)], [f"g{j:03d}" for j in range(d)], matrix, labels
     )
+
+
+def test_cohort_validate_requires_a_binary_uint8_matrix():
+    cohort = build_cohort([[0, 1], [1, 0]])
+    cohort.validate()
+    widened = Cohort(cohort.sample_ids, cohort.locus_ids, cohort.matrix.astype(np.int64))
+    with pytest.raises(ValueError, match="matrix must be uint8, got int64"):
+        widened.validate()
+    cohort.matrix[0, 0] = 2
+    with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+        cohort.validate()
 
 
 def test_filter_keeps_columns_at_or_above_min_count():
@@ -254,6 +288,18 @@ def test_synthetic_spec_invariants_enforced():
         generate_synthetic_cohort(SyntheticSpec(10, 20, 11, 0.1, 0.5, 1, seed=0))
     with pytest.raises(ValueError):
         generate_synthetic_cohort(SyntheticSpec(10, 20, 3, 0.1, 0.5, 7, seed=0))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("enriched_loci_per_cluster", True, "enriched_loci_per_cluster must be an integer, got True"),
+    ("n_samples", 20.5, "n_samples must be an integer, got 20.5"),
+])
+def test_synthetic_spec_rejects_a_wrong_type_naming_the_field(field, value, message):
+    spec = SyntheticSpec(20, 30, 2, 0.1, 0.5, 5, seed=0)
+    setattr(spec, field, value)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_synthetic_cohort(spec)
 
 
 # ---------------------------------------------------------------- cache

@@ -10,7 +10,6 @@ from somatic_vae.metrics import (
     mean_cosine_similarity,
     micro_f1,
     nmi,
-    probe_objective,
 )
 
 
@@ -266,6 +265,16 @@ def test_probe_l2_regularization_path_shrinks_weights():
     heavy = fit_probe(x, y, l2=10.0)
     scores = 1.0 / (1.0 + np.exp(-(x @ heavy.weights + heavy.bias)))
     assert np.abs(scores - 0.5).max() < 0.2
+
+
+def probe_objective(weights, bias, x, y, l2):
+    """Mean logistic loss plus (l2/2) * ||w||^2 (bias unregularized): the
+    objective fit_probe descends."""
+    scores = x @ weights + bias
+    # log(1 + exp(-m)) written stably for both signs of the margin
+    margins = np.where(y == 1, scores, -scores)
+    loss = np.logaddexp(0.0, -margins).mean()
+    return float(loss + 0.5 * l2 * (weights @ weights))
 
 
 def test_probe_objective_gradient_matches_finite_differences():

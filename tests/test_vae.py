@@ -5,7 +5,14 @@ import pytest
 
 import somatic_vae.vae as vae_module
 from somatic_vae.checkpoint import load_checkpoint, save_checkpoint
-from somatic_vae.cohort import SplitPlan, SyntheticSpec, generate_synthetic_cohort, holdout_split
+from somatic_vae.cli import emit_history
+from somatic_vae.cohort import (
+    SplitPlan,
+    SyntheticSpec,
+    filter_low_frequency,
+    generate_synthetic_cohort,
+    holdout_split,
+)
 from somatic_vae.layers import BUFFER_KEYS, Activation, Dense
 from somatic_vae.losses import BetaSchedule
 from somatic_vae.seeding import sub_rng
@@ -270,6 +277,31 @@ def test_train_rejects_empty_training_split():
         train(cohort, split, config)
 
 
+def test_empty_validation_split_trains_and_writes_nan_validation_columns(tmp_path):
+    cohort = small_cohort()
+    split = SplitPlan(np.arange(cohort.n_samples), np.array([], dtype=int), 0)
+    config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=16)
+    _, history = train(cohort, split, config)
+    emit_history(history, tmp_path / "history.tsv")
+    rows = [line.split("\t") for line in (tmp_path / "history.tsv").read_text().splitlines()]
+    assert rows[0][-2:] == ["val_micro_f1", "val_cosine"]
+    assert [row[-2:] for row in rows[1:]] == [["nan", "nan"]] * 2
+    assert all(np.isfinite([float(v) for v in row[1:-2]]).all() for row in rows[1:])
+
+
+def test_all_zero_rows_survive_filtering_and_are_embedded():
+    cohort = small_cohort()
+    cohort.matrix[[3, 17]] = 0
+    filtered, _ = filter_low_frequency(cohort, min_count=2)
+    assert filtered.n_samples == cohort.n_samples
+    assert not filtered.matrix[[3, 17]].any()
+    split = holdout_split(filtered.n_samples, 0.8, seed=0)
+    model, _ = train(filtered, split, tiny_config(input_dim=filtered.n_loci, batch_size=16))
+    mu = encode_batch(model, filtered.matrix).mu
+    assert mu.shape == (filtered.n_samples, 3)
+    assert np.isfinite(mu).all()
+
+
 def test_train_rejects_mismatched_input_dim():
     cohort = small_cohort()
     split = holdout_split(cohort.n_samples, 0.8, seed=0)
@@ -322,7 +354,7 @@ def test_single_row_final_batch_joins_the_previous_one(monkeypatch):
 
 
 def assert_views_of_flat_vectors(model):
-    tensors = [(key, t) for p in model.flat_params() for key, t in p.items()]
+    tensors = [(key, t) for _, ps in model.param_stacks() for p in ps for key, t in p.items()]
     trainable = [t for key, t in tensors if key not in BUFFER_KEYS]
     buffers = [t for key, t in tensors if key in BUFFER_KEYS]
     grads = [g for stack in model.grads for layer in stack for g in layer.values()]
