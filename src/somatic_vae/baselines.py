@@ -1,8 +1,9 @@
 """PCA projection and k-means clustering baselines.
 
-Binary rows are treated as plain real vectors. PCA is a dense
-eigendecomposition of the column-centered covariance; k-means is Lloyd's
-algorithm with k-means++ seeding and a fixed number of restarts.
+Binary rows are treated as plain real vectors. PCA eigendecomposes the
+smaller of the d x d covariance and the n x n Gram matrix of the
+column-centered rows (Sirovich's method of snapshots when n < d); k-means
+is Lloyd's algorithm with k-means++ seeding and a fixed number of restarts.
 """
 
 from dataclasses import dataclass
@@ -28,8 +29,21 @@ class KmeansResult:
     inertia_trace: tuple = ()  # per-iteration inertia of the winning restart
 
 
+def _eigh_descending(a):
+    eigvals, eigvecs = np.linalg.eigh(a)
+    order = np.argsort(eigvals)[::-1]
+    # eigh can return tiny negatives for rank-deficient matrices
+    return np.maximum(eigvals[order], 0.0), eigvecs[:, order]
+
+
 def pca_fit(x, q):
     """Top-q eigenvectors of the covariance (1/(n-1) normalization).
+
+    When n < d the n x n Gram matrix xc xc^T / (n-1) is decomposed instead:
+    it has the covariance's nonzero eigenvalues, and each component is
+    xc^T u / sqrt((n-1) lambda). If lambda_q is at or below 1e-10 * lambda_1
+    that quotient is unreliable, so the d x d covariance is used, whose
+    eigenvectors also span the null space.
 
     Sign convention: each component's largest-magnitude entry is made
     positive (first index wins ties).
@@ -45,16 +59,16 @@ def pca_fit(x, q):
         raise ValueError(f"q={q} out of range [1, {min(n - 1, d)}]")
     mean = x.mean(axis=0)
     xc = x - mean
-    cov = (xc.T @ xc) / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    # eigh can return tiny negatives for rank-deficient covariances
-    eigvals = np.maximum(eigvals, 0.0)
-    if np.count_nonzero(eigvals > 1e-12 * max(eigvals[0], 1.0)) == 0:
-        raise ValueError("rank deficient below q: data has zero variance")
-    components = eigvecs[:, :q].T
+    components = None
+    if n < d:
+        eigvals, u = _eigh_descending((xc @ xc.T) / (n - 1))
+        if eigvals[q - 1] > 1e-10 * eigvals[0]:
+            components = (xc.T @ (u[:, :q] / np.sqrt((n - 1) * eigvals[:q]))).T
+    if components is None:
+        eigvals, eigvecs = _eigh_descending((xc.T @ xc) / (n - 1))
+        if np.count_nonzero(eigvals > 1e-12 * max(eigvals[0], 1.0)) == 0:
+            raise ValueError("rank deficient below q: data has zero variance")
+        components = eigvecs[:, :q].T
     for i in range(q):
         j = int(np.argmax(np.abs(components[i])))
         if components[i, j] < 0:
@@ -132,6 +146,8 @@ def kmeans_cluster(points, k, seed, restarts=10, max_iters=300, rel_tol=1e-4):
     k = int(k)
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k={k} out of range [1, {points.shape[0]}]")
+    if int(restarts) < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     best = None
     for r in range(int(restarts)):
         rng = indexed_rng(seed, "kmeans", r)

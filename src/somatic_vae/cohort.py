@@ -7,8 +7,11 @@ duplicate pairs are idempotent. Loci are kept in lexicographic order so
 matrices are comparable across runs.
 """
 
+import json
 import os
-from dataclasses import dataclass, field
+import struct
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +20,9 @@ from .vae import _check_field_types
 
 PROFILE_HEADER = "sample_id\tlocus_id"
 LABEL_HEADER = "sample_id\tlabel"
+CACHE_FILE = "cohort.bin"
+CACHE_MAGIC = b"FLATCOH\x00"
+CACHE_VERSION = 1
 
 
 @dataclass
@@ -268,53 +274,67 @@ def write_label_tsv(labels, sample_order, path):
 
 
 def save_cohort(cohort, cache_dir):
-    """Write the cohort cache: loci.txt + matrix.tsv (+ labels.tsv)."""
+    """Write the cohort cache: cohort.bin (+ labels.tsv).
+
+    cohort.bin holds the 8-byte magic, version u32, a length-prefixed UTF-8
+    JSON block of the locus and sample IDs, the rows of
+    np.packbits(matrix, axis=1) (ceil(d/8) bytes each) and a CRC-32 trailer
+    over everything between the magic and the trailer.
+    """
+    cohort.validate()
     os.makedirs(cache_dir, exist_ok=True)
-    with open(os.path.join(cache_dir, "loci.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for locus in cohort.locus_ids:
-            fh.write(locus + "\n")
-    with open(os.path.join(cache_dir, "matrix.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_id" + "".join("\t" + l for l in cohort.locus_ids) + "\n")
-        for i, sample in enumerate(cohort.sample_ids):
-            row = cohort.matrix[i]
-            fh.write(sample + "".join("\t" + str(int(v)) for v in row) + "\n")
+    ids = json.dumps({"loci": list(cohort.locus_ids), "samples": list(cohort.sample_ids)},
+                     ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    parts = [struct.pack("<II", CACHE_VERSION, len(ids)), ids,
+             np.packbits(cohort.matrix, axis=1).tobytes()]
+    crc = 0
+    with open(os.path.join(cache_dir, CACHE_FILE), "wb") as fh:
+        fh.write(CACHE_MAGIC)
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
     if cohort.labels is not None:
         write_label_tsv(cohort.labels, cohort.sample_ids, os.path.join(cache_dir, "labels.tsv"))
 
 
 def load_cohort(cache_dir):
-    loci_path = os.path.join(cache_dir, "loci.txt")
-    matrix_path = os.path.join(cache_dir, "matrix.tsv")
-    for p in (loci_path, matrix_path):
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"missing cohort cache file: {p}")
-    with open(loci_path, encoding="utf-8") as fh:
-        locus_ids = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    sample_ids, rows, linenos = [], [], []
-    with open(matrix_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[0] != "sample_id" or header[1:] != locus_ids:
-            raise ValueError("matrix.tsv header does not match loci.txt")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(locus_ids) + 1:
-                raise ValueError(f"matrix.tsv line {lineno}: wrong column count")
-            sample_ids.append(parts[0])
-            linenos.append(lineno)
-            try:
-                rows.append([int(v) for v in parts[1:]])
-            except ValueError:
-                raise ValueError(f"matrix.tsv line {lineno}: non-integer cell") from None
+    """Read and validate a cache that save_cohort wrote. The magic, the
+    CRC, the version and the payload size are checked in that order."""
+    path = os.path.join(cache_dir, CACHE_FILE)
+    if not os.path.exists(path):
+        if os.path.exists(os.path.join(cache_dir, "matrix.tsv")):
+            raise ValueError(f"{cache_dir}: text cohort cache from an older version; "
+                             "re-run preprocess")
+        raise FileNotFoundError(f"missing cohort cache file: {path}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:len(CACHE_MAGIC)] != CACHE_MAGIC:
+        raise ValueError(f"{path}: not a cohort cache")
+    body = raw[len(CACHE_MAGIC):-4]
+    if len(body) < 8:
+        raise ValueError(f"{path}: corrupt cohort cache: truncated file")
+    if raw[-4:] != struct.pack("<I", zlib.crc32(body)):
+        raise ValueError(f"{path}: corrupt cohort cache: CRC mismatch")
+    version, start = struct.unpack_from("<II", body)
+    if version != CACHE_VERSION:
+        raise ValueError(f"{path}: unsupported cohort cache version {version}")
+    start += 8
     try:
-        matrix = np.array(rows, dtype=np.uint8).reshape(len(rows), len(locus_ids))
-    except OverflowError:  # a cell outside uint8
-        matrix = None
-    if matrix is None or (matrix.size and matrix.max() > 1):
-        bad = next(i for i, row in enumerate(rows) if not 0 <= min(row) <= max(row) <= 1)
-        raise ValueError(f"matrix.tsv line {linenos[bad]}: cell outside {{0, 1}}")
+        ids = json.loads(body[8:start].decode("utf-8"))
+        locus_ids, sample_ids = ids["loci"], ids["samples"]
+        if not all(isinstance(s, str) for s in locus_ids + sample_ids):
+            raise TypeError("IDs must be strings")
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"{path}: corrupt cohort cache: bad ID block ({exc})") from None
+    n, d = len(sample_ids), len(locus_ids)
+    row = (d + 7) // 8
+    need = n * row
+    if len(body) - start != need:
+        raise ValueError(f"{path}: corrupt cohort cache: payload has {len(body) - start} "
+                         f"bytes, {n} samples x {d} loci need {need}")
+    packed = np.frombuffer(body, dtype=np.uint8, count=need, offset=start)
+    matrix = np.unpackbits(packed.reshape(n, row), axis=1, count=d)
     labels = None
     labels_path = os.path.join(cache_dir, "labels.tsv")
     if os.path.exists(labels_path):

@@ -132,13 +132,13 @@ def _dense_forward(x, p):
     return x @ p["w"] + p["b"], x
 
 
-def _dense_backward(dout, cache, p, g, l1_coefficient):
+def _dense_backward(dout, cache, p, g, l1_coefficient, input_grad):
     x = cache
     np.matmul(x.T, dout, out=g["w"])
     if l1_coefficient > 0.0:
         g["w"] += l1_coefficient * np.sign(p["w"])
     dout.sum(axis=0, out=g["b"])
-    return dout @ p["w"].T
+    return dout @ p["w"].T if input_grad else None
 
 
 def _batchnorm_forward(x, p, spec, mode, update_running):
@@ -237,13 +237,14 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
     return out, Tape(mode, caches, used_masks)
 
 
-def stack_backward(specs, params, tape, dout, grads):
+def stack_backward(specs, params, tape, dout, grads, input_grad=True):
     """Reverse-mode gradients through a recorded train-mode pass.
 
     Writes each layer's parameter gradients into the matching arrays of
     grads (one dict per layer, shaped like stack_views' dicts) and returns
     the input gradient. Dense weight gradients include the L1 subgradient
-    term.
+    term. With input_grad=False the input gradient is not wanted: a Dense
+    layer 0 skips its dout @ W.T, and None is returned.
     """
     if tape.mode != TRAIN:
         raise ValueError("stack_backward requires a train-mode tape")
@@ -253,14 +254,15 @@ def stack_backward(specs, params, tape, dout, grads):
     for i in range(len(specs) - 1, -1, -1):
         spec, p, cache = specs[i], params[i], tape.caches[i]
         if isinstance(spec, Dense):
-            dx = _dense_backward(dx, cache, p, grads[i], spec.l1_coefficient)
+            want_dx = i > 0 or input_grad
+            dx = _dense_backward(dx, cache, p, grads[i], spec.l1_coefficient, want_dx)
         elif isinstance(spec, BatchNorm):
             dx = _batchnorm_backward(dx, cache, p, grads[i])
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
         elif tape.masks[i] is not None:  # Dropout
             dx = dx * tape.masks[i]
-    return dx
+    return dx if input_grad else None
 
 
 def stack_l1_penalty(specs, params):

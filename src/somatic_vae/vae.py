@@ -324,7 +324,8 @@ def _backward_train(model, x, beta, fwd):
     dlv = dz * eps * 0.5 * np.exp(0.5 * lv) + beta * dlv_kl
     dh_mu = stack_backward(model.mu_specs, model.mu_params, mu_tape, dmu, mu_grads)
     dh_lv = stack_backward(model.lv_specs, model.lv_params, lv_tape, dlv, lv_grads)
-    stack_backward(model.enc_specs, model.enc_params, enc_tape, dh_mu + dh_lv, enc_grads)
+    stack_backward(model.enc_specs, model.enc_params, enc_tape, dh_mu + dh_lv, enc_grads,
+                   input_grad=False)
 
 
 def _fd_objective(model, x, beta, fwd):

@@ -86,6 +86,54 @@ def test_pca_rejects_zero_variance_data():
     x = np.full((6, 4), 2.5)
     with pytest.raises(ValueError, match="rank deficient below q"):
         pca_fit(x, 1)
+    with pytest.raises(ValueError, match="rank deficient below q"):
+        pca_fit(np.full((4, 9), 1.0), 2)  # n < d
+
+
+def eigh_sizes(monkeypatch):
+    """Record the order of every matrix that np.linalg.eigh decomposes."""
+    sizes = []
+    real = np.linalg.eigh
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n, d, q, binary", [
+    (12, 40, 5, False), (30, 200, 10, False), (30, 200, 10, True),
+])
+def test_pca_gram_path_matches_covariance_oracle_when_n_below_d(monkeypatch, n, d, q, binary):
+    rng = np.random.default_rng(n + d)
+    x = (rng.random((n, d)) < 0.1).astype(np.float64) if binary else rng.standard_normal((n, d))
+    sizes = eigh_sizes(monkeypatch)
+    model = pca_fit(x, q)
+    assert sizes == [n]  # only the n x n Gram matrix was decomposed
+    vals, vecs = eig_oracle(x, q)
+    assert np.abs(model.explained_variance - vals).max() <= 1e-8
+    for got, want in zip(model.components, vecs):
+        sign = np.sign(got @ want)
+        assert np.abs(got - sign * want).max() <= 1e-8
+        assert got[np.argmax(np.abs(got))] > 0
+    assert np.allclose(model.components @ model.components.T, np.eye(q), atol=1e-8)
+
+
+def test_pca_rank_below_q_takes_the_covariance_path(monkeypatch):
+    # 3 distinct rows: the centered data has rank 2 < q, so the Gram
+    # quotient cannot give components 3..10 and the d x d path does
+    x = np.random.default_rng(9).standard_normal((3, 30))[np.arange(20) % 3]
+    sizes = eigh_sizes(monkeypatch)
+    model = pca_fit(x, 10)
+    assert sizes == [20, 30]
+    assert np.allclose(model.components @ model.components.T, np.eye(10), atol=1e-8)
+    vals, vecs = eig_oracle(x, 10)
+    assert np.abs(model.explained_variance - vals).max() <= 1e-8
+    assert np.all(model.explained_variance[2:] <= 1e-12)
+    for got, want in zip(model.components[:2], vecs[:2]):
+        assert np.abs(got - np.sign(got @ want) * want).max() <= 1e-8
 
 
 def test_pca_project_mean_row_maps_to_origin():
@@ -229,6 +277,12 @@ def test_kmeans_rejects_k_out_of_range():
         kmeans_cluster(points, 4, seed=0)
     with pytest.raises(ValueError):
         kmeans_cluster(points, 0, seed=0)
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_kmeans_rejects_fewer_than_one_restart(restarts):
+    with pytest.raises(ValueError, match=f"^restarts must be >= 1, got {restarts}$"):
+        kmeans_cluster(np.zeros((3, 2)), 1, seed=0, restarts=restarts)
 
 
 def test_kmeans_labels_within_range_and_duplicate_points_tolerated():

@@ -330,14 +330,20 @@ def test_eval_cluster_pca_route_and_argument_exclusivity(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_eval_cluster_on_a_cache_with_an_out_of_range_cell_exits_one(tmp_path, capsys):
+def test_eval_cluster_on_a_corrupt_cohort_cache_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
-    matrix = tmp_path / "cache" / "matrix.tsv"
-    lines = matrix.read_text(encoding="utf-8").splitlines()
-    lines[2] = lines[2][: -1] + "300"
-    matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cache = tmp_path / "cache" / "cohort.bin"
+    raw = bytearray(cache.read_bytes())
+    raw[-5] ^= 0x01  # the last packed byte of the last row
+    cache.write_bytes(bytes(raw))
     assert run(["eval-cluster", "--cohort", cohort_dir, "--pca", "4"]) == 1
-    assert capsys.readouterr().err == "error: matrix.tsv line 3: cell outside {0, 1}\n"
+    assert capsys.readouterr().err == f"error: {cache}: corrupt cohort cache: CRC mismatch\n"
+
+
+def test_eval_cluster_with_zero_restarts_exits_one(tmp_path, capsys):
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    assert run(["eval-cluster", "--cohort", cohort_dir, "--pca", "4", "--restarts", "0"]) == 1
+    assert capsys.readouterr().err == "error: restarts must be >= 1, got 0\n"
 
 
 def test_sweep_latent_emits_fold_table(tmp_path, capsys):

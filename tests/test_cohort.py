@@ -1,6 +1,9 @@
 """Cohort ingestion, filtering, splits, synthesis, and the disk cache."""
 
 import io
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from somatic_vae.cohort import (
     read_labels,
     save_cohort,
 )
+
+CACHE_MAGIC = b"FLATCOH\x00"
 
 
 def profiles(*pairs):
@@ -309,6 +314,7 @@ def test_cohort_cache_roundtrip(tmp_path):
     spec = SyntheticSpec(25, 40, 3, 0.05, 0.6, 6, seed=2)
     cohort = generate_synthetic_cohort(spec)
     save_cohort(cohort, tmp_path / "cache")
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["cohort.bin", "labels.tsv"]
     loaded = load_cohort(tmp_path / "cache")
     assert loaded.sample_ids == cohort.sample_ids
     assert loaded.locus_ids == cohort.locus_ids
@@ -316,25 +322,128 @@ def test_cohort_cache_roundtrip(tmp_path):
     assert loaded.labels == cohort.labels
 
 
-def test_cohort_cache_header_mismatch_rejected(tmp_path):
-    cohort = build_cohort(np.eye(3, dtype=np.uint8))
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 17])
+def test_cohort_cache_roundtrip_packs_rows_of_any_width(tmp_path, d):
+    matrix = np.random.default_rng(d).random((6, d)) < 0.5
+    cohort = build_cohort(matrix)
     save_cohort(cohort, tmp_path / "cache")
-    loci = tmp_path / "cache" / "loci.txt"
-    loci.write_text("gX\ngY\ngZ\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
+    raw = (tmp_path / "cache" / "cohort.bin").read_bytes()
+    assert len(raw) == 20 + struct.unpack_from("<I", raw, 12)[0] + 6 * ((d + 7) // 8)
+    loaded = load_cohort(tmp_path / "cache")
+    assert loaded.matrix.dtype == np.uint8
+    assert np.array_equal(loaded.matrix, cohort.matrix)
+    assert (loaded.sample_ids, loaded.locus_ids) == (cohort.sample_ids, cohort.locus_ids)
+    assert loaded.labels is None
+
+
+def cache_image(tmp_path):
+    """Save a 5 x 11 cohort (2 packed bytes per row); returns the path of
+    its cohort.bin and each section's (start, stop) in the file."""
+    matrix = np.random.default_rng(0).random((5, 11)) < 0.4
+    save_cohort(build_cohort(matrix), tmp_path / "cache")
+    path = tmp_path / "cache" / "cohort.bin"
+    raw = path.read_bytes()
+    edges = [0, 8, 12, 16, 16 + struct.unpack_from("<I", raw, 12)[0], len(raw) - 4, len(raw)]
+    names = ["magic", "version", "json-length", "json", "rows", "trailer"]
+    return path, {name: (a, b) for name, a, b in zip(names, edges, edges[1:])}
+
+
+def reseal(body):
+    """A cohort.bin image around body with a CRC that matches it."""
+    return CACHE_MAGIC + body + struct.pack("<I", zlib.crc32(body))
+
+
+# the error for a file cut in the middle of each section
+TRUNCATED = {
+    "magic": "not a cohort cache",
+    "version": "corrupt cohort cache: truncated file",
+    "json-length": "corrupt cohort cache: truncated file",
+    "json": "corrupt cohort cache: CRC mismatch",
+    "rows": "corrupt cohort cache: CRC mismatch",
+    "trailer": "corrupt cohort cache: CRC mismatch",
+}
+
+
+@pytest.mark.parametrize("section", list(TRUNCATED))
+def test_cohort_cache_truncated_in_each_section_rejected(tmp_path, section):
+    message = TRUNCATED[section]
+    path, sections = cache_image(tmp_path)
+    start, stop = sections[section]
+    path.write_bytes(path.read_bytes()[: (start + stop) // 2])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
         load_cohort(tmp_path / "cache")
 
 
-@pytest.mark.parametrize("cell", ["2", "300", "-1"])
-def test_cohort_cache_out_of_range_cell_rejected_with_line_number(tmp_path, cell):
-    save_cohort(build_cohort(np.eye(3, dtype=np.uint8)), tmp_path / "cache")
-    matrix = tmp_path / "cache" / "matrix.tsv"
-    lines = matrix.read_text(encoding="utf-8").splitlines()
-    lines[3] = lines[3][: -1] + cell  # last cell of the third sample
-    lines.insert(1, "")  # a blank line is skipped but still counted
-    matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^matrix.tsv line 5: cell outside \{0, 1\}$"):
+@pytest.mark.parametrize("section", list(TRUNCATED))
+def test_cohort_cache_bit_flip_in_each_section_rejected(tmp_path, section):
+    path, sections = cache_image(tmp_path)
+    start, stop = sections[section]
+    raw = bytearray(path.read_bytes())
+    raw[(start + stop) // 2] ^= 0x04
+    path.write_bytes(bytes(raw))
+    message = "not a cohort cache" if section == "magic" else "corrupt cohort cache: CRC mismatch"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
         load_cohort(tmp_path / "cache")
+
+
+def test_cohort_cache_header_mismatch_rejected(tmp_path):
+    # the IDs sit under the CRC: an edited locus ID is caught even though
+    # the file keeps its size, and with a fresh CRC the ID check still runs
+    path, _ = cache_image(tmp_path)
+    raw = path.read_bytes()
+    assert raw.count(b'"g001"') == 1
+    path.write_bytes(raw.replace(b'"g001"', b'"g999"'))
+    with pytest.raises(ValueError, match="CRC mismatch$"):
+        load_cohort(tmp_path / "cache")
+    path.write_bytes(reseal(raw[8:-4].replace(b'"g001"', b'"g999"')))
+    with pytest.raises(ValueError, match="^locus_ids not in lexicographic order$"):
+        load_cohort(tmp_path / "cache")
+
+
+RESEALED = {
+    "row-short": "corrupt cohort cache: payload has 8 bytes, 5 samples x 11 loci need 10",
+    "row-long": "corrupt cohort cache: payload has 12 bytes, 5 samples x 11 loci need 10",
+    "version-2": "unsupported cohort cache version 2",
+    "ids-not-json": "corrupt cohort cache: bad ID block",
+}
+
+
+@pytest.mark.parametrize("fault", list(RESEALED))
+def test_cohort_cache_resealed_corruption_rejected(tmp_path, fault):
+    # each fault carries a valid CRC, so the checks behind the CRC name it
+    message = RESEALED[fault]
+    path, sections = cache_image(tmp_path)
+    body = path.read_bytes()[8:-4]
+    if fault == "row-short":
+        body = body[:-2]
+    elif fault == "row-long":
+        body = body + body[-2:]
+    elif fault == "version-2":
+        body = struct.pack("<I", 2) + body[4:]
+    else:
+        start, _ = sections["json"]
+        body = body[: start - 8] + b"[" + body[start - 7 :]
+    path.write_bytes(reseal(body))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        load_cohort(tmp_path / "cache")
+
+
+def test_cohort_cache_in_the_old_text_format_refused(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "loci.txt").write_text("g000\n", encoding="utf-8")
+    (cache / "matrix.tsv").write_text("sample_id\tg000\ns0\t1\n", encoding="utf-8")
+    message = f"{cache}: text cohort cache from an older version; re-run preprocess"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_cohort(cache)
+
+
+def test_save_cohort_rejects_a_non_binary_matrix(tmp_path):
+    cohort = build_cohort(np.eye(3, dtype=np.uint8))
+    cohort.matrix[1, 2] = 2  # packbits would store it as a silent 1
+    with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
+        save_cohort(cohort, tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cohort_cache_missing_file_rejected(tmp_path):

@@ -313,6 +313,21 @@ def test_backward_includes_l1_subgradient_with_sign_zero_zero():
     assert np.allclose(grads[0]["w"], 0.1 * np.array([[1.0, -1.0], [0.0, 1.0]]))
 
 
+def test_backward_without_input_grad_leaves_every_parameter_gradient_bit_identical():
+    rng = np.random.default_rng(10)
+    specs = [Dense(6, 5, l1_coefficient=1e-3), BatchNorm(5), Activation("relu"), Dense(5, 3)]
+    params, grads = new_stack(specs, rng)
+    _, skipped = new_stack(specs, rng)
+    x = rng.standard_normal((7, 6))
+    dout = rng.standard_normal((7, 3))
+    _, tape = stack_forward(specs, params, x, TRAIN)
+    assert stack_backward(specs, params, tape, dout, grads).shape == (7, 6)
+    assert stack_backward(specs, params, tape, dout, skipped, input_grad=False) is None
+    for g, s in zip(grads, skipped):
+        assert g.keys() == s.keys()
+        assert all(np.array_equal(g[key], s[key]) for key in g)
+
+
 def test_backward_requires_train_tape():
     specs = [Dense(2, 2)]
     params, grads = new_stack(specs, np.random.default_rng(0))
