@@ -8,6 +8,7 @@ The package is organized as:
 - :mod:`somatic_vae.optim` - RMSprop, one blocked in-place pass over the parameter vector
 - :mod:`somatic_vae.vae` - model assembly, training loop, encoding
 - :mod:`somatic_vae.gradcheck` - finite-difference gradient verification
+- :mod:`somatic_vae.framing` - the CRC-checked container of both binary files
 - :mod:`somatic_vae.checkpoint` - binary checkpoint format
 - :mod:`somatic_vae.baselines` - PCA and k-means
 - :mod:`somatic_vae.metrics` - micro-F1, cosine, NMI, logistic probe

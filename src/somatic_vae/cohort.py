@@ -7,14 +7,13 @@ duplicate pairs are idempotent. Loci are kept in lexicographic order so
 matrices are comparable across runs.
 """
 
-import json
 import os
-import struct
-import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import framing
 from .seeding import sub_rng
 from .vae import _check_field_types
 
@@ -274,67 +273,44 @@ def write_label_tsv(labels, sample_order, path):
 
 
 def save_cohort(cohort, cache_dir):
-    """Write the cohort cache: cohort.bin (+ labels.tsv).
+    """Write the cohort cache: cohort.bin (+ labels.tsv, removed for an
+    unlabeled cohort so that a stale one is never loaded).
 
-    cohort.bin holds the 8-byte magic, version u32, a length-prefixed UTF-8
-    JSON block of the locus and sample IDs, the rows of
-    np.packbits(matrix, axis=1) (ceil(d/8) bytes each) and a CRC-32 trailer
-    over everything between the magic and the trailer.
+    cohort.bin is a framing.py container under the magic ``FLATCOH\\0``:
+    the JSON block holds the locus and sample IDs, the payload the rows of
+    np.packbits(matrix, axis=1), ceil(d/8) bytes each.
     """
     cohort.validate()
     os.makedirs(cache_dir, exist_ok=True)
-    ids = json.dumps({"loci": list(cohort.locus_ids), "samples": list(cohort.sample_ids)},
-                     ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    parts = [struct.pack("<II", CACHE_VERSION, len(ids)), ids,
-             np.packbits(cohort.matrix, axis=1).tobytes()]
-    crc = 0
-    with open(os.path.join(cache_dir, CACHE_FILE), "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        for part in parts:
-            fh.write(part)
-            crc = zlib.crc32(part, crc)
-        fh.write(struct.pack("<I", crc))
+    ids = {"loci": list(cohort.locus_ids), "samples": list(cohort.sample_ids)}
+    framing.write(os.path.join(cache_dir, CACHE_FILE), CACHE_MAGIC, CACHE_VERSION, ids,
+                  [np.packbits(cohort.matrix, axis=1)])
+    labels_path = os.path.join(cache_dir, "labels.tsv")
     if cohort.labels is not None:
-        write_label_tsv(cohort.labels, cohort.sample_ids, os.path.join(cache_dir, "labels.tsv"))
+        write_label_tsv(cohort.labels, cohort.sample_ids, labels_path)
+    else:
+        with suppress(FileNotFoundError):
+            os.remove(labels_path)
+
+
+def _packed_rows(ids):
+    locus_ids, sample_ids = ids["loci"], ids["samples"]
+    if not all(isinstance(s, str) for s in locus_ids + sample_ids):
+        raise TypeError("IDs must be strings")
+    n, d = len(sample_ids), len(locus_ids)
+    packed = np.empty((n, (d + 7) // 8), dtype=np.uint8)
+    return (sample_ids, locus_ids, packed), (packed,), f"{n} samples x {d} loci need"
 
 
 def load_cohort(cache_dir):
-    """Read and validate a cache that save_cohort wrote. The magic, the
-    CRC, the version and the payload size are checked in that order."""
+    """Read and validate a cache that save_cohort wrote."""
     path = os.path.join(cache_dir, CACHE_FILE)
-    if not os.path.exists(path):
-        if os.path.exists(os.path.join(cache_dir, "matrix.tsv")):
-            raise ValueError(f"{cache_dir}: text cohort cache from an older version; "
-                             "re-run preprocess")
-        raise FileNotFoundError(f"missing cohort cache file: {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a cohort cache")
-    body = raw[len(CACHE_MAGIC):-4]
-    if len(body) < 8:
-        raise ValueError(f"{path}: corrupt cohort cache: truncated file")
-    if raw[-4:] != struct.pack("<I", zlib.crc32(body)):
-        raise ValueError(f"{path}: corrupt cohort cache: CRC mismatch")
-    version, start = struct.unpack_from("<II", body)
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cohort cache version {version}")
-    start += 8
-    try:
-        ids = json.loads(body[8:start].decode("utf-8"))
-        locus_ids, sample_ids = ids["loci"], ids["samples"]
-        if not all(isinstance(s, str) for s in locus_ids + sample_ids):
-            raise TypeError("IDs must be strings")
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ValueError(f"{path}: corrupt cohort cache: bad ID block ({exc})") from None
-    n, d = len(sample_ids), len(locus_ids)
-    row = (d + 7) // 8
-    need = n * row
-    if len(body) - start != need:
-        raise ValueError(f"{path}: corrupt cohort cache: payload has {len(body) - start} "
-                         f"bytes, {n} samples x {d} loci need {need}")
-    packed = np.frombuffer(body, dtype=np.uint8, count=need, offset=start)
-    matrix = np.unpackbits(packed.reshape(n, row), axis=1, count=d)
+    if not os.path.exists(path) and os.path.exists(os.path.join(cache_dir, "matrix.tsv")):
+        raise ValueError(f"{cache_dir}: text cohort cache from an older version; "
+                         "re-run preprocess")
+    sample_ids, locus_ids, packed = framing.read(
+        path, CACHE_MAGIC, CACHE_VERSION, "cohort cache", ValueError, _packed_rows)
+    matrix = np.unpackbits(packed, axis=1, count=len(locus_ids))
     labels = None
     labels_path = os.path.join(cache_dir, "labels.tsv")
     if os.path.exists(labels_path):

@@ -19,7 +19,6 @@ BLOCK = 1 << 15  # entries per block: 256 KiB of float64 per operand
 class RmspropState:
     accumulator: np.ndarray  # one running mean of g^2 per entry of theta
     scratch: tuple  # two work buffers of min(BLOCK, theta.size) entries
-    step: int = 0
 
 
 def init_rmsprop(theta):
@@ -30,7 +29,7 @@ def init_rmsprop(theta):
 
 
 def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8):
-    """Apply one update to theta in place; returns (theta, state).
+    """Apply one update to theta and the accumulator in place.
 
     Every entry sees the same operations, in the same order and with the
     same rounding, as the whole-array expressions in the module docstring.
@@ -56,5 +55,3 @@ def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8):
         sq += eps
         step /= sq
         theta[start:stop] -= step
-    state.step += 1
-    return theta, state

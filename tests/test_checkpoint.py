@@ -80,7 +80,7 @@ def test_truncated_file_rejected(tmp_path):
         load_checkpoint(tmp_path / "cut.bin")
     # pathological: magic only, no trailer
     (tmp_path / "stub.bin").write_bytes(MAGIC)
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(CheckpointError, match=": corrupt checkpoint: truncated file$"):
         load_checkpoint(tmp_path / "stub.bin")
 
 
@@ -89,7 +89,7 @@ def test_truncated_body_with_valid_crc_rejected(tmp_path):
     body = struct.pack("<I", VERSION) + struct.pack("<I", 1000)
     path = tmp_path / "short.bin"
     path.write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(CheckpointError, match=": corrupt checkpoint: truncated file$"):
         load_checkpoint(path)
 
 
@@ -105,10 +105,11 @@ def test_flipped_byte_fails_crc(tmp_path):
 
 
 def test_unsupported_version_rejected(tmp_path):
-    body = struct.pack("<I", VERSION + 9)
+    # version and an empty JSON block: a shorter body is a truncated file
+    body = struct.pack("<II", VERSION + 9, 0)
     path = tmp_path / "future.bin"
     path.write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 11$"):
         load_checkpoint(path)
 
 
@@ -275,4 +276,4 @@ def test_embed_with_malformed_config_exits_one(tmp_path, capsys):
     ])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: corrupt checkpoint: missing config field rho")
+    assert err.startswith(f"error: {path}: corrupt checkpoint: missing config field rho")

@@ -340,6 +340,17 @@ def test_eval_cluster_on_a_corrupt_cohort_cache_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cache}: corrupt cohort cache: CRC mismatch\n"
 
 
+def test_preprocess_without_labels_drops_the_old_labels(tmp_path, capsys):
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    assert run([
+        "preprocess", "--profiles", str(tmp_path / "raw" / "profiles.tsv"),
+        "--min-count", "3", "--out", cohort_dir,
+    ]) == 0
+    capsys.readouterr()
+    assert run(["eval-cluster", "--cohort", cohort_dir, "--pca", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error: labels required")
+
+
 def test_eval_cluster_with_zero_restarts_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     assert run(["eval-cluster", "--cohort", cohort_dir, "--pca", "4", "--restarts", "0"]) == 1

@@ -404,7 +404,7 @@ RESEALED = {
     "row-short": "corrupt cohort cache: payload has 8 bytes, 5 samples x 11 loci need 10",
     "row-long": "corrupt cohort cache: payload has 12 bytes, 5 samples x 11 loci need 10",
     "version-2": "unsupported cohort cache version 2",
-    "ids-not-json": "corrupt cohort cache: bad ID block",
+    "ids-not-json": "corrupt cohort cache: Expecting ',' delimiter",
 }
 
 
@@ -444,6 +444,25 @@ def test_save_cohort_rejects_a_non_binary_matrix(tmp_path):
     with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
         save_cohort(cohort, tmp_path / "cache")
     assert not (tmp_path / "cache").exists()
+
+
+def test_saving_an_unlabeled_cohort_removes_old_labels(tmp_path):
+    cohort = build_cohort(np.eye(3, dtype=np.uint8), labels={"s0": "a", "s1": "b", "s2": "a"})
+    save_cohort(cohort, tmp_path / "cache")
+    cohort.labels = None
+    save_cohort(cohort, tmp_path / "cache")
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["cohort.bin"]
+    assert load_cohort(tmp_path / "cache").labels is None
+
+
+def test_cohort_cache_file_bytes_are_pinned(tmp_path):
+    # the JSON block is key-sorted, compact and raw UTF-8 (not \u-escaped)
+    cohort = Cohort(["s0", "patient ☃"], ["g0", "g1", "g2"],
+                    np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
+    save_cohort(cohort, tmp_path / "cache")
+    ids = '{"loci":["g0","g1","g2"],"samples":["s0","patient ☃"]}'.encode("utf-8")
+    body = struct.pack("<II", 1, len(ids)) + ids + bytes([0b10100000, 0b01100000])
+    assert (tmp_path / "cache" / "cohort.bin").read_bytes() == reseal(body)
 
 
 def test_cohort_cache_missing_file_rejected(tmp_path):
