@@ -77,61 +77,6 @@ from .vae import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BetaSchedule",
-    "CheckpointError",
-    "ClassificationReport",
-    "Cohort",
-    "EpochStats",
-    "GradReport",
-    "KmeansResult",
-    "LatentDistribution",
-    "PcaModel",
-    "ProbeModel",
-    "RmspropState",
-    "SplitPlan",
-    "SyntheticSpec",
-    "VaeConfig",
-    "VaeLossBreakdown",
-    "VaeModel",
-    "beta_at_epoch",
-    "build_vae",
-    "classification_report",
-    "compare_grads",
-    "count_parameters",
-    "decode_batch",
-    "encode_batch",
-    "eval_probe",
-    "filter_low_frequency",
-    "finite_difference_grads",
-    "fit_probe",
-    "generate_synthetic_cohort",
-    "holdout_split",
-    "indexed_rng",
-    "ingest_profiles",
-    "init_rmsprop",
-    "kfold_split",
-    "kl_divergence",
-    "kl_grads",
-    "kmeans_cluster",
-    "load_checkpoint",
-    "load_cohort",
-    "mean_cosine_similarity",
-    "micro_f1",
-    "nmi",
-    "pca_fit",
-    "pca_project",
-    "read_labels",
-    "reconstruct_mu",
-    "reconstruction_grad",
-    "reconstruction_loss",
-    "rmsprop_update",
-    "save_checkpoint",
-    "save_cohort",
-    "sub_rng",
-    "total_loss",
-    "train",
-    "vae_grad_check",
-    "write_label_tsv",
-    "write_profile_tsv",
-]
+# every class and function imported above from the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

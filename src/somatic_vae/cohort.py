@@ -274,7 +274,8 @@ def write_label_tsv(labels, sample_order, path):
 
 def save_cohort(cohort, cache_dir):
     """Write the cohort cache: cohort.bin (+ labels.tsv, removed for an
-    unlabeled cohort so that a stale one is never loaded).
+    unlabeled cohort so that a stale one is never loaded). The text cache
+    of older versions, loci.txt + matrix.tsv, is removed too.
 
     cohort.bin is a framing.py container under the magic ``FLATCOH\\0``:
     the JSON block holds the locus and sample IDs, the payload the rows of
@@ -285,12 +286,14 @@ def save_cohort(cohort, cache_dir):
     ids = {"loci": list(cohort.locus_ids), "samples": list(cohort.sample_ids)}
     framing.write(os.path.join(cache_dir, CACHE_FILE), CACHE_MAGIC, CACHE_VERSION, ids,
                   [np.packbits(cohort.matrix, axis=1)])
-    labels_path = os.path.join(cache_dir, "labels.tsv")
+    stale = ["loci.txt", "matrix.tsv"]
     if cohort.labels is not None:
-        write_label_tsv(cohort.labels, cohort.sample_ids, labels_path)
+        write_label_tsv(cohort.labels, cohort.sample_ids, os.path.join(cache_dir, "labels.tsv"))
     else:
+        stale.append("labels.tsv")
+    for name in stale:
         with suppress(FileNotFoundError):
-            os.remove(labels_path)
+            os.remove(os.path.join(cache_dir, name))
 
 
 def _packed_rows(ids):

@@ -4,7 +4,9 @@ Tensors are 2-D float64 C-order numpy arrays (rows = batch). Matrix
 products delegate to numpy's BLAS matmul, whose reduction over the inner
 dimension is a fixed tree for a given build, so repeated calls are
 bit-deterministic. Each layer follows the (out, cache) convention and
-the stack records caches on a Tape for the backward pass.
+a train-mode stack records the caches on a Tape for the backward pass.
+The elementwise kernels update in place only arrays they allocated in
+the same call, in their input's dtype, never an input or a cache.
 
 A stack's trainable tensors are views into consecutive slices of one flat
 vector (stack_views), and the backward pass writes every parameter
@@ -21,6 +23,7 @@ import numpy as np
 TRAIN = "train"
 INFERENCE = "inference"
 BUFFER_KEYS = ("run_mean", "run_var")
+L1_BLOCK = 1 << 15  # weights per block of the L1 gradient term: 256 KiB of float64
 
 
 def _as_real(t):
@@ -30,13 +33,14 @@ def _as_real(t):
 
 
 def sigmoid(x):
-    # split by sign so exp never overflows
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
     x = _as_real(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -56,8 +60,13 @@ class BatchNorm:
 
 @dataclass
 class Activation:
-    kind: str  # relu | leaky_relu | sigmoid | identity
+    kind: str  # relu | leaky_relu | sigmoid
     slope: float = 0.3  # leaky_relu only
+
+    def __post_init__(self):
+        # the forward pass max(x, slope * x) is leaky ReLU only for these
+        if self.kind == "leaky_relu" and not 0.0 <= self.slope <= 1.0:
+            raise ValueError(f"leaky_relu slope must be in [0, 1], got {self.slope!r}")
 
 
 @dataclass
@@ -67,8 +76,9 @@ class Dropout:
 
 @dataclass
 class Tape:
-    """Per-layer caches from one stack_forward call (train mode keeps
-    dropout masks so the pass can be replayed exactly)."""
+    """Per-layer caches from one train-mode stack_forward call (None for
+    each layer in inference mode), and the dropout masks, so the pass can
+    be replayed exactly."""
 
     mode: str
     caches: list
@@ -129,14 +139,22 @@ def init_layer_params(spec, rng):
 
 
 def _dense_forward(x, p):
-    return x @ p["w"] + p["b"], x
+    out = x @ p["w"]
+    out += p["b"]
+    return out, x
 
 
 def _dense_backward(dout, cache, p, g, l1_coefficient, input_grad):
     x = cache
     np.matmul(x.T, dout, out=g["w"])
     if l1_coefficient > 0.0:
-        g["w"] += l1_coefficient * np.sign(p["w"])
+        # g += l1 * sign(w), in row blocks that stay in cache
+        w, gw = p["w"], g["w"]
+        rows = max(1, L1_BLOCK // w.shape[1])
+        for start in range(0, w.shape[0], rows):
+            term = np.sign(w[start : start + rows])
+            term *= l1_coefficient
+            gw[start : start + rows] += term
     dout.sum(axis=0, out=g["b"])
     return dout @ p["w"].T if input_grad else None
 
@@ -144,11 +162,15 @@ def _dense_backward(dout, cache, p, g, l1_coefficient, input_grad):
 def _batchnorm_forward(x, p, spec, mode, update_running):
     if mode == INFERENCE:
         inv = 1.0 / np.sqrt(p["run_var"] + spec.epsilon)
-        xhat = (x - p["run_mean"]) * inv
-        return p["gamma"] * xhat + p["delta"], None
+        out = x - p["run_mean"]
+        out *= inv  # xhat
+        out *= p["gamma"]
+        out += p["delta"]
+        return out, None
     mean = x.mean(axis=0)
     xmu = x - mean
-    var = (xmu * xmu).mean(axis=0)  # biased, ddof=0
+    out = xmu * xmu
+    var = out.mean(axis=0)  # biased, ddof=0
     inv = 1.0 / np.sqrt(var + spec.epsilon)
     xhat = xmu * inv
     if update_running:
@@ -156,31 +178,41 @@ def _batchnorm_forward(x, p, spec, mode, update_running):
         # in place: the buffers may be views of a model's stats vector
         p["run_mean"][...] = m * p["run_mean"] + (1.0 - m) * mean
         p["run_var"][...] = m * p["run_var"] + (1.0 - m) * var
-    return p["gamma"] * xhat + p["delta"], (xmu, inv, xhat)
+    np.multiply(p["gamma"], xhat, out=out)
+    out += p["delta"]
+    return out, (xmu, inv, xhat)
 
 
 def _batchnorm_backward(dout, cache, p, g):
     # full backprop through the batch statistics
+    # dx = dxhat * inv + dvar * 2 * xmu / n + dmean / n, built in dxhat
     xmu, inv, xhat = cache
     n = dout.shape[0]
-    (dout * xhat).sum(axis=0, out=g["gamma"])
+    tmp = dout * xhat
+    tmp.sum(axis=0, out=g["gamma"])
     dout.sum(axis=0, out=g["delta"])
     dxhat = dout * p["gamma"]
-    dvar = (dxhat * xmu).sum(axis=0) * (-0.5) * inv**3
+    np.multiply(dxhat, xmu, out=tmp)
+    dvar = tmp.sum(axis=0) * (-0.5) * inv**3
     dmean = -(dxhat.sum(axis=0)) * inv + dvar * (-2.0) * xmu.mean(axis=0)
-    return dxhat * inv + dvar * 2.0 * xmu / n + dmean / n
+    np.multiply(dvar * 2.0, xmu, out=tmp)
+    tmp /= n
+    dxhat *= inv
+    dxhat += tmp
+    dxhat += dmean / n
+    return dxhat
 
 
 def _activation_forward(x, spec):
     if spec.kind == "relu":
         return np.maximum(x, 0.0), x
     if spec.kind == "leaky_relu":
-        return np.where(x > 0.0, x, spec.slope * x), x
+        # where(x > 0, x, slope * x) for 0 <= slope <= 1
+        out = x * spec.slope
+        return np.maximum(x, out, out=out), x
     if spec.kind == "sigmoid":
         out = sigmoid(x)
         return out, out
-    if spec.kind == "identity":
-        return x, None
     raise ValueError(f"unknown activation kind {spec.kind!r}")
 
 
@@ -188,10 +220,12 @@ def _activation_backward(dout, cache, spec):
     if spec.kind == "relu":
         return dout * (cache > 0.0)
     if spec.kind == "leaky_relu":
-        return dout * np.where(cache > 0.0, 1.0, spec.slope)
-    if spec.kind == "sigmoid":
-        return dout * cache * (1.0 - cache)
-    return dout
+        # the factor where(cache > 0, 1, slope), looked up by the mask
+        return dout * np.array([spec.slope, 1.0])[(cache > 0.0).view(np.int8)]
+    # sigmoid: dout * cache * (1 - cache)
+    dx = dout * cache
+    dx *= 1.0 - cache
+    return dx
 
 
 def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=True):
@@ -208,7 +242,8 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
     used_masks = []
     out = x
     for i, (spec, p) in enumerate(zip(specs, params)):
-        mask = None
+        # release the previous layer's cache: in inference mode nothing keeps it
+        mask = cache = None
         if isinstance(spec, Dense):
             if out.shape[1] != spec.in_dim:
                 raise ValueError(f"layer {i} (Dense) expects {spec.in_dim} columns, got {out.shape[1]}")
@@ -223,8 +258,10 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
                 if masks is not None:
                     mask = masks[i]
                 elif rng is not None:
-                    # inverted dropout: survivors pre-scaled, inference is identity
-                    mask = (rng.random(out.shape) >= spec.rate) / (1.0 - spec.rate)
+                    # inverted dropout: survivors pre-scaled, inference is identity;
+                    # the draws' array then holds the mask
+                    mask = rng.random(out.shape)
+                    np.divide(mask >= spec.rate, 1.0 - spec.rate, out=mask)
                 else:
                     raise ValueError(f"layer {i} (Dropout) needs an rng in train mode")
                 out = out * mask
@@ -232,7 +269,7 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
             raise ValueError(f"unknown layer spec {spec!r}")
         if not np.isfinite(out).all():
             raise FloatingPointError(f"non-finite output at layer {i} ({type(spec).__name__})")
-        caches.append(cache)
+        caches.append(cache if mode == TRAIN else None)
         used_masks.append(mask)
     return out, Tape(mode, caches, used_masks)
 

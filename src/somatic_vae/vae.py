@@ -93,6 +93,8 @@ class VaeConfig:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.l1_coefficient < 0.0:
             raise ValueError("l1_coefficient must be nonnegative")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError("leaky_slope must be in [0, 1]")
         if self.loss_kind not in ("bce", "soft_f1"):
             raise ValueError("loss_kind must be bce or soft_f1")
         self.beta_schedule.validate()
@@ -269,8 +271,8 @@ def decode_batch(model, z, mode=INFERENCE, rng=None):
         raise ValueError(f"latent batch must have {model.config.latent_dim} columns")
     probs, _ = stack_forward(model.dec_specs, model.dec_params, z, mode, rng=rng)
     # sigmoid can round to exactly 0 or 1 at extreme logits; keep the
-    # documented open interval
-    return np.clip(probs, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    # documented open interval (in place: probs is fresh, its tape dropped)
+    return np.clip(probs, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=probs)
 
 
 def reconstruct_mu(model, x):

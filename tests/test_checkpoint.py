@@ -251,13 +251,14 @@ def small_checkpoint_with_meta(path, edit):
         (lambda m: m["config"].update(momentum=0.5), "unknown config field momentum"),
         (lambda m: m["config"].update(dropout_rate=1.5), "dropout_rate must be in"),
         (lambda m: m["config"].update(loss_kind="mse"), "loss_kind must be"),
+        (lambda m: m["config"].update(leaky_slope=1.5), "leaky_slope must be in"),
         (lambda m: m["config"].update(latent_dim=1.7), "latent_dim must be an integer, got 1.7"),
         (lambda m: m["config"].update(hidden_dims=[2.9, 2]),
          "hidden_dims entry must be an integer, got 2.9"),
         (lambda m: m["config"].update(seed="3"), "seed must be an integer, got '3'"),
     ],
     ids=["missing-rho", "missing-schedule-field", "missing-epoch", "unknown-key",
-         "dropout-rate-1.5", "loss-kind-mse", "latent-dim-1.7", "hidden-dims-2.9",
+         "dropout-rate-1.5", "loss-kind-mse", "leaky-slope-1.5", "latent-dim-1.7", "hidden-dims-2.9",
          "seed-string"],
 )
 def test_malformed_config_rejected_naming_the_field(tmp_path, edit, message):

@@ -186,6 +186,16 @@ def test_invalid_config_value_exits_one_naming_field(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
+def test_leaky_slope_outside_zero_one_exits_one_before_training(tmp_path, capsys):
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    for value in ("nan", "1.5", "-2"):
+        run_dir = tmp_path / f"run{value}"
+        code = run(["train", "--cohort", cohort_dir, "--out", str(run_dir), "--leaky-slope", value])
+        assert code == 1
+        assert "leaky_slope must be in [0, 1]" in capsys.readouterr().err
+        assert not (run_dir / "checkpoint.bin").exists()
+
+
 def test_unknown_config_key_in_file_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     cfg = tmp_path / "bad.toml"

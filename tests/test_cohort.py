@@ -438,6 +438,17 @@ def test_cohort_cache_in_the_old_text_format_refused(tmp_path):
         load_cohort(cache)
 
 
+def test_saving_over_an_old_text_cache_removes_it(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "loci.txt").write_text("g000\n", encoding="utf-8")
+    (cache / "matrix.tsv").write_text("sample_id\tg000\ns0\t1\n", encoding="utf-8")
+    cohort = build_cohort(np.eye(3, dtype=np.uint8), labels={"s0": "a", "s1": "b", "s2": "a"})
+    save_cohort(cohort, cache)
+    assert sorted(p.name for p in cache.iterdir()) == ["cohort.bin", "labels.tsv"]
+    assert load_cohort(cache).matrix.tolist() == np.eye(3).tolist()
+
+
 def test_save_cohort_rejects_a_non_binary_matrix(tmp_path):
     cohort = build_cohort(np.eye(3, dtype=np.uint8))
     cohort.matrix[1, 2] = 2  # packbits would store it as a silent 1

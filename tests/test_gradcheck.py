@@ -90,8 +90,9 @@ def test_grad_check_leaves_the_callers_params_untouched():
 
 
 def test_grad_check_all_zero_case():
-    specs = [Dense(3, 2), Activation("identity")]
-    params = [{"w": np.zeros((3, 2)), "b": np.zeros(2)}, {}]
+    # relu before the layer: after it, zero pre-activations would sit on its kink
+    specs = [Activation("relu"), Dense(3, 2)]
+    params = [{}, {"w": np.zeros((3, 2)), "b": np.zeros(2)}]
     report = grad_check(specs, params, np.zeros((2, 3)), np.ones((2, 2)))
     assert report.passed
     assert report.max_rel_error == 0.0

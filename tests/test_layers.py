@@ -159,11 +159,25 @@ def test_leaky_relu_applies_slope_on_negatives():
     assert np.allclose(out, [[-0.6, 3.0]])
 
 
-def test_relu_and_identity_activations():
+def test_relu_activation_forward_and_backward():
     out, _ = stack_forward([Activation("relu")], [{}], np.array([[-1.0, 2.0]]), INFERENCE)
     assert out.tolist() == [[0.0, 2.0]]
-    out, _ = stack_forward([Activation("identity")], [{}], np.array([[-1.0, 2.0]]), INFERENCE)
-    assert out.tolist() == [[-1.0, 2.0]]
+    # the gradient is zero at the kink
+    out, tape = stack_forward([Activation("relu")], [{}], np.array([[-1.0, 0.0, 2.0]]), TRAIN)
+    assert out.tolist() == [[0.0, 0.0, 2.0]]
+    dx = stack_backward([Activation("relu")], [{}], tape, np.full((1, 3), 3.0), [{}])
+    assert dx.tolist() == [[0.0, 0.0, 3.0]]
+
+
+@pytest.mark.parametrize("slope", [float("nan"), -0.1, 1.5, 2])
+def test_leaky_relu_slope_outside_zero_one_rejected(slope):
+    with pytest.raises(ValueError, match=r"^leaky_relu slope must be in \[0, 1\]"):
+        Activation("leaky_relu", slope=slope)
+
+
+def test_identity_activation_is_gone():
+    with pytest.raises(ValueError, match="unknown activation kind 'identity'"):
+        stack_forward([Activation("identity")], [{}], np.ones((1, 2)), INFERENCE)
 
 
 def test_dropout_rate_zero_is_identity_in_train_mode():

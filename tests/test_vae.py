@@ -121,6 +121,9 @@ def test_build_rejects_invalid_config_naming_the_field():
         tiny_config(dropout_rate=1.0).validate()
     with pytest.raises(ValueError, match="loss_kind"):
         tiny_config(loss_kind="mse").validate()
+    for slope in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"^leaky_slope must be in \[0, 1\]$"):
+            tiny_config(leaky_slope=slope).validate()
     with pytest.raises(ValueError, match="rho"):
         tiny_config(rho=1.5).validate()
     with pytest.raises(ValueError, match="batch_size"):
