@@ -1,10 +1,11 @@
-"""Binary checkpoint format, version 2.
+"""Binary checkpoint format, version 3.
 
 A framing.py container under the magic ``FLATVAE\\0``: the JSON block holds
-the config and the epoch reached, the payload the raw float64
+the config and the epoch reached, the payload the raw float32
 little-endian bytes of the model's two flat vectors, theta and the
 batch-norm running statistics. The config fixes the architecture, and
-with it the length of both vectors. Both round-trip bit-exactly.
+with it the length of both vectors. Both round-trip bit-exactly. Version
+2 stored the same vectors as float64 and is refused, as is version 1.
 """
 
 from dataclasses import asdict
@@ -15,7 +16,7 @@ from . import framing
 from .vae import VaeConfig, _bind
 
 MAGIC = b"FLATVAE\x00"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -24,7 +25,7 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(model, config, epoch, path):
     """Write the config, the epoch, model.theta and model.stats."""
-    vectors = [np.ascontiguousarray(v, dtype="<f8") for v in (model.theta, model.stats)]
+    vectors = [np.ascontiguousarray(v, dtype="<f4") for v in (model.theta, model.stats)]
     framing.write(path, MAGIC, VERSION, {"config": asdict(config), "epoch": int(epoch)}, vectors)
 
 

@@ -9,6 +9,7 @@ back. Exit codes: 0 success, 1 runtime or input failure, 2 usage error.
 """
 
 import argparse
+import numbers
 import os
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -104,8 +105,9 @@ def build_vae_config(merged, input_dim):
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
+    # any real, Python or numpy (np.float32 is not a float), but not an int
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        return f"{float(value):.17g}"
     return str(value)
 
 
@@ -122,10 +124,11 @@ def emit_history(history, path):
 
 def write_embeddings(sample_ids, z, path):
     q = z.shape[1]
+    template = "%s" + "\t%.17g" * q + "\n"  # each value as a Python float
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sample_id" + "".join(f"\tz{j}" for j in range(q)) + "\n")
-        for sid, row in zip(sample_ids, z):
-            fh.write(sid + "".join(f"\t{v:.17g}" for v in row) + "\n")
+        for sid, row in zip(sample_ids, z.tolist()):
+            fh.write(template % (sid, *row))
 
 
 def read_embeddings(path):
@@ -219,7 +222,7 @@ def cmd_train(args):
 def cmd_embed(args):
     model, _, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
-    dist = encode_batch(model, data.matrix.astype(np.float64))
+    dist = encode_batch(model, data.matrix.astype(model.theta.dtype))
     write_embeddings(data.sample_ids, dist.mu, args.out)
     print(f"wrote {len(data.sample_ids)} x {dist.mu.shape[1]} embeddings to {args.out}")
     return 0
@@ -228,9 +231,9 @@ def cmd_embed(args):
 def cmd_eval_recon(args):
     model, _, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
-    x = data.matrix.astype(np.float64)
+    x = data.matrix.astype(model.theta.dtype)
     probs = reconstruct_mu(model, x)
-    f1 = metrics.micro_f1((probs >= 0.5).astype(np.uint8), data.matrix)
+    f1 = metrics.micro_f1(probs >= 0.5, data.matrix)
     cos = metrics.mean_cosine_similarity(probs, x)
     print(f"micro_f1\t{f1:.17g}")
     print(f"mean_cosine\t{cos:.17g}")

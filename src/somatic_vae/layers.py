@@ -1,6 +1,8 @@
 """Dense layer stacks with hand-written forward/backward passes.
 
-Tensors are 2-D float64 C-order numpy arrays (rows = batch). Matrix
+Tensors are 2-D floating C-order numpy arrays (rows = batch): float32
+for training and inference, float64 or extended precision for gradient
+checks, and every kernel keeps its input's dtype. Matrix
 products delegate to numpy's BLAS matmul, whose reduction over the inner
 dimension is a fixed tree for a given build, so repeated calls are
 bit-deterministic. Each layer follows the (out, cache) convention and
@@ -23,13 +25,14 @@ import numpy as np
 TRAIN = "train"
 INFERENCE = "inference"
 BUFFER_KEYS = ("run_mean", "run_var")
-L1_BLOCK = 1 << 15  # weights per block of the L1 gradient term: 256 KiB of float64
+L1_BLOCK = 1 << 15  # weights per block of the L1 gradient term: 128 KiB of float32
 
 
 def _as_real(t):
-    # promote ints/float32 to float64; leave extended precision alone so
-    # finite-difference replays can run the same code at higher precision
-    return np.asarray(t, dtype=np.result_type(t, np.float64))
+    # keep any floating dtype, so float32 training, float64 checks and
+    # extended-precision replays run the same code; promote ints to float64
+    t = np.asarray(t)
+    return t if t.dtype.kind == "f" else t.astype(np.float64)
 
 
 def sigmoid(x):
@@ -221,7 +224,8 @@ def _activation_backward(dout, cache, spec):
         return dout * (cache > 0.0)
     if spec.kind == "leaky_relu":
         # the factor where(cache > 0, 1, slope), looked up by the mask
-        return dout * np.array([spec.slope, 1.0])[(cache > 0.0).view(np.int8)]
+        factors = np.array([spec.slope, 1.0], dout.dtype)
+        return dout * factors[(cache > 0.0).view(np.int8)]
     # sigmoid: dout * cache * (1 - cache)
     dx = dout * cache
     dx *= 1.0 - cache
@@ -258,10 +262,12 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
                 if masks is not None:
                     mask = masks[i]
                 elif rng is not None:
-                    # inverted dropout: survivors pre-scaled, inference is identity;
-                    # the draws' array then holds the mask
+                    # inverted dropout: survivors pre-scaled, inference is identity.
+                    # The uniforms are float64 whatever the activation's dtype,
+                    # so the stream does not depend on it; the mask takes that dtype
                     mask = rng.random(out.shape)
                     np.divide(mask >= spec.rate, 1.0 - spec.rate, out=mask)
+                    mask = mask.astype(out.dtype, copy=False)
                 else:
                     raise ValueError(f"layer {i} (Dropout) needs an rng in train mode")
                 out = out * mask

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import _as_real
+
 BCE_CLAMP = 1e-7
 SOFT_F1_EPS = 1e-8
 
@@ -21,8 +23,7 @@ def kl_divergence(mu, logvar):
     are individually nonnegative, so the result cannot go negative from
     rounding.
     """
-    mu = np.asarray(mu, dtype=np.result_type(mu, np.float64))
-    logvar = np.asarray(logvar, dtype=np.result_type(logvar, np.float64))
+    mu, logvar = _as_real(mu), _as_real(logvar)
     if mu.shape != logvar.shape:
         raise ValueError("mu and logvar shapes differ")
     per_sample = 0.5 * (mu * mu + np.expm1(logvar) - logvar).sum(axis=1)
@@ -48,8 +49,7 @@ def reconstruction_loss(kind, probs, targets):
     """bce: elementwise mean of the clamped cross-entropy.
     soft_f1: 1 - micro soft F1 with probabilistic counts pooled over the
     whole batch."""
-    probs = np.asarray(probs, dtype=np.result_type(probs, np.float64))
-    targets = np.asarray(targets, dtype=np.result_type(targets, np.float64))
+    probs, targets = _as_real(probs), _as_real(targets)
     if probs.shape != targets.shape:
         raise ValueError("probs and targets shapes differ")
     if kind == "bce":
@@ -63,8 +63,7 @@ def reconstruction_loss(kind, probs, targets):
 
 
 def reconstruction_grad(kind, probs, targets):
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    probs, targets = _as_real(probs), _as_real(targets)
     if probs.shape != targets.shape:
         raise ValueError("probs and targets shapes differ")
     if kind == "bce":

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import sigmoid
-from .losses import f1_counts
 
 
 def _check_same_shape(a, b):
@@ -17,15 +16,24 @@ def _check_same_shape(a, b):
     return a, b
 
 
+def _as_bool(a, name):
+    """A 0/1 array as booleans; any other entry is an error."""
+    if a.dtype != bool:
+        mask = a != 0
+        if not (mask == a).all():
+            raise ValueError(f"{name} entries must be 0 or 1")
+        a = mask
+    return a
+
+
 def micro_f1(pred, target):
-    """F1 from TP/FP/FN pooled over every cell; 0/0 (no positives on
-    either side) is defined as 1."""
+    """F1 from TP/FP/FN pooled over every cell of two 0/1 arrays, counted
+    as integers; 0/0 (no positives on either side) is defined as 1."""
     pred, target = _check_same_shape(pred, target)
-    p = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    tp, fp, fn = (float(c) for c in f1_counts(p, y))
-    denom = 2.0 * tp + fp + fn
-    if denom == 0.0:
+    p, y = _as_bool(pred, "pred"), _as_bool(target, "target")
+    tp, predicted, actual = (int(np.count_nonzero(a)) for a in (p & y, p, y))
+    denom = predicted + actual  # 2 TP + FP + FN
+    if denom == 0:
         return 1.0
     return 2.0 * tp / denom
 

@@ -8,11 +8,14 @@ Training is plain minibatch RMSprop on
 with beta following the configured schedule. The whole run is a pure
 function of (cohort, split, config.seed).
 
-Every trainable tensor is a view into one float64 vector, model.theta,
+Every trainable tensor is a view into one float32 vector, model.theta,
 laid out encoder, mu head, logvar head, decoder; the backward pass
 writes the gradients into the same views of model.grad. The batch-norm
-running statistics are views of a second vector, model.stats, in the
-same layer order.
+running statistics are views of a second float32 vector, model.stats, in
+the same layer order. Training and inference compute in float32; the
+random draws (initial weights, dropout uniforms, reparameterization
+noise) stay float64 and are rounded, so the streams do not depend on the
+model's dtype. The gradient check runs the same code on a float64 copy.
 """
 
 import numbers
@@ -205,13 +208,14 @@ def _architecture(config):
 
 def _bind(config, theta=None):
     """A model whose trainable tensors are views into theta (a fresh,
-    unfilled vector when None), with a zeroed twin gradient vector, and
-    whose running statistics are views into a fresh, unfilled stats."""
+    unfilled float32 vector when None), with a zeroed twin gradient
+    vector, and whose running statistics are views into a fresh, unfilled
+    stats vector of theta's dtype."""
     stacks = _architecture(config)
     if theta is None:
-        theta = np.empty(sum(stack_size(specs) for specs in stacks))
+        theta = np.empty(sum(stack_size(specs) for specs in stacks), np.float32)
     grad = np.zeros(theta.size, theta.dtype)  # calloc: no memory until written
-    stats = np.empty(sum(stack_size(specs, buffers=True) for specs in stacks))
+    stats = np.empty(sum(stack_size(specs, buffers=True) for specs in stacks), theta.dtype)
     params, grads, offset, stats_offset = [], [], 0, 0
     for specs in stacks:
         views, _ = stack_views(specs, theta, offset)
@@ -227,7 +231,7 @@ def _bind(config, theta=None):
 def build_vae(config, rng):
     """Initialize a model: Glorot-uniform weights, zero biases, unit
     batch-norm scale. Draw order is encoder, mu head, logvar head,
-    decoder."""
+    decoder; the float64 draws are rounded to float32."""
     config.validate()
     model = _bind(config)
     for specs, params in model.param_stacks():
@@ -242,8 +246,8 @@ def count_parameters(model):
     return model.theta.size
 
 
-def _check_binary(x):
-    x = np.asarray(x, dtype=np.float64)
+def _check_binary(x, dtype):
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2:
         raise ValueError("expected a 2-D batch")
     if x.size and not np.isin(x, (0.0, 1.0)).all():
@@ -253,7 +257,7 @@ def _check_binary(x):
 
 def encode_batch(model, x, mode=INFERENCE, rng=None):
     """Run the encoder and both heads; returns the latent Gaussian."""
-    x = _check_binary(x)
+    x = _check_binary(x, model.theta.dtype)
     if x.shape[1] != model.config.input_dim:
         raise ValueError(
             f"input has {x.shape[1]} columns, model expects {model.config.input_dim}"
@@ -266,13 +270,14 @@ def encode_batch(model, x, mode=INFERENCE, rng=None):
 
 def decode_batch(model, z, mode=INFERENCE, rng=None):
     """Decode latent points to per-locus probabilities in (0, 1)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=model.theta.dtype)
     if z.ndim != 2 or z.shape[1] != model.config.latent_dim:
         raise ValueError(f"latent batch must have {model.config.latent_dim} columns")
     probs, _ = stack_forward(model.dec_specs, model.dec_params, z, mode, rng=rng)
     # sigmoid can round to exactly 0 or 1 at extreme logits; keep the
     # documented open interval (in place: probs is fresh, its tape dropped)
-    return np.clip(probs, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=probs)
+    zero, one = probs.dtype.type(0), probs.dtype.type(1)
+    return np.clip(probs, np.nextafter(zero, one), np.nextafter(one, zero), out=probs)
 
 
 def reconstruct_mu(model, x):
@@ -294,7 +299,7 @@ def _forward_train(model, x, beta, rngs, masks=None, eps=None, update_running=Tr
     mu, mu_tape = stack_forward(model.mu_specs, model.mu_params, h, TRAIN)
     lv, lv_tape = stack_forward(model.lv_specs, model.lv_params, h, TRAIN)
     if eps is None:
-        eps = rngs["reparam"].standard_normal(mu.shape)
+        eps = rngs["reparam"].standard_normal(mu.shape).astype(mu.dtype, copy=False)
     z = mu + np.exp(0.5 * lv) * eps
     probs, dec_tape = stack_forward(
         model.dec_specs, model.dec_params, z, TRAIN,
@@ -368,8 +373,8 @@ def train(cohort, split, config):
     val_idx = np.asarray(split.val_indices, dtype=int)
     if train_idx.size == 0:
         raise ValueError("empty training split")
-    x_train = cohort.matrix[train_idx].astype(np.float64)
-    x_val = cohort.matrix[val_idx].astype(np.float64) if val_idx.size else None
+    x_train = cohort.matrix[train_idx].astype(np.float32)
+    x_val = cohort.matrix[val_idx] if val_idx.size else None  # uint8
 
     rngs = {
         "dropout": sub_rng(config.seed, "dropout"),
@@ -405,11 +410,11 @@ def train(cohort, split, config):
                 lr=config.learning_rate, rho=config.rho, eps=config.epsilon,
             )
             for key in sums:
-                sums[key] += getattr(breakdown, key) * len(rows)
+                sums[key] += float(getattr(breakdown, key)) * len(rows)
             seen += len(rows)
         if x_val is not None:
             probs = reconstruct_mu(model, x_val)
-            val_f1 = micro_f1((probs >= 0.5).astype(np.uint8), x_val.astype(np.uint8))
+            val_f1 = micro_f1(probs >= 0.5, x_val)
             val_cos = mean_cosine_similarity(probs, x_val)
         else:
             val_f1 = val_cos = float("nan")
@@ -420,21 +425,33 @@ def train(cohort, split, config):
     return model, history
 
 
-def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
-    """Full-model finite-difference check of the training gradients.
-
-    Builds a model from config, draws one binary batch, freezes the
-    dropout masks and reparameterization noise, then compares the
-    analytic gradients of recon + beta * KL + L1 against central
-    differences for every parameter.
-    """
+def _grads_to_check(config, beta, batch_size, fd_step):
+    """(model, numeric): a model built from config and re-bound onto float64
+    copies of its vectors, whose model.grad holds the analytic gradients of
+    one training pass on a drawn binary batch, and the central differences
+    of that pass's loss, dropout masks and noise frozen."""
     config.validate()
     rng = sub_rng(config.seed, "gradcheck")
-    model = build_vae(config, rng)
+    built = build_vae(config, rng)
+    # the check is of the derivative, not of float32 rounding
+    model = _bind(config, built.theta.astype(np.float64))
+    model.stats[...] = built.stats
     x = (rng.random((batch_size, config.input_dim)) < 0.3).astype(np.float64)
 
     rngs = {"dropout": rng, "reparam": rng}
     fwd = _forward_train(model, x, beta, rngs)
     _backward_train(model, x, beta, fwd)
     numeric = finite_difference_grads(_fd_objective(model, x, beta, fwd), model.theta, fd_step)
+    return model, numeric
+
+
+def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
+    """Full-model finite-difference check of the training gradients.
+
+    Builds a model from config, draws one binary batch, freezes the
+    dropout masks and reparameterization noise, then compares the
+    analytic gradients of recon + beta * KL + L1, computed in float64,
+    against central differences for every parameter.
+    """
+    model, numeric = _grads_to_check(config, beta, batch_size, fd_step)
     return compare_grads(model.specs(), model.grad, numeric, tolerance)

@@ -15,10 +15,9 @@ import pytest
 
 import somatic_vae as sv
 from somatic_vae.cli import emit_history
-from somatic_vae.gradcheck import compare_grads, finite_difference_grads
+from somatic_vae.gradcheck import compare_grads
 from somatic_vae.layers import stack_views
-from somatic_vae.seeding import sub_rng
-from somatic_vae.vae import _backward_train, _fd_objective, _forward_train, build_vae
+from somatic_vae.vae import _grads_to_check
 
 CANONICAL = sv.SyntheticSpec(
     n_samples=600, n_loci=2000, n_clusters=6,
@@ -82,14 +81,9 @@ def _tiny_config(loss_kind):
 
 
 def _grad_reports_with_fault(config, beta):
-    """Clean and 1%-corrupted gradient comparisons sharing one FD run."""
-    rng = sub_rng(config.seed, "gradcheck")
-    model = build_vae(config, rng)
-    x = (rng.random((4, config.input_dim)) < 0.3).astype(np.float64)
-    rngs = {"dropout": rng, "reparam": rng}
-    fwd = _forward_train(model, x, beta, rngs)
-    _backward_train(model, x, beta, fwd)
-    numeric = finite_difference_grads(_fd_objective(model, x, beta, fwd), model.theta, 1e-5)
+    """Clean and 1%-corrupted gradient comparisons sharing one FD run of
+    the float64 model that vae_grad_check checks."""
+    model, numeric = _grads_to_check(config, beta, batch_size=4, fd_step=1e-5)
     specs = model.specs()
     clean = compare_grads(specs, model.grad, numeric, 1e-5)
     faulted = model.grad.copy()

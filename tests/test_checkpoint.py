@@ -106,7 +106,7 @@ def test_flipped_byte_fails_crc(tmp_path):
 
 def test_unsupported_version_rejected(tmp_path):
     # version and an empty JSON block: a shorter body is a truncated file
-    body = struct.pack("<II", VERSION + 9, 0)
+    body = struct.pack("<II", 11, 0)  # a version no format has had
     path = tmp_path / "future.bin"
     path.write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 11$"):
@@ -150,7 +150,7 @@ SECTIONS = ("magic", "version", "meta-length", "meta", "theta", "stats", "traile
 def section_bounds(raw, model):
     """Section name -> (start, stop) byte offsets in a checkpoint file."""
     (meta_len,) = struct.unpack_from("<I", raw, len(MAGIC) + 4)
-    sizes = [len(MAGIC), 4, 4, meta_len, 8 * model.theta.size, 8 * model.stats.size, 4]
+    sizes = [len(MAGIC), 4, 4, meta_len, 4 * model.theta.size, 4 * model.stats.size, 4]
     ends = np.cumsum(sizes)
     assert ends[-1] == len(raw)
     return {name: (int(end - size), int(end)) for name, size, end in zip(SECTIONS, sizes, ends)}
@@ -165,7 +165,7 @@ def test_file_layout_is_config_then_theta_then_stats(tmp_path):
     model = small_checkpoint(path)
     raw = path.read_bytes()
     bounds = section_bounds(raw, model)
-    assert raw[slice(*bounds["version"])] == struct.pack("<I", VERSION) == struct.pack("<I", 2)
+    assert raw[slice(*bounds["version"])] == struct.pack("<I", VERSION) == struct.pack("<I", 3)
     assert raw[slice(*bounds["meta"])].decode("utf-8") == (
         '{"config":{"batch_size":128,'
         '"beta_schedule":{"beta_max":0.03,"kind":"linear_warmup","warmup_epochs":25},'
@@ -173,8 +173,9 @@ def test_file_layout_is_config_then_theta_then_stats(tmp_path):
         '"l1_coefficient":1e-05,"latent_dim":1,"leaky_slope":0.3,"learning_rate":0.001,'
         '"loss_kind":"soft_f1","rho":0.9,"seed":0},"epoch":7}'
     )
-    assert raw[slice(*bounds["theta"])] == model.theta.astype("<f8").tobytes()
-    assert raw[slice(*bounds["stats"])] == model.stats.astype("<f8").tobytes()
+    assert model.theta.dtype == model.stats.dtype == np.float32
+    assert raw[slice(*bounds["theta"])] == model.theta.astype("<f4").tobytes()
+    assert raw[slice(*bounds["stats"])] == model.stats.astype("<f4").tobytes()
     assert raw[slice(*bounds["trailer"])] == struct.pack("<I", zlib.crc32(raw[8:-4]))
 
 
@@ -208,8 +209,8 @@ def test_payload_one_float_short_or_long_rejected_naming_both_sizes(tmp_path):
     path = tmp_path / "small.bin"
     model = small_checkpoint(path)
     body = path.read_bytes()[len(MAGIC) : -4]
-    need = 8 * (model.theta.size + model.stats.size)  # bytes after the JSON block
-    for edited, size in ((body[:-8], need - 8), (body + struct.pack("<d", 1.0), need + 8)):
+    need = 4 * (model.theta.size + model.stats.size)  # bytes after the JSON block
+    for edited, size in ((body[:-4], need - 4), (body + struct.pack("<f", 1.0), need + 4)):
         reseal(path, edited)
         message = f"payload has {size} bytes, the config needs {need}"
         with pytest.raises(CheckpointError, match=message):
@@ -226,6 +227,19 @@ def test_version_1_file_rejected(tmp_path):
     path = tmp_path / "v1.bin"
     reseal(path, body)
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1$"):
+        load_checkpoint(path)
+
+
+def test_version_2_file_rejected(tmp_path):
+    # the float64 format: the same header and JSON block, then both vectors
+    # as 8-byte floats
+    path = tmp_path / "v2.bin"
+    model = small_checkpoint(path)
+    body = path.read_bytes()[len(MAGIC) : -4]
+    (meta_len,) = struct.unpack("<I", body[4:8])
+    vectors = np.concatenate([model.theta, model.stats]).astype("<f8").tobytes()
+    reseal(path, struct.pack("<I", 2) + body[4 : 8 + meta_len] + vectors)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2$"):
         load_checkpoint(path)
 
 

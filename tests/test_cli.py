@@ -128,6 +128,17 @@ def test_emit_history_17_digit_reals_roundtrip(tmp_path):
     assert float(row[4]) == 0.123456789012345678
 
 
+def test_emit_history_writes_numpy_reals_with_17_digits(tmp_path):
+    # np.float32 is not a Python float; every real keeps 17 digits, ints none
+    history = [EpochStats(np.int64(3), np.float32(0.1), 2 / 7, np.float64(1e-5), 0.0,
+                          np.float32(1.5), np.float32(np.nan), 0.25)]
+    path = tmp_path / "history.tsv"
+    emit_history(history, path)
+    row = path.read_text(encoding="utf-8").splitlines()[1]
+    assert row == "\t".join(["3", "0.10000000149011612", "0.2857142857142857",
+                             "1.0000000000000001e-05", "0", "1.5", "nan", "0.25"])
+
+
 def test_emit_history_rejects_empty():
     with pytest.raises(ValueError):
         emit_history([], "unused.tsv")
@@ -142,6 +153,20 @@ def test_embeddings_roundtrip(tmp_path):
     got_ids, got_z = read_embeddings(path)
     assert got_ids == ids
     assert np.array_equal(got_z, z)  # 17 significant digits preserve f64 exactly
+
+
+def test_write_embeddings_pins_its_bytes(tmp_path):
+    z = np.array([[0.1, -2.5, 1e-40], [3.0, -0.0, 123456.789]], dtype=np.float32)
+    path = tmp_path / "emb.tsv"
+    write_embeddings(["s%1", "s2"], z, path)
+    assert path.read_bytes() == (
+        b"sample_id\tz0\tz1\tz2\n"
+        b"s%1\t0.10000000149011612\t-2.5\t9.9999461011147596e-41\n"
+        b"s2\t3\t-0\t123456.7890625\n"
+    )
+    got_ids, got_z = read_embeddings(path)
+    assert got_ids == ["s%1", "s2"]
+    assert np.array_equal(got_z, z) and got_z.dtype == np.float64
 
 
 def test_read_embeddings_rejects_other_tsvs(tmp_path):

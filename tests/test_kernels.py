@@ -345,6 +345,8 @@ def test_decode_batch_clips_like_its_reference():
     config = VaeConfig(input_dim=30, hidden_dims=(16, 8), latent_dim=3)
     model = build_vae(config, np.random.default_rng(6))
     z = np.random.default_rng(7).standard_normal((50, 3)) * 40.0  # saturates the sigmoid
-    probs, _ = stack_forward(model.dec_specs, model.dec_params, z, INFERENCE)
-    want = np.clip(probs, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    real = model.theta.dtype.type
+    assert real is np.float32
+    probs, _ = stack_forward(model.dec_specs, model.dec_params, z.astype(real), INFERENCE)
+    want = np.clip(probs, np.nextafter(real(0), real(1)), np.nextafter(real(1), real(0)))
     assert_same_bytes(decode_batch(model, z), want, "clipped probabilities")

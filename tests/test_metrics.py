@@ -46,6 +46,26 @@ def test_micro_f1_rejects_shape_mismatch():
         micro_f1(np.ones((2, 2)), np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("pred, target, name", [
+    ([[0.5, 1.0]], [[1, 0]], "pred"),
+    ([[1, 0]], [[2, 0]], "target"),
+    ([[1, 0]], [[np.nan, 1.0]], "target"),
+])
+def test_micro_f1_rejects_non_binary_entries(pred, target, name):
+    with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
+        micro_f1(np.array(pred), np.array(target))
+
+
+def test_micro_f1_counts_bool_uint8_and_float_inputs_alike():
+    rng = np.random.default_rng(8)
+    pred, target = rng.random((2, 30, 40)) < 0.3
+    # TP, FP and FN counted by hand
+    tp = int((pred & target).sum())
+    want = 2 * tp / (2 * tp + int((pred & ~target).sum()) + int((~pred & target).sum()))
+    for dtype in (bool, np.uint8, np.float32, np.float64):
+        assert micro_f1(pred.astype(dtype), target.astype(dtype)) == want
+
+
 # ---------------------------------------------------------------- cosine
 
 

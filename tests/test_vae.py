@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import somatic_vae.layers as layers_module
 import somatic_vae.vae as vae_module
 from somatic_vae.checkpoint import load_checkpoint, save_checkpoint
 from somatic_vae.cli import emit_history
@@ -354,6 +355,61 @@ def test_single_row_final_batch_joins_the_previous_one(monkeypatch):
     _, history = train(cohort, split, config)
     assert sizes == ([32] * 13 + [33]) * 2
     assert len(history) == 2
+
+
+def arrays_in(tree):
+    """Every array in a nest of tuples and lists (None leaves skipped)."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, (tuple, list)):
+        return [a for item in tree for a in arrays_in(item)]
+    return []
+
+
+def test_one_training_step_computes_in_float32(monkeypatch):
+    # a stray float64 scalar, table or draw would promote the whole pass silently
+    cohort = small_cohort()
+    split = holdout_split(cohort.n_samples, 0.8, seed=0)
+    config = tiny_config(input_dim=cohort.n_loci, epochs=1, batch_size=64,
+                         dropout_rate=0.25, l1_coefficient=1e-4)
+    calls = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.setdefault(name, []).append((args, out))
+            return out
+
+        monkeypatch.setattr(module, name, recording)
+
+    vae_module_spies = ("_forward_train", "reconstruction_grad", "rmsprop_update")
+    for name in vae_module_spies:
+        spy(vae_module, name)
+    # the backward kernels' input gradients never reach model.grad uncast
+    backward = ("_dense_backward", "_batchnorm_backward", "_activation_backward")
+    for name in backward:
+        spy(layers_module, name)
+    model, _ = train(cohort, split, config)
+    assert [len(calls[name]) for name in vae_module_spies] == [1, 1, 1]  # one step
+    (_, fwd), = calls["_forward_train"]
+    (_, dprobs), = calls["reconstruction_grad"]
+    ((_, _, state), _), = calls["rmsprop_update"]
+    caches = arrays_in([tape.caches for tape in fwd["tapes"]])
+    masks = arrays_in([tape.masks for tape in fwd["tapes"]])
+    assert len(masks) == 2  # one dropout layer in the encoder, one in the decoder
+    dxs = arrays_in([out for name in backward for _, out in calls[name]])
+    assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
+    named = {"eps": fwd["eps"], "probs": fwd["probs"], "dprobs": dprobs, "theta": model.theta,
+             "grad": model.grad, "stats": model.stats, "accumulator": state.accumulator,
+             **{f"cache {i}": c for i, c in enumerate(caches)},
+             **{f"mask {i}": m for i, m in enumerate(masks)},
+             **{f"input gradient {i}": d for i, d in enumerate(dxs)}}
+    assert {name: a.dtype for name, a in named.items() if a.dtype != np.float32} == {}
+    breakdown = fwd["breakdown"]
+    assert [np.asarray(getattr(breakdown, key)).dtype for key in ("recon", "kl", "l1", "total")] \
+        == [np.float32] * 4
 
 
 def assert_views_of_flat_vectors(model):
