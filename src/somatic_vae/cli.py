@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, cohort as cohort_io, metrics
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .losses import BetaSchedule
-from .vae import VaeConfig, encode_batch, reconstruct_mu, train
+from .vae import VaeConfig, encode_batch, reconstruction_scores, row_chunks, train
 
 # training option -> default, whose type parses it: VaeConfig's fields but
 # input_dim, its beta schedule's (kind as beta_kind), and the holdout
@@ -222,19 +222,18 @@ def cmd_train(args):
 def cmd_embed(args):
     model, _, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
-    dist = encode_batch(model, data.matrix.astype(model.theta.dtype))
-    write_embeddings(data.sample_ids, dist.mu, args.out)
-    print(f"wrote {len(data.sample_ids)} x {dist.mu.shape[1]} embeddings to {args.out}")
+    mu = np.empty((data.n_samples, model.config.latent_dim), model.theta.dtype)
+    for rows, chunk in row_chunks(data.matrix, model.theta.dtype):
+        mu[rows] = encode_batch(model, chunk).mu
+    write_embeddings(data.sample_ids, mu, args.out)
+    print(f"wrote {len(data.sample_ids)} x {mu.shape[1]} embeddings to {args.out}")
     return 0
 
 
 def cmd_eval_recon(args):
     model, _, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
-    x = data.matrix.astype(model.theta.dtype)
-    probs = reconstruct_mu(model, x)
-    f1 = metrics.micro_f1(probs >= 0.5, data.matrix)
-    cos = metrics.mean_cosine_similarity(probs, x)
+    f1, cos = reconstruction_scores(model, data.matrix)
     print(f"micro_f1\t{f1:.17g}")
     print(f"mean_cosine\t{cos:.17g}")
     return 0
@@ -276,7 +275,7 @@ def cmd_probe(args):
     else:
         data = cohort_io.load_cohort(_require_file(args.cohort))
         sample_ids = data.sample_ids
-        features = data.matrix.astype(np.float64)
+        features = data.matrix  # uint8: the probe works on its nonzeros
     raw = _load_labels_for(sample_ids, args.labels, data)
     try:
         y = np.array([int(v) for v in raw])

@@ -26,27 +26,44 @@ def _as_bool(a, name):
     return a
 
 
-def micro_f1(pred, target):
+def micro_f1(pred, target, totals=None):
     """F1 from TP/FP/FN pooled over every cell of two 0/1 arrays, counted
-    as integers; 0/0 (no positives on either side) is defined as 1."""
+    as integers; 0/0 (no positives on either side) is defined as 1.
+
+    Streamed over row chunks: pass the same int64 array of running
+    (TP, predicted, actual) counts, zeros at first, with every chunk; the
+    counts are added to it, and each call returns the F1 of every row
+    passed so far."""
     pred, target = _check_same_shape(pred, target)
     p, y = _as_bool(pred, "pred"), _as_bool(target, "target")
-    tp, predicted, actual = (int(np.count_nonzero(a)) for a in (p & y, p, y))
+    counts = np.array([np.count_nonzero(a) for a in (p & y, p, y)], dtype=np.int64)
+    if totals is not None:
+        totals += counts
+        counts = totals
+    tp, predicted, actual = (int(c) for c in counts)
     denom = predicted + actual  # 2 TP + FP + FN
     if denom == 0:
         return 1.0
     return 2.0 * tp / denom
 
 
-def mean_cosine_similarity(probs, target):
+def mean_cosine_similarity(probs, target, out=None):
     """Row-wise cosine similarity averaged over samples; a row in which
-    either vector is all-zero contributes 0."""
+    either vector is all-zero contributes 0.
+
+    Streamed over row chunks: pass out, the float64 vector of the row
+    cosines of every row up to and including this chunk's, whose last
+    rows this call fills; it returns the mean of out."""
     probs, target = _check_same_shape(probs, target)
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
     dots = (p * y).sum(axis=1)
     norms = np.linalg.norm(p, axis=1) * np.linalg.norm(y, axis=1)
-    out = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
+    if out is None:
+        out = np.zeros_like(dots)
+    cosines = out[out.size - dots.size:]
+    cosines[...] = 0.0
+    np.divide(dots, norms, out=cosines, where=norms > 0.0)
     return float(out.mean())
 
 
@@ -121,11 +138,50 @@ class ProbeModel:
     l2_coefficient: float
 
 
+def _products(x):
+    """x's shape and the maps v -> x @ v and u -> x.T @ u.
+
+    A uint8 or bool x must be 0/1 and is used through its nonzeros: the
+    flat indices of x list them row by row, those of x.T column by column,
+    and np.add.reduceat sums each non-empty row's (column's) run; empty
+    rows (columns) stay exactly 0. Any other x is converted to float64
+    and multiplied densely."""
+    x = np.asarray(x)
+    if x.dtype not in (np.uint8, np.bool_):
+        x = np.asarray(x, dtype=np.float64)
+        return x.shape, (lambda v: x @ v), (lambda u: x.T @ u)
+    nonzero = _as_bool(x, "feature")
+    n, d = x.shape
+    rows, cols = np.divmod(np.flatnonzero(nonzero), d)
+    cols_t, rows_t = np.divmod(np.flatnonzero(nonzero.T), n)
+    row_runs, col_runs = _runs(rows), _runs(cols_t)
+    return (
+        x.shape,
+        lambda v: _segment_sums(v[cols], row_runs, n),
+        lambda u: _segment_sums(u[rows_t], col_runs, d),
+    )
+
+
+def _runs(keys):
+    """(key, start) of each run of equal entries in a sorted index vector."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], starts
+
+
+def _segment_sums(values, runs, size):
+    keys, starts = runs
+    out = np.zeros(size)
+    if starts.size:  # reduceat needs at least one segment
+        out[keys] = np.add.reduceat(values, starts)
+    return out
+
+
 def fit_probe(x, y, l2=1e-3, lr=0.1, iters=500):
-    """Full-batch gradient descent from zero initialization."""
-    x = np.asarray(x, dtype=np.float64)
+    """Full-batch gradient descent from zero initialization; a uint8 or
+    bool x must be 0/1 (see _products)."""
+    shape, times, times_t = _products(x)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape[0] != y.size:
+    if shape[0] != y.size:
         raise ValueError("feature rows and label count differ")
     classes = np.unique(y)
     if classes.size < 2:
@@ -133,12 +189,12 @@ def fit_probe(x, y, l2=1e-3, lr=0.1, iters=500):
     if not np.isin(classes, (0.0, 1.0)).all():
         raise ValueError("probe labels must be binary 0/1")
     n = y.size
-    w = np.zeros(x.shape[1])
+    w = np.zeros(shape[1])
     b = 0.0
     for _ in range(int(iters)):
-        p = sigmoid(x @ w + b)
+        p = sigmoid(times(w) + b)
         err = p - y
-        gw = x.T @ err / n + l2 * w
+        gw = times_t(err) / n + l2 * w
         gb = float(err.mean())
         w -= lr * gw
         b -= lr * gb
@@ -147,7 +203,7 @@ def fit_probe(x, y, l2=1e-3, lr=0.1, iters=500):
 
 def eval_probe(model, x, y):
     """Threshold sigmoid scores at 0.5 and report precision/recall/F1."""
-    x = np.asarray(x, dtype=np.float64)
-    scores = sigmoid(x @ model.weights + model.bias)
+    _, times, _ = _products(x)
+    scores = sigmoid(times(model.weights) + model.bias)
     pred = (scores >= 0.5).astype(np.int64)
     return classification_report(pred, np.asarray(y, dtype=np.int64))

@@ -51,6 +51,8 @@ from .metrics import mean_cosine_similarity, micro_f1
 from .optim import init_rmsprop, rmsprop_update
 from .seeding import sub_rng
 
+CHUNK_ROWS = 512  # most rows an inference pass converts to float at once
+
 
 @dataclass
 class VaeConfig:
@@ -286,6 +288,31 @@ def reconstruct_mu(model, x):
     return decode_batch(model, dist.mu, INFERENCE)
 
 
+def row_chunks(matrix, dtype):
+    """(rows, chunk) pairs over the rows of a 0/1 matrix: rows a slice,
+    chunk those rows converted to dtype. One chunk when there are at most
+    CHUNK_ROWS rows, else the fewest near-equal chunks of at most
+    CHUNK_ROWS, each then at least CHUNK_ROWS // 2 rows long: a pass over
+    a few rows can round differently from a pass over many."""
+    n = matrix.shape[0]
+    count = max(1, -(-n // CHUNK_ROWS))
+    bounds = [i * n // count for i in range(count + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        yield slice(start, stop), matrix[start:stop].astype(dtype)
+
+
+def reconstruction_scores(model, x):
+    """(micro-F1, mean cosine similarity) of the deterministic mu
+    reconstructions of the 0/1 rows x against x, streamed over row chunks."""
+    totals = np.zeros(3, np.int64)
+    cosines = np.empty(x.shape[0])
+    for rows, chunk in row_chunks(x, model.theta.dtype):
+        probs = reconstruct_mu(model, chunk)
+        f1 = micro_f1(probs >= 0.5, x[rows], totals)
+        cos = mean_cosine_similarity(probs, chunk, cosines[:rows.stop])
+    return f1, cos
+
+
 def _forward_train(model, x, beta, rngs, masks=None, eps=None, update_running=True):
     """One training-mode pass; returns loss breakdown plus everything the
     backward pass needs. masks/eps, when given, freeze the stochastic path."""
@@ -359,9 +386,10 @@ def train(cohort, split, config):
 
     Per epoch: seeded shuffle, minibatches (a last partial batch is kept,
     except that a single row joins the batch before it, where batch norm
-    would otherwise see zero variance), forward in train mode, one RMSprop
-    step over model.theta, then validation micro-F1 and mean cosine
-    similarity on deterministic mu reconstructions. History loss
+    would otherwise see zero variance), each converted from the cohort's
+    rows on its own, forward in train mode, one RMSprop step over
+    model.theta, then validation micro-F1 and mean cosine similarity on
+    deterministic mu reconstructions (reconstruction_scores). History loss
     components are per-sample means over the epoch's batches.
     """
     config.validate()
@@ -373,8 +401,7 @@ def train(cohort, split, config):
     val_idx = np.asarray(split.val_indices, dtype=int)
     if train_idx.size == 0:
         raise ValueError("empty training split")
-    x_train = cohort.matrix[train_idx].astype(np.float32)
-    x_val = cohort.matrix[val_idx] if val_idx.size else None  # uint8
+    x_val = cohort.matrix[val_idx]
 
     rngs = {
         "dropout": sub_rng(config.seed, "dropout"),
@@ -395,8 +422,8 @@ def train(cohort, split, config):
         sums = {"recon": 0.0, "kl": 0.0, "l1": 0.0, "total": 0.0}
         seen = 0
         for batch, (start, stop) in enumerate(zip(starts, starts[1:] + [n])):
-            rows = perm[start:stop]
-            xb = x_train[rows]
+            rows = train_idx[perm[start:stop]]
+            xb = cohort.matrix[rows].astype(np.float32)  # exact: entries are 0/1
             try:
                 fwd = _forward_train(model, xb, beta, rngs)
             except FloatingPointError as exc:
@@ -412,10 +439,8 @@ def train(cohort, split, config):
             for key in sums:
                 sums[key] += float(getattr(breakdown, key)) * len(rows)
             seen += len(rows)
-        if x_val is not None:
-            probs = reconstruct_mu(model, x_val)
-            val_f1 = micro_f1(probs >= 0.5, x_val)
-            val_cos = mean_cosine_similarity(probs, x_val)
+        if val_idx.size:
+            val_f1, val_cos = reconstruction_scores(model, x_val)
         else:
             val_f1 = val_cos = float("nan")
         mean = {key: total / seen for key, total in sums.items()}

@@ -1,10 +1,20 @@
 """Command-line pipeline: config handling, subcommands, reproducibility."""
 
 import argparse
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import somatic_vae.vae as vae_module
+from somatic_vae.checkpoint import save_checkpoint
+from somatic_vae.cohort import (
+    SyntheticSpec,
+    filter_low_frequency,
+    generate_synthetic_cohort,
+    save_cohort,
+)
+from somatic_vae.seeding import sub_rng
 from somatic_vae.cli import (
     coerce_config_value,
     emit_history,
@@ -15,7 +25,7 @@ from somatic_vae.cli import (
     write_effective_config,
     write_embeddings,
 )
-from somatic_vae.vae import EpochStats
+from somatic_vae.vae import EpochStats, VaeConfig, build_vae
 
 
 # ---------------------------------------------------------------- config
@@ -483,3 +493,53 @@ def test_full_scale_pipeline_embedding_shape(tmp_path, capsys):
     ids, z = read_embeddings(emb)
     assert len(ids) == 600
     assert z.shape == (600, 16)
+
+
+# ---------------------------------------------------------------- inference in row chunks
+
+
+@pytest.fixture(scope="module")
+def tall_run(tmp_path_factory):
+    """The tall benchmark workload's shapes: a 4000 x ~800 cohort cache with
+    binary labels, and a checkpoint of its untrained 1024/256/64 network."""
+    root = tmp_path_factory.mktemp("tall")
+    spec = SyntheticSpec(4000, 800, 6, 0.01, 0.35, 40, 13)
+    cohort, _ = filter_low_frequency(generate_synthetic_cohort(spec), 5)
+    cohort.labels = {s: str(int(int(c) < 3)) for s, c in cohort.labels.items()}
+    save_cohort(cohort, str(root / "cache"))
+    config = VaeConfig(input_dim=cohort.n_loci, hidden_dims=(1024, 256), latent_dim=64)
+    save_checkpoint(build_vae(config, sub_rng(0, "init")), config, 0, str(root / "checkpoint.bin"))
+    return {"cache": str(root / "cache"), "checkpoint": str(root / "checkpoint.bin"),
+            "embeddings": str(root / "emb.tsv")}
+
+
+def test_chunked_embed_and_eval_recon_match_one_pass(tall_run, monkeypatch, capsys):
+    def outputs():
+        assert run(["embed", "--checkpoint", tall_run["checkpoint"], "--cohort", tall_run["cache"],
+                    "--out", tall_run["embeddings"]]) == 0
+        assert run(["eval-recon", "--checkpoint", tall_run["checkpoint"],
+                    "--cohort", tall_run["cache"]]) == 0
+        with open(tall_run["embeddings"], "rb") as fh:
+            return fh.read(), capsys.readouterr().out
+
+    chunked = outputs()
+    monkeypatch.setattr(vae_module, "CHUNK_ROWS", 10**9)  # one pass over all rows
+    assert outputs() == chunked
+
+
+@pytest.mark.parametrize("argv, limit_mb", [
+    (["eval-recon", "--checkpoint", "{checkpoint}", "--cohort", "{cache}"], 60),
+    (["probe", "--cohort", "{cache}"], 25),
+], ids=["eval-recon", "probe-cohort"])
+def test_inference_and_raw_probe_memory_peaks(tall_run, capsys, argv, limit_mb):
+    # a float copy of the whole cohort, or probabilities for every row at
+    # once, take these past their limits (118.7 and 49.7 MB before chunking)
+    argv = [a.format(**tall_run) for a in argv]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak / 2**20 < limit_mb

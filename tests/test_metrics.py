@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from somatic_vae.cohort import (
+    SyntheticSpec,
+    filter_low_frequency,
+    generate_synthetic_cohort,
+    holdout_split,
+)
 from somatic_vae.metrics import (
     classification_report,
     eval_probe,
@@ -66,6 +72,16 @@ def test_micro_f1_counts_bool_uint8_and_float_inputs_alike():
         assert micro_f1(pred.astype(dtype), target.astype(dtype)) == want
 
 
+def test_micro_f1_streamed_over_row_chunks_equals_one_pass():
+    rng = np.random.default_rng(9)
+    pred, target = rng.random((2, 50, 7)) < 0.3
+    totals = np.zeros(3, np.int64)
+    for rows in (slice(0, 17), slice(17, 18), slice(18, 50)):
+        f1 = micro_f1(pred[rows], target[rows], totals)
+    assert f1 == micro_f1(pred, target)
+    assert totals.tolist() == [(pred & target).sum(), pred.sum(), target.sum()]
+
+
 # ---------------------------------------------------------------- cosine
 
 
@@ -100,6 +116,18 @@ def test_cosine_bounded_for_nonnegative_inputs():
         y = (rng.random((4, 6)) < 0.4).astype(float)
         value = mean_cosine_similarity(p, y)
         assert 0.0 <= value <= 1.0
+
+
+def test_cosine_streamed_over_row_chunks_equals_one_pass():
+    rng = np.random.default_rng(10)
+    p = rng.random((50, 7)).astype(np.float32)
+    y = (rng.random((50, 7)) < 0.3).astype(np.uint8)
+    y[3] = 0
+    cosines = np.full(50, np.nan)  # every entry must be written
+    for rows in (slice(0, 17), slice(17, 18), slice(18, 50)):
+        value = mean_cosine_similarity(p[rows], y[rows], cosines[:rows.stop])
+    assert value == mean_cosine_similarity(p, y)
+    assert cosines[3] == 0.0
 
 
 # ---------------------------------------------------------------- NMI
@@ -338,3 +366,69 @@ def test_eval_probe_thresholds_at_half():
     report = eval_probe(model, x, np.array([0, 1, 1]))
     assert report.recall == 1.0
     assert report.precision == 1.0
+
+
+# ---------------------------------------------------------------- binary probe
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+def test_binary_probe_matches_the_float64_probe(dtype):
+    rng = np.random.default_rng(11)
+    x = (rng.random((60, 25)) < 0.2).astype(dtype)
+    y = (x[:, :5].sum(axis=1) > 0).astype(np.int64)
+    dense = fit_probe(x.astype(np.float64), y)
+    binary = fit_probe(x, y)
+    assert np.abs(binary.weights - dense.weights).max() <= 1e-15
+    assert abs(binary.bias - dense.bias) <= 1e-15
+    assert eval_probe(binary, x, y) == eval_probe(dense, x.astype(np.float64), y)
+
+
+def test_binary_probe_rejects_entries_other_than_zero_and_one():
+    x = np.zeros((4, 3), np.uint8)
+    x[0, 0], x[1, 1] = 1, 2
+    y = np.array([1, 0, 1, 0])
+    with pytest.raises(ValueError, match="feature entries must be 0 or 1"):
+        fit_probe(x, y)
+    model = fit_probe(x.astype(np.float64), y)
+    with pytest.raises(ValueError, match="feature entries must be 0 or 1"):
+        eval_probe(model, x, y)
+
+
+def test_binary_probe_gives_exact_zeros_for_empty_rows_and_columns():
+    x = np.zeros((6, 5), np.uint8)
+    x[0, 1] = x[2, 1] = x[2, 3] = x[4, 3] = 1  # rows 1, 3, 5 and columns 0, 2, 4 empty
+    y = np.array([1, 0, 1, 0, 0, 1])
+    model = fit_probe(x, y)
+    assert model.weights[[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+    assert np.all(model.weights[[1, 3]] != 0.0)
+    # an all-zero matrix has no nonzero to sum over: every weight stays 0
+    blank = fit_probe(np.zeros((6, 5), np.uint8), y)
+    assert blank.weights.tolist() == [0.0] * 5
+    assert blank.bias == fit_probe(np.zeros((6, 5)), y).bias
+    # an empty row scores sigmoid(bias) exactly, as in the float64 probe
+    report = eval_probe(blank, np.zeros((3, 5), np.uint8), np.array([1, 0, 1]))
+    assert report == eval_probe(blank, np.zeros((3, 5)), np.array([1, 0, 1]))
+
+
+# the benchmark workloads' cohort shapes (samples, loci) with their
+# default and held-out seeds
+WORKLOAD_COHORTS = [
+    (600, 2000, 7), (600, 2000, 1007),
+    (1000, 4000, 11), (1000, 4000, 1011),
+    (4000, 800, 13), (4000, 800, 1013),
+]
+
+
+@pytest.mark.parametrize("n, d, seed", WORKLOAD_COHORTS)
+def test_binary_probe_parity_on_workload_shaped_cohorts(n, d, seed):
+    spec = SyntheticSpec(n, d, 6, 0.01, 0.35, 40, seed)
+    cohort, _ = filter_low_frequency(generate_synthetic_cohort(spec), 5)
+    x = cohort.matrix
+    y = (cohort.label_array().astype(np.int64) < 3).astype(np.int64)
+    split = holdout_split(n, 0.8, seed)
+    tr, va = split.train_indices, split.val_indices
+    dense = fit_probe(x[tr].astype(np.float64), y[tr])
+    binary = fit_probe(x[tr], y[tr])
+    assert np.abs(binary.weights - dense.weights).max() <= 1e-15
+    assert abs(binary.bias - dense.bias) <= 1e-15
+    assert eval_probe(binary, x[va], y[va]) == eval_probe(dense, x[va].astype(np.float64), y[va])

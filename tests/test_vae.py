@@ -25,9 +25,12 @@ from somatic_vae.vae import (
     decode_batch,
     encode_batch,
     reconstruct_mu,
+    reconstruction_scores,
+    row_chunks,
     train,
     vae_grad_check,
 )
+from somatic_vae.metrics import mean_cosine_similarity, micro_f1
 
 TINY = dict(
     input_dim=12,
@@ -470,6 +473,61 @@ def test_reconstruct_mu_matches_separate_encode_decode():
     direct = reconstruct_mu(model, x)
     dist = encode_batch(model, x)
     assert np.array_equal(direct, decode_batch(model, dist.mu))
+
+
+# ---------------------------------------------------------------- row chunks
+
+
+def chunk_bounds(n):
+    return [(rows.start, rows.stop)
+            for rows, _ in row_chunks(np.zeros((n, 1), np.uint8), np.float32)]
+
+
+def test_row_chunks_pin_their_boundaries():
+    assert chunk_bounds(0) == [(0, 0)]
+    assert chunk_bounds(1) == [(0, 1)]
+    assert chunk_bounds(512) == [(0, 512)]
+    assert chunk_bounds(513) == [(0, 256), (256, 513)]
+    assert chunk_bounds(800) == [(0, 400), (400, 800)]  # tall's validation rows
+    assert chunk_bounds(1025) == [(0, 341), (341, 683), (683, 1025)]
+    assert chunk_bounds(4000) == [(i * 500, (i + 1) * 500) for i in range(8)]
+    # past one chunk: no chunk under 256 rows, none over 512, no short tail
+    for n in range(513, 6000, 7):
+        bounds = chunk_bounds(n)
+        sizes = [stop - start for start, stop in bounds]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert 256 <= min(sizes) and max(sizes) <= 512 and max(sizes) - min(sizes) <= 1
+        assert len(sizes) == -(-n // 512)
+
+
+def test_row_chunks_convert_each_chunk():
+    x = (np.random.default_rng(3).random((1100, 6)) < 0.5).astype(np.uint8)
+    chunks = list(row_chunks(x, np.float32))
+    assert [c.dtype for _, c in chunks] == [np.float32] * 3
+    assert np.array_equal(np.concatenate([c for _, c in chunks]), x)
+
+
+# the benchmark workloads' networks: loci kept after filtering, latent size
+WORKLOAD_NETWORKS = [(1470, 16), (3896, 16), (797, 64)]
+
+
+@pytest.mark.parametrize("d, latent", WORKLOAD_NETWORKS)
+def test_chunked_inference_matches_one_pass_byte_for_byte(d, latent):
+    config = VaeConfig(input_dim=d, hidden_dims=(1024, 256), latent_dim=latent)
+    model = build_vae(config, sub_rng(0, "init"))
+    x = (np.random.default_rng(d).random((4000, d)) < 0.03).astype(np.uint8)
+    for n in (513, 1000, 1025, 4000):
+        whole = x[:n].astype(np.float32)
+        mu, probs = encode_batch(model, whole).mu, reconstruct_mu(model, whole)
+        del whole
+        chunks = list(row_chunks(x[:n], np.float32))
+        assert len(chunks) > 1
+        for rows, chunk in chunks:
+            assert encode_batch(model, chunk).mu.tobytes() == mu[rows].tobytes()
+            assert reconstruct_mu(model, chunk).tobytes() == probs[rows].tobytes()
+        scores = (micro_f1(probs >= 0.5, x[:n]), mean_cosine_similarity(probs, x[:n]))
+        assert reconstruction_scores(model, x[:n]) == scores
 
 
 # ---------------------------------------------------------------- gradients
