@@ -39,10 +39,11 @@ banner("train a 8-d VAE and fit a 8-d PCA")
 split = sv.holdout_split(cohort.n_samples, train_fraction=0.8, seed=0)
 model, history = sv.train(cohort, split, make_config(8))
 z_vae = sv.encode_batch(model, x).mu
-z_pca = sv.pca_project(sv.pca_fit(x, 8), x)
+pca = sv.pca_fit(cohort.matrix, 8)  # reads the uint8 matrix in row chunks
+z_pca = sv.pca_project(pca, cohort.matrix)
 print(f"VAE recon {history[0].recon:.4f} -> {history[-1].recon:.4f} over "
       f"{len(history)} epochs")
-print(f"PCA explains {sv.pca_fit(x, 8).explained_variance.sum():.2f} variance "
+print(f"PCA explains {pca.explained_variance.sum():.2f} variance "
       f"in 8 components")
 
 banner("k-means NMI against the planted labels")

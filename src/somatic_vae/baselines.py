@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import indexed_rng
+from .vae import row_chunks
 
 
 @dataclass
@@ -45,10 +46,15 @@ def pca_fit(x, q):
     that quotient is unreliable, so the d x d covariance is used, whose
     eigenvectors also span the null space.
 
+    x may be the uint8 0/1 cohort or any real matrix. The centered matrix
+    xc is never built: both products are sums over chunks of x converted
+    to float64 and centered one at a time, chunks of rows for the
+    covariance and blocks of loci for the Gram path.
+
     Sign convention: each component's largest-magnitude entry is made
     positive (first index wins ties).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError("pca_fit expects a 2-D matrix")
     n, d = x.shape
@@ -57,15 +63,18 @@ def pca_fit(x, q):
     q = int(q)
     if not 1 <= q <= min(n - 1, d):
         raise ValueError(f"q={q} out of range [1, {min(n - 1, d)}]")
-    mean = x.mean(axis=0)
-    xc = x - mean
+    mean = x.mean(axis=0, dtype=np.float64)  # exact sums on integer input
     components = None
     if n < d:
-        eigvals, u = _eigh_descending((xc @ xc.T) / (n - 1))
+        eigvals, u = _eigh_descending(_scatter(_locus_blocks(x, mean)) / (n - 1))
         if eigvals[q - 1] > 1e-10 * eigvals[0]:
-            components = (xc.T @ (u[:, :q] / np.sqrt((n - 1) * eigvals[:q]))).T
+            v = u[:, :q] / np.sqrt((n - 1) * eigvals[:q])
+            components = np.empty((q, d))
+            for loci, c in _locus_blocks(x, mean):
+                components[:, loci] = (c @ v).T
+                del c
     if components is None:
-        eigvals, eigvecs = _eigh_descending((xc.T @ xc) / (n - 1))
+        eigvals, eigvecs = _eigh_descending(_scatter(_sample_chunks(x, mean)) / (n - 1))
         if np.count_nonzero(eigvals > 1e-12 * max(eigvals[0], 1.0)) == 0:
             raise ValueError("rank deficient below q: data has zero variance")
         components = eigvecs[:, :q].T
@@ -76,11 +85,45 @@ def pca_fit(x, q):
     return PcaModel(mean, np.ascontiguousarray(components), eigvals[:q].copy())
 
 
+# These two generators and every loop over them delete a chunk before
+# asking for the next; otherwise the next chunk is converted while the last
+# is still alive, which doubled pca_project's peak on a 1000 x 3896 cohort.
+def _sample_chunks(x, mean):
+    """(rows, centered float64 rows of x) over chunks of samples."""
+    for rows, c in row_chunks(x, np.float64):
+        c -= mean
+        yield rows, c
+        del c
+
+
+def _locus_blocks(x, mean):
+    """(loci, centered float64 rows of x.T) over blocks of loci."""
+    for loci, c in row_chunks(x.T, np.float64):
+        c -= mean[loci, None]
+        yield loci, c
+        del c
+
+
+def _scatter(chunks):
+    """Sum of c^T c over the chunks."""
+    total = 0.0
+    for _, c in chunks:
+        total += c.T @ c  # a new array the first time, then in place
+        del c
+    return total
+
+
 def pca_project(model, x):
-    x = np.asarray(x, dtype=np.float64)
+    """(x - mean) @ components^T, written chunk by chunk into one n x q
+    array; x may be uint8 or real, as in pca_fit."""
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != model.mean.size:
         raise ValueError(f"projection input must have {model.mean.size} columns")
-    return (x - model.mean) @ model.components.T
+    out = np.empty((x.shape[0], model.components.shape[0]))
+    for rows, c in _sample_chunks(x, model.mean):
+        out[rows] = c @ model.components.T
+        del c
+    return out
 
 
 def _kmeans_pp_init(points, k, rng):
@@ -101,10 +144,11 @@ def _kmeans_pp_init(points, k, rng):
     return centroids
 
 
-def _assign(points, centroids):
-    # pairwise squared distances via the expansion trick
+def _assign(points, sq_norms, centroids):
+    # pairwise squared distances via the expansion trick; sq_norms is
+    # (points * points).sum(axis=1), computed once per kmeans_cluster call
     d2 = (
-        (points * points).sum(axis=1)[:, None]
+        sq_norms[:, None]
         - 2.0 * points @ centroids.T
         + (centroids * centroids).sum(axis=1)[None, :]
     )
@@ -113,9 +157,9 @@ def _assign(points, centroids):
     return labels, inertia
 
 
-def _lloyd(points, k, rng, max_iters, rel_tol):
+def _lloyd(points, sq_norms, k, rng, max_iters, rel_tol):
     centroids = _kmeans_pp_init(points, k, rng)
-    labels, inertia = _assign(points, centroids)
+    labels, inertia = _assign(points, sq_norms, centroids)
     trace = [inertia]
     iterations = 0
     for _ in range(max_iters):
@@ -128,7 +172,7 @@ def _lloyd(points, k, rng, max_iters, rel_tol):
                 # assigned centroid
                 dist = ((points - centroids[labels]) ** 2).sum(axis=1)
                 centroids[c] = points[int(dist.argmax())]
-        labels, new_inertia = _assign(points, centroids)
+        labels, new_inertia = _assign(points, sq_norms, centroids)
         iterations += 1
         trace.append(new_inertia)
         if (inertia - new_inertia) / max(inertia, 1e-12) < rel_tol:
@@ -148,10 +192,11 @@ def kmeans_cluster(points, k, seed, restarts=10, max_iters=300, rel_tol=1e-4):
         raise ValueError(f"k={k} out of range [1, {points.shape[0]}]")
     if int(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    sq_norms = (points * points).sum(axis=1)
     best = None
     for r in range(int(restarts)):
         rng = indexed_rng(seed, "kmeans", r)
-        result = _lloyd(points, k, rng, int(max_iters), float(rel_tol))
+        result = _lloyd(points, sq_norms, k, rng, int(max_iters), float(rel_tol))
         if best is None or result.inertia < best.inertia:
             best = result
     return best

@@ -244,14 +244,16 @@ def cmd_eval_cluster(args):
         raise ValueError("pass exactly one of --embeddings or --cohort with --pca")
     data = None
     if args.embeddings is not None:
+        if args.pca is not None:
+            raise ValueError("--pca projects a cohort: pass it with --cohort, not --embeddings")
         sample_ids, points = read_embeddings(_require_file(args.embeddings))
     else:
         if args.pca is None:
             raise ValueError("--cohort requires --pca Q")
         data = cohort_io.load_cohort(_require_file(args.cohort))
         sample_ids = data.sample_ids
-        x = data.matrix.astype(np.float64)
-        points = baselines.pca_project(baselines.pca_fit(x, args.pca), x)
+        pca = baselines.pca_fit(data.matrix, args.pca)  # uint8, read in chunks
+        points = baselines.pca_project(pca, data.matrix)
     labels = _load_labels_for(sample_ids, args.labels, data)
     k = args.k if args.k is not None else len(set(labels.tolist()))
     result = baselines.kmeans_cluster(points, k, args.seed, restarts=args.restarts)

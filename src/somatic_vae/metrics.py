@@ -179,6 +179,12 @@ def _segment_sums(values, runs, size):
 def fit_probe(x, y, l2=1e-3, lr=0.1, iters=500):
     """Full-batch gradient descent from zero initialization; a uint8 or
     bool x must be 0/1 (see _products)."""
+    if int(iters) < 1:
+        raise ValueError(f"probe iters must be at least 1, got {iters}")
+    if not lr > 0:
+        raise ValueError(f"probe lr must be positive, got {lr}")
+    if not l2 >= 0:
+        raise ValueError(f"probe l2 must be non-negative, got {l2}")
     shape, times, times_t = _products(x)
     y = np.asarray(y, dtype=np.float64).ravel()
     if shape[0] != y.size:

@@ -51,7 +51,7 @@ from .metrics import mean_cosine_similarity, micro_f1
 from .optim import init_rmsprop, rmsprop_update
 from .seeding import sub_rng
 
-CHUNK_ROWS = 512  # most rows an inference pass converts to float at once
+CHUNK_ROWS = 512  # most rows a streamed pass converts to float at once
 
 
 @dataclass
@@ -289,7 +289,7 @@ def reconstruct_mu(model, x):
 
 
 def row_chunks(matrix, dtype):
-    """(rows, chunk) pairs over the rows of a 0/1 matrix: rows a slice,
+    """(rows, chunk) pairs over the rows of a matrix: rows a slice,
     chunk those rows converted to dtype. One chunk when there are at most
     CHUNK_ROWS rows, else the fewest near-equal chunks of at most
     CHUNK_ROWS, each then at least CHUNK_ROWS // 2 rows long: a pass over

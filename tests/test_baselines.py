@@ -1,10 +1,13 @@
 """PCA baseline and k-means clustering."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import somatic_vae.baselines as baselines_module
+import somatic_vae.vae as vae_module
 from somatic_vae.baselines import kmeans_cluster, pca_fit, pca_project
 
 
@@ -136,6 +139,51 @@ def test_pca_rank_below_q_takes_the_covariance_path(monkeypatch):
         assert np.abs(got - np.sign(got @ want) * want).max() <= 1e-8
 
 
+def streamed_pca(x, q, chunk_rows, monkeypatch):
+    monkeypatch.setattr(vae_module, "CHUNK_ROWS", chunk_rows)
+    model = pca_fit(x, q)
+    return model, pca_project(model, x)
+
+
+@pytest.mark.parametrize("n, d, q", [(120, 30, 6), (30, 120, 6)], ids=["covariance", "gram"])
+def test_pca_streamed_over_many_chunks_matches_one_pass(monkeypatch, n, d, q):
+    rng = np.random.default_rng(n * d)
+    binary = (rng.random((n, d)) < 0.2).astype(np.uint8)
+    for x in (binary, rng.standard_normal((n, d))):
+        one, z_one = streamed_pca(x, q, 10**9, monkeypatch)  # one chunk
+        many, z_many = streamed_pca(x, q, 8, monkeypatch)  # chunks of 4 to 8
+        assert np.abs(many.mean - one.mean).max() <= 1e-10
+        assert np.abs(many.explained_variance - one.explained_variance).max() <= 1e-10
+        signs = np.sign((many.components * one.components).sum(axis=1))
+        assert np.abs(many.components - signs[:, None] * one.components).max() <= 1e-10
+        assert np.abs(z_many - z_one * signs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n, d", [(120, 30), (30, 120)], ids=["covariance", "gram"])
+def test_pca_of_uint8_matches_its_float64_copy(monkeypatch, n, d):
+    x = (np.random.default_rng(n + d).random((n, d)) < 0.2).astype(np.uint8)
+    as_uint8, z_uint8 = streamed_pca(x, 6, 8, monkeypatch)
+    as_float, z_float = streamed_pca(x.astype(np.float64), 6, 8, monkeypatch)
+    assert np.array_equal(as_uint8.mean, as_float.mean)  # integer sums are exact
+    assert np.abs(as_uint8.explained_variance - as_float.explained_variance).max() <= 1e-10
+    assert np.abs(as_uint8.components - as_float.components).max() <= 1e-10
+    assert np.abs(z_uint8 - z_float).max() <= 1e-10
+
+
+def test_pca_project_holds_one_float_chunk_at_a_time(monkeypatch):
+    # the next chunk was converted while the loop still held the last one
+    monkeypatch.setattr(vae_module, "CHUNK_ROWS", 100)
+    x = (np.random.default_rng(3).random((400, 2000)) < 0.1).astype(np.uint8)
+    model = pca_fit(x, 4)
+    tracemalloc.start()
+    try:
+        pca_project(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (100 * 2000 * 8)  # bytes of one float64 chunk
+
+
 def test_pca_project_mean_row_maps_to_origin():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((12, 5))
@@ -235,6 +283,25 @@ def test_kmeans_inertia_trace_non_increasing():
     trace = result.inertia_trace
     assert len(trace) >= 2
     assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+
+def test_kmeans_squared_norms_once_per_call_is_bit_identical(monkeypatch):
+    # the row norms were recomputed on every assignment; hoisting them out
+    # of the Lloyd loop must not move a single bit
+    rng = np.random.default_rng(16)
+    points = np.vstack([rng.normal(c, 0.7, (30, 5)) for c in range(4)])
+    hoisted = kmeans_cluster(points, 4, seed=2)
+    real = baselines_module._assign
+
+    def recomputed(points, sq_norms, centroids):
+        return real(points, (points * points).sum(axis=1), centroids)
+
+    monkeypatch.setattr(baselines_module, "_assign", recomputed)
+    every_call = kmeans_cluster(points, 4, seed=2)
+    assert np.array_equal(hoisted.labels, every_call.labels)
+    assert hoisted.inertia == every_call.inertia
+    assert hoisted.inertia_trace == every_call.inertia_trace
+    assert np.array_equal(hoisted.centroids, every_call.centroids)
 
 
 def test_kmeans_permutation_invariant_at_inertia_level():

@@ -12,6 +12,7 @@ from somatic_vae.cohort import (
     SyntheticSpec,
     filter_low_frequency,
     generate_synthetic_cohort,
+    load_cohort,
     save_cohort,
 )
 from somatic_vae.seeding import sub_rng
@@ -375,6 +376,26 @@ def test_eval_cluster_pca_route_and_argument_exclusivity(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_cluster_rejects_pca_on_embeddings(tmp_path, capsys):
+    # --pca used to be ignored here: the raw embeddings were clustered
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    ids = load_cohort(cohort_dir).sample_ids
+    emb = tmp_path / "emb.tsv"
+    write_embeddings(ids, np.random.default_rng(0).random((len(ids), 3)), emb)
+    argv = ["eval-cluster", "--embeddings", str(emb), "--labels", f"{cohort_dir}/labels.tsv"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + ["--pca", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --pca projects a cohort: pass it with --cohort, not --embeddings\n"
+
+
+def test_probe_with_zero_iters_exits_one(tmp_path, capsys):
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    assert run(["probe", "--cohort", cohort_dir, "--iters", "0"]) == 1
+    assert capsys.readouterr().err == "error: probe iters must be at least 1, got 0\n"
+
+
 def test_eval_cluster_on_a_corrupt_cohort_cache_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     cache = tmp_path / "cache" / "cohort.bin"
@@ -530,10 +551,12 @@ def test_chunked_embed_and_eval_recon_match_one_pass(tall_run, monkeypatch, caps
 @pytest.mark.parametrize("argv, limit_mb", [
     (["eval-recon", "--checkpoint", "{checkpoint}", "--cohort", "{cache}"], 60),
     (["probe", "--cohort", "{cache}"], 25),
-], ids=["eval-recon", "probe-cohort"])
+    (["eval-cluster", "--cohort", "{cache}", "--pca", "16"], 35),
+], ids=["eval-recon", "probe-cohort", "eval-cluster-pca"])
 def test_inference_and_raw_probe_memory_peaks(tall_run, capsys, argv, limit_mb):
     # a float copy of the whole cohort, or probabilities for every row at
-    # once, take these past their limits (118.7 and 49.7 MB before chunking)
+    # once, take these past their limits (118.7, 49.7 and 67.5 MB before
+    # chunking)
     argv = [a.format(**tall_run) for a in argv]
     tracemalloc.start()
     try:

@@ -299,6 +299,19 @@ def test_probe_rejects_degenerate_labels():
         fit_probe(x, np.array([0, 1, 2, 0, 1, 2]))
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"iters": 0}, "probe iters must be at least 1, got 0"),
+    ({"lr": 0.0}, "probe lr must be positive, got 0.0"),
+    ({"l2": -1e-3}, "probe l2 must be non-negative, got -0.001"),
+], ids=["iters", "lr", "l2"])
+def test_probe_rejects_degenerate_settings(setting, message):
+    # iters=0 used to return the zero model, which predicts every sample
+    # positive
+    x, y = separable_data()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_probe(x, y, **setting)
+
+
 def test_probe_l2_regularization_path_shrinks_weights():
     # fixed-step descent at lr=0.1 is stable only for l2 < 2/lr, so the
     # path is checked across the stable range
