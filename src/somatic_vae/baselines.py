@@ -85,9 +85,7 @@ def pca_fit(x, q):
     return PcaModel(mean, np.ascontiguousarray(components), eigvals[:q].copy())
 
 
-# These two generators and every loop over them delete a chunk before
-# asking for the next; otherwise the next chunk is converted while the last
-# is still alive, which doubled pca_project's peak on a 1000 x 3896 cohort.
+# These two generators and every loop over them keep row_chunks' del rule.
 def _sample_chunks(x, mean):
     """(rows, centered float64 rows of x) over chunks of samples."""
     for rows, c in row_chunks(x, np.float64):
@@ -146,10 +144,11 @@ def _kmeans_pp_init(points, k, rng):
 
 def _assign(points, sq_norms, centroids):
     # pairwise squared distances via the expansion trick; sq_norms is
-    # (points * points).sum(axis=1), computed once per kmeans_cluster call
+    # (points * points).sum(axis=1), computed once per kmeans_cluster call.
+    # Scaling the n x k product, not the points, skips an n x dim temporary
     d2 = (
         sq_norms[:, None]
-        - 2.0 * points @ centroids.T
+        - (points @ centroids.T) * 2.0
         + (centroids * centroids).sum(axis=1)[None, :]
     )
     labels = d2.argmin(axis=1)

@@ -163,10 +163,7 @@ def _load_labels_for(sample_ids, labels_path=None, cohort=None):
         mapping = cohort.labels
     else:
         raise ValueError("labels required: pass --labels or a labeled cohort")
-    missing = [s for s in sample_ids if s not in mapping]
-    if missing:
-        raise ValueError(f"{len(missing)} samples unlabeled (first: {missing[0]})")
-    return np.array([mapping[s] for s in sample_ids])
+    return cohort_io.align_labels(mapping, sample_ids)
 
 
 def cmd_synth(args):
@@ -225,6 +222,7 @@ def cmd_embed(args):
     mu = np.empty((data.n_samples, model.config.latent_dim), model.theta.dtype)
     for rows, chunk in row_chunks(data.matrix, model.theta.dtype):
         mu[rows] = encode_batch(model, chunk).mu
+        del chunk
     write_embeddings(data.sample_ids, mu, args.out)
     print(f"wrote {len(data.sample_ids)} x {mu.shape[1]} embeddings to {args.out}")
     return 0

@@ -43,10 +43,7 @@ class Cohort:
         """Labels aligned with sample order. Raises if any sample is unlabeled."""
         if self.labels is None:
             raise ValueError("cohort has no labels")
-        missing = [s for s in self.sample_ids if s not in self.labels]
-        if missing:
-            raise ValueError(f"{len(missing)} samples have no label (first: {missing[0]})")
-        return np.array([self.labels[s] for s in self.sample_ids])
+        return align_labels(self.labels, self.sample_ids)
 
     def validate(self):
         if len(set(self.sample_ids)) != len(self.sample_ids):
@@ -133,6 +130,14 @@ def read_labels(stream):
             raise ValueError(f"conflicting labels for sample {sample!r}")
         labels[sample] = label
     return labels
+
+
+def align_labels(labels, sample_ids):
+    """labels[s] for each of sample_ids, in order; raises if any has none."""
+    missing = [s for s in sample_ids if s not in labels]
+    if missing:
+        raise ValueError(f"{len(missing)} samples have no label (first: {missing[0]})")
+    return np.array([labels[s] for s in sample_ids])
 
 
 def ingest_profiles(stream, labels_stream=None):

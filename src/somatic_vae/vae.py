@@ -1,18 +1,18 @@
 """MLP variational autoencoder over binary mutation profiles.
 
-Encoder: Dense -> BatchNorm -> LeakyReLU -> Dropout -> Dense -> BatchNorm
--> LeakyReLU, then two linear heads for mu and log-variance. Decoder
-mirrors it back up with ReLU activations and a sigmoid output layer.
-Training is plain minibatch RMSprop on
-    recon + beta * KL + L1
-with beta following the configured schedule. The whole run is a pure
+model.stacks holds four Stack records (layer specs, parameter views,
+gradient views) in the order of theta: the encoder "enc", Dense ->
+BatchNorm -> LeakyReLU -> Dropout -> Dense -> BatchNorm -> LeakyReLU;
+the linear heads "mu" and "lv" (log-variance); and the decoder "dec",
+which mirrors the encoder with ReLU activations and a sigmoid output
+layer. Training is plain minibatch RMSprop on recon + beta * KL + L1,
+with beta following the configured schedule; the whole run is a pure
 function of (cohort, split, config.seed).
 
 Every trainable tensor is a view into one float32 vector, model.theta,
-laid out encoder, mu head, logvar head, decoder; the backward pass
-writes the gradients into the same views of model.grad. The batch-norm
-running statistics are views of a second float32 vector, model.stats, in
-the same layer order. Training and inference compute in float32; the
+and its gradient the same view of model.grad; the batch-norm running
+statistics are views of model.stats. All three are laid out stack by
+stack, layer by layer. Training and inference compute in float32; the
 random draws (initial weights, dropout uniforms, reparameterization
 noise) stay float64 and are rounded, so the streams do not depend on the
 model's dtype. The gradient check runs the same code on a float64 copy.
@@ -147,36 +147,32 @@ class EpochStats:
 
 
 @dataclass
+class Stack:
+    specs: list
+    params: list  # per layer, views into theta (and stats, for batch norm)
+    grads: list  # per layer, views into grad
+
+    def forward(self, x, mode, **kwargs):
+        return stack_forward(self.specs, self.params, x, mode, **kwargs)
+
+    def backward(self, tape, dout, input_grad=True):
+        return stack_backward(self.specs, self.params, tape, dout, self.grads, input_grad)
+
+
+@dataclass
 class VaeModel:
     config: VaeConfig
-    enc_specs: list
-    enc_params: list
-    mu_specs: list
-    mu_params: list
-    lv_specs: list
-    lv_params: list
-    dec_specs: list
-    dec_params: list
-    theta: np.ndarray  # every trainable scalar; the params dicts view it
+    stacks: dict  # "enc", "mu", "lv", "dec" -> Stack, in the order of theta
+    theta: np.ndarray  # every trainable scalar; the stacks' params view it
     grad: np.ndarray  # twin of theta, written by the backward pass
-    grads: list  # per stack, per layer views into grad
-    stats: np.ndarray  # batch-norm running statistics; the params dicts view it
-
-    def param_stacks(self):
-        """(specs, params) pairs in canonical order."""
-        return [
-            (self.enc_specs, self.enc_params),
-            (self.mu_specs, self.mu_params),
-            (self.lv_specs, self.lv_params),
-            (self.dec_specs, self.dec_params),
-        ]
+    stats: np.ndarray  # batch-norm running statistics; the stacks' params view it
 
     def specs(self):
         """Every layer spec, in the order of theta."""
-        return [spec for specs, _ in self.param_stacks() for spec in specs]
+        return [spec for stack in self.stacks.values() for spec in stack.specs]
 
     def l1_penalty(self):
-        return sum(stack_l1_penalty(specs, params) for specs, params in self.param_stacks())
+        return sum(stack_l1_penalty(s.specs, s.params) for s in self.stacks.values())
 
 
 def _architecture(config):
@@ -205,7 +201,7 @@ def _architecture(config):
         Dense(h1, d, l1),
         Activation("sigmoid"),
     ]
-    return enc, mu, lv, dec
+    return {"enc": enc, "mu": mu, "lv": lv, "dec": dec}
 
 
 def _bind(config, theta=None):
@@ -213,21 +209,18 @@ def _bind(config, theta=None):
     unfilled float32 vector when None), with a zeroed twin gradient
     vector, and whose running statistics are views into a fresh, unfilled
     stats vector of theta's dtype."""
-    stacks = _architecture(config)
+    arch = _architecture(config)
     if theta is None:
-        theta = np.empty(sum(stack_size(specs) for specs in stacks), np.float32)
+        theta = np.empty(sum(stack_size(specs) for specs in arch.values()), np.float32)
     grad = np.zeros(theta.size, theta.dtype)  # calloc: no memory until written
-    stats = np.empty(sum(stack_size(specs, buffers=True) for specs in stacks), theta.dtype)
-    params, grads, offset, stats_offset = [], [], 0, 0
-    for specs in stacks:
+    stats = np.empty(sum(stack_size(specs, buffers=True) for specs in arch.values()), theta.dtype)
+    stacks, offset, stats_offset = {}, 0, 0
+    for name, specs in arch.items():
         views, _ = stack_views(specs, theta, offset)
-        gviews, offset = stack_views(specs, grad, offset)
+        grads, offset = stack_views(specs, grad, offset)
         sviews, stats_offset = stack_views(specs, stats, stats_offset, buffers=True)
-        params.append([{**v, **s} for v, s in zip(views, sviews)])
-        grads.append(gviews)
-    # the dataclass fields take each stack's specs, then its params
-    specs_and_params = [part for pair in zip(stacks, params) for part in pair]
-    return VaeModel(config, *specs_and_params, theta, grad, grads, stats)
+        stacks[name] = Stack(specs, [{**v, **s} for v, s in zip(views, sviews)], grads)
+    return VaeModel(config, stacks, theta, grad, stats)
 
 
 def build_vae(config, rng):
@@ -236,8 +229,8 @@ def build_vae(config, rng):
     decoder; the float64 draws are rounded to float32."""
     config.validate()
     model = _bind(config)
-    for specs, params in model.param_stacks():
-        for spec, p in zip(specs, params):
+    for stack in model.stacks.values():
+        for spec, p in zip(stack.specs, stack.params):
             for key, value in init_layer_params(spec, rng).items():
                 p[key][...] = value
     return model
@@ -264,10 +257,18 @@ def encode_batch(model, x, mode=INFERENCE, rng=None):
         raise ValueError(
             f"input has {x.shape[1]} columns, model expects {model.config.input_dim}"
         )
-    h, _ = stack_forward(model.enc_specs, model.enc_params, x, mode, rng=rng)
-    mu, _ = stack_forward(model.mu_specs, model.mu_params, h, mode)
-    lv, _ = stack_forward(model.lv_specs, model.lv_params, h, mode)
+    mu, lv, _ = _encode(model, x, mode, rng)
     return LatentDistribution(mu, lv)
+
+
+def _encode(model, x, mode, rng, masks=None, update_running=True):
+    """The encoder and both heads: (mu, logvar, their tapes by stack name)."""
+    stacks, tapes = model.stacks, {}
+    h, tapes["enc"] = stacks["enc"].forward(x, mode, rng=rng, masks=masks,
+                                            update_running=update_running)
+    mu, tapes["mu"] = stacks["mu"].forward(h, mode)
+    lv, tapes["lv"] = stacks["lv"].forward(h, mode)
+    return mu, lv, tapes
 
 
 def decode_batch(model, z, mode=INFERENCE, rng=None):
@@ -275,7 +276,7 @@ def decode_batch(model, z, mode=INFERENCE, rng=None):
     z = np.asarray(z, dtype=model.theta.dtype)
     if z.ndim != 2 or z.shape[1] != model.config.latent_dim:
         raise ValueError(f"latent batch must have {model.config.latent_dim} columns")
-    probs, _ = stack_forward(model.dec_specs, model.dec_params, z, mode, rng=rng)
+    probs, _ = model.stacks["dec"].forward(z, mode, rng=rng)
     # sigmoid can round to exactly 0 or 1 at extreme logits; keep the
     # documented open interval (in place: probs is fresh, its tape dropped)
     zero, one = probs.dtype.type(0), probs.dtype.type(1)
@@ -293,7 +294,10 @@ def row_chunks(matrix, dtype):
     chunk those rows converted to dtype. One chunk when there are at most
     CHUNK_ROWS rows, else the fewest near-equal chunks of at most
     CHUNK_ROWS, each then at least CHUNK_ROWS // 2 rows long: a pass over
-    a few rows can round differently from a pass over many."""
+    a few rows can round differently from a pass over many. A loop over
+    the chunks deletes each (and what it made from it) before asking for
+    the next, which is otherwise converted while the last is still alive:
+    that doubled pca_project's peak on a 1000 x 3896 cohort."""
     n = matrix.shape[0]
     count = max(1, -(-n // CHUNK_ROWS))
     bounds = [i * n // count for i in range(count + 1)]
@@ -310,64 +314,46 @@ def reconstruction_scores(model, x):
         probs = reconstruct_mu(model, chunk)
         f1 = micro_f1(probs >= 0.5, x[rows], totals)
         cos = mean_cosine_similarity(probs, chunk, cosines[:rows.stop])
+        del chunk, probs
     return f1, cos
 
 
-def _forward_train(model, x, beta, rngs, masks=None, eps=None, update_running=True):
+def _forward_train(model, x, beta, rngs, masks=(None, None), eps=None, update_running=True):
     """One training-mode pass; returns loss breakdown plus everything the
-    backward pass needs. masks/eps, when given, freeze the stochastic path."""
-    enc_masks = masks[0] if masks is not None else None
-    dec_masks = masks[1] if masks is not None else None
-    h, enc_tape = stack_forward(
-        model.enc_specs, model.enc_params, x, TRAIN,
-        rng=None if enc_masks is not None else rngs.get("dropout"),
-        masks=enc_masks, update_running=update_running,
-    )
-    mu, mu_tape = stack_forward(model.mu_specs, model.mu_params, h, TRAIN)
-    lv, lv_tape = stack_forward(model.lv_specs, model.lv_params, h, TRAIN)
+    backward pass needs. masks (encoder's, decoder's) and eps, when given,
+    freeze the stochastic path."""
+    enc_masks, dec_masks = masks
+    mu, lv, tapes = _encode(model, x, TRAIN, rngs.get("dropout"), enc_masks, update_running)
     if eps is None:
         eps = rngs["reparam"].standard_normal(mu.shape).astype(mu.dtype, copy=False)
     z = mu + np.exp(0.5 * lv) * eps
-    probs, dec_tape = stack_forward(
-        model.dec_specs, model.dec_params, z, TRAIN,
-        rng=None if dec_masks is not None else rngs.get("dropout"),
-        masks=dec_masks, update_running=update_running,
-    )
+    probs, tapes["dec"] = model.stacks["dec"].forward(
+        z, TRAIN, rng=rngs.get("dropout"), masks=dec_masks, update_running=update_running)
     recon = reconstruction_loss(model.config.loss_kind, probs, x)
     kl = kl_divergence(mu, lv)
     breakdown = total_loss(recon, kl, model.l1_penalty(), beta)
-    return {
-        "breakdown": breakdown,
-        "probs": probs,
-        "mu": mu,
-        "lv": lv,
-        "eps": eps,
-        "tapes": (enc_tape, mu_tape, lv_tape, dec_tape),
-    }
+    return {"breakdown": breakdown, "probs": probs, "mu": mu, "lv": lv, "eps": eps,
+            "tapes": tapes}  # tapes by stack name
 
 
 def _backward_train(model, x, beta, fwd):
     """Writes the gradients of the total loss into model.grad."""
-    enc_tape, mu_tape, lv_tape, dec_tape = fwd["tapes"]
-    enc_grads, mu_grads, lv_grads, dec_grads = model.grads
+    stacks, tapes = model.stacks, fwd["tapes"]
     mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
     dprobs = reconstruction_grad(model.config.loss_kind, fwd["probs"], x)
-    dz = stack_backward(model.dec_specs, model.dec_params, dec_tape, dprobs, dec_grads)
+    dz = stacks["dec"].backward(tapes["dec"], dprobs)
     dmu_kl, dlv_kl = kl_grads(mu, lv)
     dmu = dz + beta * dmu_kl
     dlv = dz * eps * 0.5 * np.exp(0.5 * lv) + beta * dlv_kl
-    dh_mu = stack_backward(model.mu_specs, model.mu_params, mu_tape, dmu, mu_grads)
-    dh_lv = stack_backward(model.lv_specs, model.lv_params, lv_tape, dlv, lv_grads)
-    stack_backward(model.enc_specs, model.enc_params, enc_tape, dh_mu + dh_lv, enc_grads,
-                   input_grad=False)
+    dh = stacks["mu"].backward(tapes["mu"], dmu) + stacks["lv"].backward(tapes["lv"], dlv)
+    stacks["enc"].backward(tapes["enc"], dh, input_grad=False)
 
 
 def _fd_objective(model, x, beta, fwd):
     """Total loss of fwd's training pass, dropout masks and noise frozen,
     replayed at FD_DTYPE on a copy of model.theta taken at each call, so
     it sees every in-place perturbation of model.theta."""
-    enc_tape, _, _, dec_tape = fwd["tapes"]
-    masks = (enc_tape.masks, dec_tape.masks)
+    masks = (fwd["tapes"]["enc"].masks, fwd["tapes"]["dec"].masks)
     x_fd = x.astype(FD_DTYPE)
     wide = _bind(model.config, np.empty(model.theta.size, FD_DTYPE))
 

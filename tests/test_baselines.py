@@ -304,6 +304,33 @@ def test_kmeans_squared_norms_once_per_call_is_bit_identical(monkeypatch):
     assert np.array_equal(hoisted.centroids, every_call.centroids)
 
 
+def test_kmeans_assignment_scaling_the_product_is_bit_identical(monkeypatch):
+    # _assign scaled the points by 2 before the product; scaling the n x k
+    # product instead is exact, so no label, inertia or trace bit may move
+    def scaled_points(points, sq_norms, centroids):
+        d2 = (sq_norms[:, None] - 2.0 * points @ centroids.T
+              + (centroids * centroids).sum(axis=1)[None, :])
+        labels = d2.argmin(axis=1)
+        return labels, float(np.maximum(d2[np.arange(len(points)), labels], 0.0).sum())
+
+    rng = np.random.default_rng(17)
+    points = np.vstack([rng.normal(c, 0.9, (700, 64)) for c in range(6)])
+    sq_norms = (points * points).sum(axis=1)
+    for centroids in (points[rng.choice(len(points), 6, replace=False)],
+                      rng.standard_normal((6, 64)) * 1e3):
+        labels, inertia = baselines_module._assign(points, sq_norms, centroids)
+        want_labels, want_inertia = scaled_points(points, sq_norms, centroids)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert np.float64(inertia).tobytes() == np.float64(want_inertia).tobytes()
+    product = kmeans_cluster(points, 6, seed=3)
+    monkeypatch.setattr(baselines_module, "_assign", scaled_points)
+    before = kmeans_cluster(points, 6, seed=3)
+    assert np.array_equal(product.labels, before.labels)
+    assert product.inertia == before.inertia
+    assert product.inertia_trace == before.inertia_trace
+    assert np.array_equal(product.centroids, before.centroids)
+
+
 def test_kmeans_permutation_invariant_at_inertia_level():
     # restart draws are index-valued, so invariance holds at the inertia
     # level: the best of 10 restarts lands on the same optimum for any

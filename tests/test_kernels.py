@@ -241,7 +241,8 @@ def test_vae_stacks_match_their_references(workload):
     n, d, hidden, latent = SHAPES[workload]
     config = VaeConfig(input_dim=d, hidden_dims=hidden, latent_dim=latent,
                        dropout_rate=0.2, l1_coefficient=1e-5)
-    enc, _, _, dec = _architecture(config)
+    stacks = _architecture(config)
+    enc, dec = stacks["enc"], stacks["dec"]
     rng = np.random.default_rng(17)
     x = (rng.random((n, d)) < 0.02).astype(np.float64)
     check_stack(enc, fresh_params(enc, rng), x, rng.standard_normal((n, hidden[1])), seed=1)
@@ -299,7 +300,8 @@ def test_extended_precision_replay_matches_its_reference():
 def vae_like_stack(rng):
     config = VaeConfig(input_dim=40, hidden_dims=(24, 12), latent_dim=4,
                        dropout_rate=0.3, l1_coefficient=1e-3)
-    enc, _, _, dec = _architecture(config)
+    stacks = _architecture(config)
+    enc, dec = stacks["enc"], stacks["dec"]
     specs = enc + [Dense(12, 4)] + dec
     return specs, fresh_params(specs, rng)
 
@@ -347,6 +349,7 @@ def test_decode_batch_clips_like_its_reference():
     z = np.random.default_rng(7).standard_normal((50, 3)) * 40.0  # saturates the sigmoid
     real = model.theta.dtype.type
     assert real is np.float32
-    probs, _ = stack_forward(model.dec_specs, model.dec_params, z.astype(real), INFERENCE)
+    dec = model.stacks["dec"]
+    probs, _ = stack_forward(dec.specs, dec.params, z.astype(real), INFERENCE)
     want = np.clip(probs, np.nextafter(real(0), real(1)), np.nextafter(real(1), real(0)))
     assert_same_bytes(decode_batch(model, z), want, "clipped probabilities")

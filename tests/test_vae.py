@@ -73,14 +73,15 @@ class FixedNoise:
 def test_full_scale_architecture_shapes():
     config = VaeConfig(input_dim=8298, hidden_dims=(1024, 256), latent_dim=64)
     model = build_vae(config, sub_rng(0, "init"))
-    final_dense = model.dec_specs[-2]
+    dec = model.stacks["dec"]
+    final_dense = dec.specs[-2]
     assert isinstance(final_dense, Dense)
     assert (final_dense.in_dim, final_dense.out_dim) == (1024, 8298)
-    assert model.dec_params[-2]["w"].shape == (1024, 8298)
-    assert isinstance(model.dec_specs[-1], Activation)
-    assert model.dec_specs[-1].kind == "sigmoid"
-    assert model.mu_params[0]["w"].shape == (256, 64)
-    assert model.lv_params[0]["w"].shape == (256, 64)
+    assert dec.params[-2]["w"].shape == (1024, 8298)
+    assert isinstance(dec.specs[-1], Activation)
+    assert dec.specs[-1].kind == "sigmoid"
+    assert model.stacks["mu"].params[0]["w"].shape == (256, 64)
+    assert model.stacks["lv"].params[0]["w"].shape == (256, 64)
 
 
 def test_parameter_count_matches_shape_arithmetic():
@@ -180,12 +181,13 @@ def training_latents(model, x, noise):
     """(mu, z) of one training pass whose reparameterization noise comes
     from noise; z is the input the decoder's first Dense layer recorded."""
     fwd = _forward_train(model, x, 0.0, {"reparam": noise, "dropout": sub_rng(0, "dropout")})
-    return fwd["mu"], fwd["tapes"][3].caches[0]
+    return fwd["mu"], fwd["tapes"]["dec"].caches[0]
 
 
 def fix_heads(model, mu, logvar):
     """Zero both heads' weights so every row gets the given mu and logvar."""
-    for params, value in ((model.mu_params, mu), (model.lv_params, logvar)):
+    for name, value in (("mu", mu), ("lv", logvar)):
+        params = model.stacks[name].params
         params[0]["w"][...] = 0.0
         params[0]["b"][...] = value
 
@@ -228,7 +230,7 @@ def test_decode_outputs_open_unit_interval_and_deterministic():
 
 def test_decode_zero_parameters_give_half_everywhere():
     model, _ = tiny_model()
-    for p in model.dec_params:
+    for p in model.stacks["dec"].params:
         if "w" in p:
             p["w"][:] = 0.0
             p["b"][:] = 0.0
@@ -399,8 +401,8 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     (_, fwd), = calls["_forward_train"]
     (_, dprobs), = calls["reconstruction_grad"]
     ((_, _, state), _), = calls["rmsprop_update"]
-    caches = arrays_in([tape.caches for tape in fwd["tapes"]])
-    masks = arrays_in([tape.masks for tape in fwd["tapes"]])
+    caches = arrays_in([tape.caches for tape in fwd["tapes"].values()])
+    masks = arrays_in([tape.masks for tape in fwd["tapes"].values()])
     assert len(masks) == 2  # one dropout layer in the encoder, one in the decoder
     dxs = arrays_in([out for name in backward for _, out in calls[name]])
     assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
@@ -416,10 +418,11 @@ def test_one_training_step_computes_in_float32(monkeypatch):
 
 
 def assert_views_of_flat_vectors(model):
-    tensors = [(key, t) for _, ps in model.param_stacks() for p in ps for key, t in p.items()]
+    stacks = model.stacks.values()
+    tensors = [(key, t) for stack in stacks for p in stack.params for key, t in p.items()]
     trainable = [t for key, t in tensors if key not in BUFFER_KEYS]
     buffers = [t for key, t in tensors if key in BUFFER_KEYS]
-    grads = [g for stack in model.grads for layer in stack for g in layer.values()]
+    grads = [g for stack in stacks for layer in stack.grads for g in layer.values()]
     assert buffers
     assert model.theta.size == count_parameters(model)
     # the views tile each vector in layer order, so a rebound tensor
@@ -432,6 +435,11 @@ def assert_views_of_flat_vectors(model):
     assert [g.shape for g in grads] == [t.shape for t in trainable]
     assert all(np.shares_memory(g, model.grad) for g in grads)
     assert model.grad.shape == model.theta.shape
+    # distinct values: a stack bound at the wrong offset of grad would show
+    saved = model.grad.copy()
+    model.grad[...] = np.arange(model.grad.size)
+    assert np.array_equal(np.concatenate([g.ravel() for g in grads]), model.grad)
+    model.grad[...] = saved
 
 
 def test_trainable_tensors_are_views_of_theta(tmp_path):
