@@ -190,6 +190,12 @@ def cmd_preprocess(args):
         else:
             parsed = cohort_io.ingest_profiles(fh)
     filtered, mask = cohort_io.filter_low_frequency(parsed, args.min_count)
+    if not mask.any():
+        most = int(parsed.matrix.sum(axis=0, dtype=np.int64).max())
+        raise ValueError(
+            f"--min-count {args.min_count} keeps none of the {mask.size} loci "
+            f"(the most frequent is mutated in {most} samples); no cache written"
+        )
     cohort_io.save_cohort(filtered, args.out)
     print(
         f"kept {int(mask.sum())} of {mask.size} loci (min_count {args.min_count}); "

@@ -11,10 +11,12 @@ The elementwise kernels update in place only arrays they allocated in
 the same call, in their input's dtype, never an input or a cache.
 
 A stack's trainable tensors are views into consecutive slices of one flat
-vector (stack_views), and the backward pass writes every parameter
-gradient into the same views of a twin vector, so an optimizer can step
-the whole model as one array. Batch-norm running statistics are buffers,
-viewed the same way from a second vector (buffers=True).
+vector (stack_views). The backward pass writes each layer's parameter
+gradients into the views it is given: the same views of a twin vector,
+so that an optimizer can step the whole model as one array, or one
+buffer reused by every layer, which a per-layer step hook consumes
+before the next layer overwrites it. Batch-norm running statistics are
+buffers, viewed the same way from a second vector (buffers=True).
 """
 
 import math
@@ -26,6 +28,7 @@ TRAIN = "train"
 INFERENCE = "inference"
 BUFFER_KEYS = ("run_mean", "run_var")
 L1_BLOCK = 1 << 15  # weights per block of the L1 gradient term: 128 KiB of float32
+INIT_BLOCK = 1 << 15  # weights per block of the initial draw: 256 KiB of float64
 
 
 def _as_real(t):
@@ -122,23 +125,27 @@ def stack_size(specs, buffers=False):
     )
 
 
-def init_layer_params(spec, rng):
-    """Fresh tensors for one layer: Glorot-uniform weights, zero biases,
-    unit batch-norm scale, zero shift, and the running-statistic buffers."""
+def init_layer_params(spec, rng, p=None):
+    """One layer's tensors: Glorot-uniform weights, zero biases, unit
+    batch-norm scale, zero shift, and the running-statistic buffers.
+    Written into p (views shaped as layer_shapes) when given, else into
+    fresh float64 arrays; returns them. The weights are drawn in row
+    blocks of about INIT_BLOCK, the same float64 stream as one draw, so
+    no layer-sized float64 draw is allocated."""
+    if p is None:
+        p = {key: np.empty(shape) for key, shape in layer_shapes(spec).items()}
     if isinstance(spec, Dense):
         limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        return {
-            "w": rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)),
-            "b": np.zeros(spec.out_dim),
-        }
-    if isinstance(spec, BatchNorm):
-        return {
-            "gamma": np.ones(spec.dim),
-            "delta": np.zeros(spec.dim),
-            "run_mean": np.zeros(spec.dim),
-            "run_var": np.ones(spec.dim),
-        }
-    return {}
+        w = p["w"]
+        rows = max(1, INIT_BLOCK // spec.out_dim)
+        for start in range(0, spec.in_dim, rows):
+            block = w[start : start + rows]
+            block[...] = rng.uniform(-limit, limit, size=block.shape)
+        p["b"][...] = 0.0
+    elif isinstance(spec, BatchNorm):
+        for key, value in (("gamma", 1.0), ("delta", 0.0), ("run_mean", 0.0), ("run_var", 1.0)):
+            p[key][...] = value
+    return p
 
 
 def _dense_forward(x, p):
@@ -280,7 +287,7 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
     return out, Tape(mode, caches, used_masks)
 
 
-def stack_backward(specs, params, tape, dout, grads, input_grad=True):
+def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None):
     """Reverse-mode gradients through a recorded train-mode pass.
 
     Writes each layer's parameter gradients into the matching arrays of
@@ -288,6 +295,12 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True):
     the input gradient. Dense weight gradients include the L1 subgradient
     term. With input_grad=False the input gradient is not wanted: a Dense
     layer 0 skips its dout @ W.T, and None is returned.
+
+    step, when given, is called with the index of each layer that has
+    parameters as soon as its gradients and its input gradient are
+    written. Those are the last reads of that layer's parameters in the
+    pass, so step may update them, and the gradient arrays of different
+    layers may share memory.
     """
     if tape.mode != TRAIN:
         raise ValueError("stack_backward requires a train-mode tape")
@@ -305,6 +318,8 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True):
             dx = _activation_backward(dx, cache, spec)
         elif tape.masks[i] is not None:  # Dropout
             dx = dx * tape.masks[i]
+        if step is not None and isinstance(spec, (Dense, BatchNorm)):
+            step(i)
     return dx if input_grad else None
 
 

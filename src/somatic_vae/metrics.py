@@ -7,6 +7,8 @@ import numpy as np
 
 from .layers import sigmoid
 
+COSINE_ROWS = 64  # most rows mean_cosine_similarity converts to float64 at once
+
 
 def _check_same_shape(a, b):
     a = np.asarray(a)
@@ -53,17 +55,22 @@ def mean_cosine_similarity(probs, target, out=None):
 
     Streamed over row chunks: pass out, the float64 vector of the row
     cosines of every row up to and including this chunk's, whose last
-    rows this call fills; it returns the mean of out."""
+    rows this call fills; it returns the mean of out. Rows are converted
+    to float64 COSINE_ROWS at a time; a row's cosine does not depend on
+    the rows converted with it."""
     probs, target = _check_same_shape(probs, target)
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    dots = (p * y).sum(axis=1)
-    norms = np.linalg.norm(p, axis=1) * np.linalg.norm(y, axis=1)
+    n = probs.shape[0]
     if out is None:
-        out = np.zeros_like(dots)
-    cosines = out[out.size - dots.size:]
-    cosines[...] = 0.0
-    np.divide(dots, norms, out=cosines, where=norms > 0.0)
+        out = np.zeros(n)
+    cosines = out[out.size - n:]
+    for start in range(0, n, COSINE_ROWS):
+        rows = slice(start, start + COSINE_ROWS)
+        p = np.asarray(probs[rows], dtype=np.float64)
+        y = np.asarray(target[rows], dtype=np.float64)
+        dots = (p * y).sum(axis=1)
+        norms = np.linalg.norm(p, axis=1) * np.linalg.norm(y, axis=1)
+        cosines[rows] = 0.0
+        np.divide(dots, norms, out=cosines[rows], where=norms > 0.0)
     return float(out.mean())
 
 

@@ -3,9 +3,12 @@
 s <- rho * s + (1 - rho) * g^2
 theta <- theta - lr * g / (sqrt(s) + eps)
 
-The update runs over one flat parameter vector and its twin gradient
+The update runs over a flat parameter vector and its twin gradient
 vector, in blocks small enough that the operands of every step stay in
-cache. It computes in the vectors' dtype: float32 for a model.
+cache. It computes in the vectors' dtype: float32 for a model. Each
+entry's update depends on that entry alone, so stepping a model span by
+span (training steps one layer at a time, inside the backward pass)
+gives the same bytes as one call over the whole vector.
 """
 
 from dataclasses import dataclass

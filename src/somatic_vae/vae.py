@@ -12,7 +12,10 @@ function of (cohort, split, config.seed).
 Every trainable tensor is a view into one float32 vector, model.theta,
 and its gradient the same view of model.grad; the batch-norm running
 statistics are views of model.stats. All three are laid out stack by
-stack, layer by layer. Training and inference compute in float32; the
+stack, layer by layer. Training steps each layer inside the backward
+pass, as soon as its gradient is written into one buffer the size of
+the largest layer (the head of model.grad); the gradient check fills
+the whole of model.grad. Training and inference compute in float32; the
 random draws (initial weights, dropout uniforms, reparameterization
 noise) stay float64 and are rounded, so the streams do not depend on the
 model's dtype. The gradient check runs the same code on a float64 copy.
@@ -48,7 +51,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import mean_cosine_similarity, micro_f1
-from .optim import init_rmsprop, rmsprop_update
+from .optim import RmspropState, init_rmsprop, rmsprop_update
 from .seeding import sub_rng
 
 CHUNK_ROWS = 512  # most rows a streamed pass converts to float at once
@@ -155,16 +158,13 @@ class Stack:
     def forward(self, x, mode, **kwargs):
         return stack_forward(self.specs, self.params, x, mode, **kwargs)
 
-    def backward(self, tape, dout, input_grad=True):
-        return stack_backward(self.specs, self.params, tape, dout, self.grads, input_grad)
-
 
 @dataclass
 class VaeModel:
     config: VaeConfig
     stacks: dict  # "enc", "mu", "lv", "dec" -> Stack, in the order of theta
     theta: np.ndarray  # every trainable scalar; the stacks' params view it
-    grad: np.ndarray  # twin of theta, written by the backward pass
+    grad: np.ndarray  # twin of theta: the gradient check's; training reuses its head
     stats: np.ndarray  # batch-norm running statistics; the stacks' params view it
 
     def specs(self):
@@ -231,8 +231,7 @@ def build_vae(config, rng):
     model = _bind(config)
     for stack in model.stacks.values():
         for spec, p in zip(stack.specs, stack.params):
-            for key, value in init_layer_params(spec, rng).items():
-                p[key][...] = value
+            init_layer_params(spec, rng, p)
     return model
 
 
@@ -336,17 +335,51 @@ def _forward_train(model, x, beta, rngs, masks=(None, None), eps=None, update_ru
             "tapes": tapes}  # tapes by stack name
 
 
-def _backward_train(model, x, beta, fwd):
-    """Writes the gradients of the total loss into model.grad."""
-    stacks, tapes = model.stacks, fwd["tapes"]
+def _backward_train(model, x, beta, fwd, steppers=None):
+    """Backpropagates the total loss: into model.grad, or with steppers
+    (stack name -> (gradient views, step hook), from _layer_steppers)
+    into those views, each layer stepped as soon as they are written."""
+    tapes = fwd["tapes"]
     mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
+
+    def backward(name, dout, input_grad=True):
+        stack = model.stacks[name]
+        grads, step = steppers[name] if steppers else (stack.grads, None)
+        return stack_backward(stack.specs, stack.params, tapes[name], dout, grads, input_grad, step)
+
     dprobs = reconstruction_grad(model.config.loss_kind, fwd["probs"], x)
-    dz = stacks["dec"].backward(tapes["dec"], dprobs)
+    dz = backward("dec", dprobs)
     dmu_kl, dlv_kl = kl_grads(mu, lv)
     dmu = dz + beta * dmu_kl
     dlv = dz * eps * 0.5 * np.exp(0.5 * lv) + beta * dlv_kl
-    dh = stacks["mu"].backward(tapes["mu"], dmu) + stacks["lv"].backward(tapes["lv"], dlv)
-    stacks["enc"].backward(tapes["enc"], dh, input_grad=False)
+    dh = backward("mu", dmu) + backward("lv", dlv)
+    backward("enc", dh, input_grad=False)
+
+
+def _layer_steppers(model, state, config):
+    """Per stack name, (gradient views, step hook) for _backward_train.
+    Every layer's gradient views start at the head of one buffer, the
+    first entries of model.grad, as long as the largest layer; the rest
+    of model.grad is never written. The hook steps RMSprop over layer i's
+    spans of theta, that buffer and state's accumulator, and looks
+    rmsprop_update up at each call."""
+    buf = model.grad[: max(stack_size([spec]) for spec in model.specs())]
+    hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
+    steppers, offset = {}, 0
+    for name, stack in model.stacks.items():
+        grads, spans = [], []
+        for spec in stack.specs:
+            views, size = stack_views([spec], buf)
+            grads.append(views[0])
+            spans.append((model.theta[offset : offset + size], buf[:size],
+                          RmspropState(state.accumulator[offset : offset + size], state.scratch)))
+            offset += size
+
+        def step(i, spans=spans):
+            rmsprop_update(*spans[i], **hyper)
+
+        steppers[name] = (grads, step)
+    return steppers
 
 
 def _fd_objective(model, x, beta, fwd):
@@ -373,10 +406,11 @@ def train(cohort, split, config):
     Per epoch: seeded shuffle, minibatches (a last partial batch is kept,
     except that a single row joins the batch before it, where batch norm
     would otherwise see zero variance), each converted from the cohort's
-    rows on its own, forward in train mode, one RMSprop step over
-    model.theta, then validation micro-F1 and mean cosine similarity on
-    deterministic mu reconstructions (reconstruction_scores). History loss
-    components are per-sample means over the epoch's batches.
+    rows on its own, forward in train mode, then backward with each
+    layer's RMSprop step taken as soon as its gradient is written; then
+    validation micro-F1 and mean cosine similarity on deterministic mu
+    reconstructions (reconstruction_scores). History loss components are
+    per-sample means over the epoch's batches.
     """
     config.validate()
     if cohort.n_loci != config.input_dim:
@@ -394,7 +428,7 @@ def train(cohort, split, config):
         "reparam": sub_rng(config.seed, "reparam"),
     }
     model = build_vae(config, sub_rng(config.seed, "init"))
-    state = init_rmsprop(model.theta)
+    steppers = _layer_steppers(model, init_rmsprop(model.theta), config)
     shuffle_rng = sub_rng(config.seed, "shuffle")
 
     history = []
@@ -417,11 +451,7 @@ def train(cohort, split, config):
             breakdown = fwd["breakdown"]
             if not np.isfinite(breakdown.total):
                 raise FloatingPointError(f"epoch {epoch} batch {batch}: non-finite loss")
-            _backward_train(model, xb, beta, fwd)
-            rmsprop_update(
-                model.theta, model.grad, state,
-                lr=config.learning_rate, rho=config.rho, eps=config.epsilon,
-            )
+            _backward_train(model, xb, beta, fwd, steppers)
             for key in sums:
                 sums[key] += float(getattr(breakdown, key)) * len(rows)
             seen += len(rows)

@@ -430,6 +430,20 @@ def test_preprocess_without_labels_drops_the_old_labels(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: labels required")
 
 
+def test_preprocess_that_keeps_no_locus_exits_one_and_writes_no_cache(tmp_path, capsys):
+    # a cache of zero loci used to be written, and train failed on it later
+    profiles = tmp_path / "profiles.tsv"
+    profiles.write_text("sample_id\tlocus_id\na\tL1\na\tL2\nb\tL2\n", encoding="utf-8")
+    cache = tmp_path / "cache"
+    argv = ["preprocess", "--profiles", str(profiles), "--min-count", "3", "--out", str(cache)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: --min-count 3 keeps none of the 2 loci "
+        "(the most frequent is mutated in 2 samples); no cache written\n"
+    )
+    assert not cache.exists()
+
+
 def test_eval_cluster_with_zero_restarts_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     assert run(["eval-cluster", "--cohort", cohort_dir, "--pca", "4", "--restarts", "0"]) == 1

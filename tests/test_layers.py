@@ -342,6 +342,30 @@ def test_backward_without_input_grad_leaves_every_parameter_gradient_bit_identic
         assert all(np.array_equal(g[key], s[key]) for key in g)
 
 
+def test_backward_steps_each_layer_with_parameters_once_its_gradients_are_final():
+    rng = np.random.default_rng(12)
+    specs = [Dense(6, 5, l1_coefficient=1e-3), BatchNorm(5), Activation("relu"), Dense(5, 3)]
+    params, grads = new_stack(specs, rng)
+    x = rng.standard_normal((7, 6))
+    dout = rng.standard_normal((7, 3))
+    _, tape = stack_forward(specs, params, x, TRAIN)
+    want_dx = stack_backward(specs, params, tape, dout, grads)
+    # every layer's gradients at the head of one shared buffer
+    shared = np.full(max(stack_size([spec]) for spec in specs), np.nan)
+    heads = [stack_views([spec], shared)[0][0] for spec in specs]
+    stepped = []
+
+    def step(i):
+        stepped.append(i)
+        assert all(np.array_equal(heads[i][key], grads[i][key]) for key in grads[i])
+        for key in layer_shapes(specs[i]):
+            params[i][key][...] = np.nan  # no later read may see the stepped tensors
+
+    dx = stack_backward(specs, params, tape, dout, heads, step=step)
+    assert stepped == [3, 1, 0]
+    assert np.array_equal(dx, want_dx)
+
+
 def test_backward_requires_train_tape():
     specs = [Dense(2, 2)]
     params, grads = new_stack(specs, np.random.default_rng(0))

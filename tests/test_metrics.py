@@ -10,6 +10,7 @@ from somatic_vae.cohort import (
     holdout_split,
 )
 from somatic_vae.metrics import (
+    COSINE_ROWS,
     classification_report,
     eval_probe,
     fit_probe,
@@ -128,6 +129,24 @@ def test_cosine_streamed_over_row_chunks_equals_one_pass():
         value = mean_cosine_similarity(p[rows], y[rows], cosines[:rows.stop])
     assert value == mean_cosine_similarity(p, y)
     assert cosines[3] == 0.0
+
+
+def test_cosine_in_row_blocks_equals_the_whole_chunk_expression():
+    # the expression before rows were converted COSINE_ROWS at a time
+    rng = np.random.default_rng(11)
+    n = 2 * COSINE_ROWS + 5  # a short last block
+    p = rng.random((n, 300)).astype(np.float32)
+    y = (rng.random((n, 300)) < 0.05).astype(np.uint8)
+    y[[0, COSINE_ROWS, n - 1]] = 0
+    p64, y64 = p.astype(np.float64), y.astype(np.float64)
+    dots = (p64 * y64).sum(axis=1)
+    norms = np.linalg.norm(p64, axis=1) * np.linalg.norm(y64, axis=1)
+    want = np.zeros(n)
+    np.divide(dots, norms, out=want, where=norms > 0.0)
+    got = np.full(n, np.nan)
+    value = mean_cosine_similarity(p, y, got)
+    assert got.tobytes() == want.tobytes()
+    assert value == float(want.mean())
 
 
 # ---------------------------------------------------------------- NMI

@@ -14,12 +14,23 @@ from somatic_vae.cohort import (
     generate_synthetic_cohort,
     holdout_split,
 )
-from somatic_vae.layers import BUFFER_KEYS, Activation, Dense
+from somatic_vae.layers import (
+    BUFFER_KEYS,
+    INIT_BLOCK,
+    Activation,
+    BatchNorm,
+    Dense,
+    layer_shapes,
+    stack_size,
+)
 from somatic_vae.losses import BetaSchedule
+from somatic_vae.optim import init_rmsprop, rmsprop_update
 from somatic_vae.seeding import sub_rng
 from somatic_vae.vae import (
     VaeConfig,
+    _backward_train,
     _forward_train,
+    _layer_steppers,
     build_vae,
     count_parameters,
     decode_batch,
@@ -397,17 +408,22 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     for name in backward:
         spy(layers_module, name)
     model, _ = train(cohort, split, config)
-    assert [len(calls[name]) for name in vae_module_spies] == [1, 1, 1]  # one step
+    assert [len(calls[name]) for name in vae_module_spies[:2]] == [1, 1]  # one step
     (_, fwd), = calls["_forward_train"]
     (_, dprobs), = calls["reconstruction_grad"]
-    ((_, _, state), _), = calls["rmsprop_update"]
+    # one RMSprop call per layer that has parameters, inside the backward pass
+    steps = [args for args, _ in calls["rmsprop_update"]]
+    assert len(steps) == sum(1 for spec in model.specs() if layer_shapes(spec)) == 11
     caches = arrays_in([tape.caches for tape in fwd["tapes"].values()])
     masks = arrays_in([tape.masks for tape in fwd["tapes"].values()])
     assert len(masks) == 2  # one dropout layer in the encoder, one in the decoder
     dxs = arrays_in([out for name in backward for _, out in calls[name]])
     assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
     named = {"eps": fwd["eps"], "probs": fwd["probs"], "dprobs": dprobs, "theta": model.theta,
-             "grad": model.grad, "stats": model.stats, "accumulator": state.accumulator,
+             "grad": model.grad, "stats": model.stats,
+             **{f"step {i} {what}": a for i, (theta, grad, state) in enumerate(steps)
+                for what, a in (("theta", theta), ("grad", grad),
+                                ("accumulator", state.accumulator))},
              **{f"cache {i}": c for i, c in enumerate(caches)},
              **{f"mask {i}": m for i, m in enumerate(masks)},
              **{f"input gradient {i}": d for i, d in enumerate(dxs)}}
@@ -415,6 +431,61 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     breakdown = fwd["breakdown"]
     assert [np.asarray(getattr(breakdown, key)).dtype for key in ("recon", "kl", "l1", "total")] \
         == [np.float32] * 4
+
+
+def test_layer_steps_in_the_backward_pass_equal_one_step_over_theta():
+    # the order before the steps moved into the backward pass: the whole
+    # gradient into model.grad, then one rmsprop_update over theta
+    cohort = small_cohort()
+    config = tiny_config(input_dim=cohort.n_loci, dropout_rate=0.25, l1_coefficient=1e-3,
+                         learning_rate=1e-2, batch_size=10)
+    fused, flat = (build_vae(config, sub_rng(0, "init")) for _ in range(2))
+    initial = fused.theta.copy()
+    fused_state, flat_state = init_rmsprop(fused.theta), init_rmsprop(flat.theta)
+    steppers = _layer_steppers(fused, fused_state, config)
+    rngs = [{"dropout": sub_rng(0, "dropout"), "reparam": sub_rng(0, "reparam")} for _ in range(2)]
+    for step in range(4):
+        xb = cohort.matrix[10 * step : 10 * (step + 1)].astype(np.float32)
+        fwd = _forward_train(fused, xb, 0.5, rngs[0])
+        _backward_train(fused, xb, 0.5, fwd, steppers)
+        fwd = _forward_train(flat, xb, 0.5, rngs[1])
+        _backward_train(flat, xb, 0.5, fwd)
+        rmsprop_update(flat.theta, flat.grad, flat_state,
+                       lr=config.learning_rate, rho=config.rho, eps=config.epsilon)
+        assert fused.theta.tobytes() == flat.theta.tobytes()
+        assert fused_state.accumulator.tobytes() == flat_state.accumulator.tobytes()
+        assert fused.stats.tobytes() == flat.stats.tobytes()
+    assert (fused.theta != initial).mean() > 0.9
+
+
+def test_training_writes_only_the_head_of_model_grad():
+    cohort = small_cohort()
+    split = holdout_split(cohort.n_samples, 0.8, seed=0)
+    config = tiny_config(input_dim=cohort.n_loci, epochs=1, batch_size=16, l1_coefficient=1e-3)
+    model, _ = train(cohort, split, config)
+    span = max(stack_size([spec]) for spec in model.specs())
+    assert span < model.grad.size
+    assert model.grad[:span].any()
+    assert not model.grad[span:].any()
+
+
+def test_build_vae_draws_the_same_weights_as_one_draw_per_layer():
+    # the first Dense layer takes several row blocks, the last more
+    # columns than a block, so one row per block
+    config = tiny_config(input_dim=INIT_BLOCK + 5000, hidden_dims=(5, 3), latent_dim=2)
+    model = build_vae(config, sub_rng(4, "init"))
+    rng = sub_rng(4, "init")
+    want, stats = [], []
+    for spec in model.specs():
+        if isinstance(spec, Dense):
+            limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
+            want += [rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)).ravel(),
+                     np.zeros(spec.out_dim)]
+        elif isinstance(spec, BatchNorm):
+            want += [np.ones(spec.dim), np.zeros(spec.dim)]
+            stats += [np.zeros(spec.dim), np.ones(spec.dim)]
+    assert model.theta.tobytes() == np.concatenate(want).astype(np.float32).tobytes()
+    assert model.stats.tobytes() == np.concatenate(stats).astype(np.float32).tobytes()
 
 
 def assert_views_of_flat_vectors(model):
