@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import first_non_finite_row
 from .seeding import indexed_rng
 from .vae import row_chunks
 
@@ -186,6 +187,9 @@ def kmeans_cluster(points, k, seed, restarts=10, max_iters=300, rel_tol=1e-4):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("kmeans_cluster expects a 2-D matrix")
+    row = first_non_finite_row(points)
+    if row is not None:
+        raise ValueError(f"kmeans_cluster: point {row} holds a non-finite value")
     k = int(k)
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k={k} out of range [1, {points.shape[0]}]")

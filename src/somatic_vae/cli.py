@@ -132,11 +132,13 @@ def write_embeddings(sample_ids, z, path):
 
 
 def read_embeddings(path):
+    """(sample ids, n x q float64 matrix) of an embedding TSV; a repeated
+    sample_id or a non-finite value is an error that names its line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[0] != "sample_id" or header[1:] != [f"z{j}" for j in range(len(header) - 1)]:
             raise ValueError(f"{path}: not an embedding TSV")
-        sample_ids, rows = [], []
+        lines, rows = {}, []  # sample_id -> its line number, in file order
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line:
@@ -144,9 +146,16 @@ def read_embeddings(path):
             parts = line.split("\t")
             if len(parts) != len(header):
                 raise ValueError(f"{path} line {lineno}: wrong column count")
-            sample_ids.append(parts[0])
+            first = lines.setdefault(parts[0], lineno)
+            if first != lineno:
+                raise ValueError(
+                    f"{path} line {lineno}: sample_id {parts[0]!r} repeats line {first}")
             rows.append([float(v) for v in parts[1:]])
-    return sample_ids, np.array(rows, dtype=np.float64)
+    z = np.array(rows, dtype=np.float64)
+    row = metrics.first_non_finite_row(z)
+    if row is not None:
+        raise ValueError(f"{path} line {list(lines.values())[row]}: non-finite value")
+    return list(lines), z
 
 
 def _require_file(path):

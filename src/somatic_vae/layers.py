@@ -11,12 +11,15 @@ The elementwise kernels update in place only arrays they allocated in
 the same call, in their input's dtype, never an input or a cache.
 
 A stack's trainable tensors are views into consecutive slices of one flat
-vector (stack_views). The backward pass writes each layer's parameter
-gradients into the views it is given: the same views of a twin vector,
-so that an optimizer can step the whole model as one array, or one
-buffer reused by every layer, which a per-layer step hook consumes
-before the next layer overwrites it. Batch-norm running statistics are
-buffers, viewed the same way from a second vector (buffers=True).
+vector (stack_views). The backward pass writes the parameter gradients
+span by span: a Dense layer its bias, then its weights in row blocks of
+at most GRAD_BLOCK entries, a batch-norm layer each tensor. It writes
+them into the views it is given: the same views of a twin vector, so
+that an optimizer can step the whole model as one array, or the views
+of step_grad_views, all at the head of one small buffer, which a step
+hook consumes span by span before the next span overwrites it.
+Batch-norm running statistics are buffers, viewed the same way from a
+second vector (buffers=True).
 """
 
 import math
@@ -27,7 +30,7 @@ import numpy as np
 TRAIN = "train"
 INFERENCE = "inference"
 BUFFER_KEYS = ("run_mean", "run_var")
-L1_BLOCK = 1 << 15  # weights per block of the L1 gradient term: 128 KiB of float32
+GRAD_BLOCK = 1 << 18  # weights per block of a Dense weight gradient: 1 MiB of float32
 INIT_BLOCK = 1 << 15  # weights per block of the initial draw: 256 KiB of float64
 
 
@@ -117,6 +120,31 @@ def stack_views(specs, vec, offset=0, buffers=False):
     return views, offset
 
 
+def block_rows(spec):
+    """Rows of a Dense layer's weight gradient written at once: as many as
+    fit in GRAD_BLOCK entries, at least one, at most all."""
+    return min(spec.in_dim, max(1, GRAD_BLOCK // spec.out_dim))
+
+
+def step_grad_views(spec, buf):
+    """One layer's gradient views for a backward pass with a step hook,
+    all at the head of buf: a Dense weight's holds one row block
+    (block_rows) and its bias shares the head, being stepped before the
+    first block is written. buf needs step_grad_size(spec) entries."""
+    if isinstance(spec, Dense):
+        rows = block_rows(spec)
+        return {"w": buf[: rows * spec.out_dim].reshape(rows, spec.out_dim),
+                "b": buf[: spec.out_dim]}
+    return stack_views([spec], buf)[0][0]
+
+
+def step_grad_size(spec):
+    """Entries of the buffer behind step_grad_views(spec, buf)."""
+    if isinstance(spec, Dense):
+        return block_rows(spec) * spec.out_dim
+    return stack_size([spec])
+
+
 def stack_size(specs, buffers=False):
     """Trainable scalars in a stack (running statistics with buffers=True)."""
     return sum(
@@ -154,19 +182,24 @@ def _dense_forward(x, p):
     return out, x
 
 
-def _dense_backward(dout, cache, p, g, l1_coefficient, input_grad):
-    x = cache
-    np.matmul(x.T, dout, out=g["w"])
-    if l1_coefficient > 0.0:
-        # g += l1 * sign(w), in row blocks that stay in cache
-        w, gw = p["w"], g["w"]
-        rows = max(1, L1_BLOCK // w.shape[1])
-        for start in range(0, w.shape[0], rows):
-            term = np.sign(w[start : start + rows])
-            term *= l1_coefficient
-            gw[start : start + rows] += term
+def _dense_backward(dout, cache, p, g, spec, input_grad, step):
+    # the input gradient first: step may update the weights it reads
+    x, w, gw = cache, p["w"], g["w"]
+    dx = dout @ w.T if input_grad else None
     dout.sum(axis=0, out=g["b"])
-    return dout @ p["w"].T if input_grad else None
+    step(w.size, g["b"])
+    rows = block_rows(spec)
+    for start in range(0, spec.in_dim, rows):
+        stop = min(start + rows, spec.in_dim)
+        # gw is the whole weight gradient, or one block at the head of a buffer
+        block = gw[start:stop] if len(gw) == spec.in_dim else gw[: stop - start]
+        np.matmul(x[:, start:stop].T, dout, out=block)
+        if spec.l1_coefficient > 0.0:
+            term = np.sign(w[start:stop])
+            term *= spec.l1_coefficient
+            block += term
+        step(start * spec.out_dim, block)
+    return dx
 
 
 def _batchnorm_forward(x, p, spec, mode, update_running):
@@ -291,16 +324,21 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None)
     """Reverse-mode gradients through a recorded train-mode pass.
 
     Writes each layer's parameter gradients into the matching arrays of
-    grads (one dict per layer, shaped like stack_views' dicts) and returns
-    the input gradient. Dense weight gradients include the L1 subgradient
-    term. With input_grad=False the input gradient is not wanted: a Dense
-    layer 0 skips its dout @ W.T, and None is returned.
+    grads (one dict per layer, shaped like stack_views' dicts, or like
+    step_grad_views' when step is given) and returns the input gradient.
+    Dense weight gradients include the L1 subgradient term, and are
+    written in row blocks of block_rows rows. With input_grad=False the
+    input gradient is not wanted: a Dense layer 0 skips its dout @ W.T,
+    and None is returned.
 
-    step, when given, is called with the index of each layer that has
-    parameters as soon as its gradients and its input gradient are
-    written. Those are the last reads of that layer's parameters in the
-    pass, so step may update them, and the gradient arrays of different
-    layers may share memory.
+    step, when given, is called as step(i, offset, grad) for each span
+    of layer i's parameters, in stack_views order, as soon as its
+    gradient grad (entries offset to offset + grad.size) is written: a
+    Dense layer's bias, then each block of its weights, after the
+    layer's input gradient; a batch-norm layer's gamma, then delta, after
+    its input gradient. No later read in the pass touches those
+    parameters or that gradient, so step may update the one and the next
+    span may overwrite the other.
     """
     if tape.mode != TRAIN:
         raise ValueError("stack_backward requires a train-mode tape")
@@ -308,18 +346,22 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None)
         raise ValueError("tape does not match the layer stack")
     dx = _as_real(dout)
     for i in range(len(specs) - 1, -1, -1):
-        spec, p, cache = specs[i], params[i], tape.caches[i]
+        spec, p, g, cache = specs[i], params[i], grads[i], tape.caches[i]
+
+        def step_span(offset, grad, i=i):
+            if step is not None:
+                step(i, offset, grad)
+
         if isinstance(spec, Dense):
-            want_dx = i > 0 or input_grad
-            dx = _dense_backward(dx, cache, p, grads[i], spec.l1_coefficient, want_dx)
+            dx = _dense_backward(dx, cache, p, g, spec, i > 0 or input_grad, step_span)
         elif isinstance(spec, BatchNorm):
-            dx = _batchnorm_backward(dx, cache, p, grads[i])
+            dx = _batchnorm_backward(dx, cache, p, g)
+            step_span(0, g["gamma"])
+            step_span(spec.dim, g["delta"])
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
         elif tape.masks[i] is not None:  # Dropout
             dx = dx * tape.masks[i]
-        if step is not None and isinstance(spec, (Dense, BatchNorm)):
-            step(i)
     return dx if input_grad else None
 
 

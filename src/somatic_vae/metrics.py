@@ -28,6 +28,14 @@ def _as_bool(a, name):
     return a
 
 
+def first_non_finite_row(x):
+    """Index of the first row of a 2-D array that holds a NaN or an
+    infinity, or None when every entry is finite."""
+    if np.isfinite(x).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+
+
 def micro_f1(pred, target, totals=None):
     """F1 from TP/FP/FN pooled over every cell of two 0/1 arrays, counted
     as integers; 0/0 (no positives on either side) is defined as 1.
@@ -151,11 +159,14 @@ def _products(x):
     A uint8 or bool x must be 0/1 and is used through its nonzeros: the
     flat indices of x list them row by row, those of x.T column by column,
     and np.add.reduceat sums each non-empty row's (column's) run; empty
-    rows (columns) stay exactly 0. Any other x is converted to float64
-    and multiplied densely."""
+    rows (columns) stay exactly 0. Any other x is converted to float64,
+    must be finite, and is multiplied densely."""
     x = np.asarray(x)
     if x.dtype not in (np.uint8, np.bool_):
         x = np.asarray(x, dtype=np.float64)
+        row = first_non_finite_row(x)
+        if row is not None:
+            raise ValueError(f"probe feature row {row} holds a non-finite value")
         return x.shape, (lambda v: x @ v), (lambda u: x.T @ u)
     nonzero = _as_bool(x, "feature")
     n, d = x.shape

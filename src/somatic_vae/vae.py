@@ -12,13 +12,16 @@ function of (cohort, split, config.seed).
 Every trainable tensor is a view into one float32 vector, model.theta,
 and its gradient the same view of model.grad; the batch-norm running
 statistics are views of model.stats. All three are laid out stack by
-stack, layer by layer. Training steps each layer inside the backward
-pass, as soon as its gradient is written into one buffer the size of
-the largest layer (the head of model.grad); the gradient check fills
-the whole of model.grad. Training and inference compute in float32; the
-random draws (initial weights, dropout uniforms, reparameterization
-noise) stay float64 and are rounded, so the streams do not depend on the
-model's dtype. The gradient check runs the same code on a float64 copy.
+stack, layer by layer. Training steps RMSprop inside the backward pass,
+span by span, as soon as each span's gradient is written into one
+buffer at the head of model.grad: a Dense layer's bias, each row block
+of at most layers.GRAD_BLOCK of its weights, a batch-norm tensor. The
+buffer is as long as the largest such span; the gradient check fills
+the whole of model.grad, block by block, in place. Training and
+inference compute in float32; the random draws (initial weights,
+dropout uniforms, reparameterization noise) stay float64 and are
+rounded, so the streams do not depend on the model's dtype. The
+gradient check runs the same code on a float64 copy.
 """
 
 import numbers
@@ -39,6 +42,8 @@ from .layers import (
     stack_l1_penalty,
     stack_size,
     stack_views,
+    step_grad_size,
+    step_grad_views,
 )
 from .gradcheck import FD_DTYPE, compare_grads, finite_difference_grads
 from .losses import (
@@ -338,7 +343,7 @@ def _forward_train(model, x, beta, rngs, masks=(None, None), eps=None, update_ru
 def _backward_train(model, x, beta, fwd, steppers=None):
     """Backpropagates the total loss: into model.grad, or with steppers
     (stack name -> (gradient views, step hook), from _layer_steppers)
-    into those views, each layer stepped as soon as they are written."""
+    into those views, each span stepped as soon as it is written."""
     tapes = fwd["tapes"]
     mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
 
@@ -359,26 +364,27 @@ def _backward_train(model, x, beta, fwd, steppers=None):
 def _layer_steppers(model, state, config):
     """Per stack name, (gradient views, step hook) for _backward_train.
     Every layer's gradient views start at the head of one buffer, the
-    first entries of model.grad, as long as the largest layer; the rest
-    of model.grad is never written. The hook steps RMSprop over layer i's
-    spans of theta, that buffer and state's accumulator, and looks
+    first entries of model.grad, as long as the largest span the backward
+    pass writes at once (step_grad_views): one block of a split Dense
+    weight, or a whole smaller layer. The rest of model.grad is never
+    written. The hook steps RMSprop over the spans of theta and state's
+    accumulator that match each gradient span it is handed, and looks
     rmsprop_update up at each call."""
-    buf = model.grad[: max(stack_size([spec]) for spec in model.specs())]
+    buf = model.grad[: max(step_grad_size(spec) for spec in model.specs())]
     hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
     steppers, offset = {}, 0
     for name, stack in model.stacks.items():
-        grads, spans = [], []
+        starts = []  # each layer's offset in theta
         for spec in stack.specs:
-            views, size = stack_views([spec], buf)
-            grads.append(views[0])
-            spans.append((model.theta[offset : offset + size], buf[:size],
-                          RmspropState(state.accumulator[offset : offset + size], state.scratch)))
-            offset += size
+            starts.append(offset)
+            offset += stack_size([spec])
 
-        def step(i, spans=spans):
-            rmsprop_update(*spans[i], **hyper)
+        def step(i, start, grad, starts=starts):
+            span = slice(starts[i] + start, starts[i] + start + grad.size)
+            rmsprop_update(model.theta[span], grad.reshape(-1),
+                           RmspropState(state.accumulator[span], state.scratch), **hyper)
 
-        steppers[name] = (grads, step)
+        steppers[name] = ([step_grad_views(spec, buf) for spec in stack.specs], step)
     return steppers
 
 
@@ -406,11 +412,12 @@ def train(cohort, split, config):
     Per epoch: seeded shuffle, minibatches (a last partial batch is kept,
     except that a single row joins the batch before it, where batch norm
     would otherwise see zero variance), each converted from the cohort's
-    rows on its own, forward in train mode, then backward with each
-    layer's RMSprop step taken as soon as its gradient is written; then
-    validation micro-F1 and mean cosine similarity on deterministic mu
-    reconstructions (reconstruction_scores). History loss components are
-    per-sample means over the epoch's batches.
+    rows on its own, forward in train mode, then backward with the
+    RMSprop step of each span of a layer's parameters (a bias, a block of
+    weights, a batch-norm tensor) taken as soon as its gradient is
+    written; then validation micro-F1 and mean cosine similarity on
+    deterministic mu reconstructions (reconstruction_scores). History
+    loss components are per-sample means over the epoch's batches.
     """
     config.validate()
     if cohort.n_loci != config.input_dim:

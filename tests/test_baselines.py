@@ -373,6 +373,14 @@ def test_kmeans_rejects_k_out_of_range():
         kmeans_cluster(points, 0, seed=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points_naming_the_first(value):
+    points = np.random.default_rng(3).standard_normal((8, 2))
+    points[5, 0] = points[6, 1] = value
+    with pytest.raises(ValueError, match="^kmeans_cluster: point 5 holds a non-finite value$"):
+        kmeans_cluster(points, 2, seed=0)
+
+
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_kmeans_rejects_fewer_than_one_restart(restarts):
     with pytest.raises(ValueError, match=f"^restarts must be >= 1, got {restarts}$"):

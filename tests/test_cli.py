@@ -188,6 +188,23 @@ def test_read_embeddings_rejects_other_tsvs(tmp_path):
         read_embeddings(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_embeddings_rejects_a_non_finite_value_naming_its_line(tmp_path, value):
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"sample_id\tz0\tz1\na\t0.5\t1\n\nb\t2\t{value}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_embeddings(path)
+    assert str(err.value) == f"{path} line 4: non-finite value"
+
+
+def test_read_embeddings_rejects_a_repeated_sample_naming_both_lines(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("sample_id\tz0\na\t0.5\nb\t1\na\t0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_embeddings(path)
+    assert str(err.value) == f"{path} line 4: sample_id 'a' repeats line 2"
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -401,6 +418,39 @@ def test_eval_cluster_with_unlabeled_samples_exits_one_naming_them(tmp_path, cap
                     ids, labels)
     assert run(["eval-cluster", "--embeddings", str(emb), "--labels", str(labels)]) == 1
     assert capsys.readouterr().err == f"error: 2 samples have no label (first: {ids[3]})\n"
+
+
+def damaged_embeddings(tmp_path, capsys, damage):
+    """(cohort dir, path of the cohort's embeddings, their sample ids),
+    the file's lines passed through damage first."""
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    ids = load_cohort(cohort_dir).sample_ids
+    emb = tmp_path / "emb.tsv"
+    write_embeddings(ids, np.random.default_rng(0).random((len(ids), 3)), emb)
+    lines = emb.read_text(encoding="utf-8").splitlines()
+    emb.write_text("\n".join(damage(lines)) + "\n", encoding="utf-8")
+    return cohort_dir, emb, ids
+
+
+@pytest.mark.parametrize("command, value", [("probe", "nan"), ("eval-cluster", "inf")])
+def test_embedding_commands_refuse_a_non_finite_value_naming_its_line(
+        tmp_path, capsys, command, value):
+    # a nan used to give a probe report, an inf numpy's "Probabilities contain NaN"
+    def damage(lines):
+        lines[5] = lines[5].rsplit("\t", 1)[0] + "\t" + value  # line 6 of the file
+        return lines
+
+    cohort_dir, emb, _ = damaged_embeddings(tmp_path, capsys, damage)
+    assert run([command, "--embeddings", str(emb), "--labels", f"{cohort_dir}/labels.tsv"]) == 1
+    assert capsys.readouterr().err == f"error: {emb} line 6: non-finite value\n"
+
+
+def test_eval_cluster_refuses_a_repeated_embedding_row_naming_both_lines(tmp_path, capsys):
+    cohort_dir, emb, ids = damaged_embeddings(tmp_path, capsys, lambda lines: lines + lines[3:4])
+    assert run(["eval-cluster", "--embeddings", str(emb),
+                "--labels", f"{cohort_dir}/labels.tsv"]) == 1
+    last = len(ids) + 2
+    assert capsys.readouterr().err == f"error: {emb} line {last}: sample_id {ids[2]!r} repeats line 4\n"
 
 
 def test_probe_with_zero_iters_exits_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fdcheck import grad_check
 
+import somatic_vae.layers as layers_module
 from somatic_vae.layers import (
     INFERENCE,
     TRAIN,
@@ -11,6 +12,7 @@ from somatic_vae.layers import (
     BatchNorm,
     Dense,
     Dropout,
+    block_rows,
     init_layer_params,
     layer_shapes,
     sigmoid,
@@ -19,6 +21,8 @@ from somatic_vae.layers import (
     stack_l1_penalty,
     stack_size,
     stack_views,
+    step_grad_size,
+    step_grad_views,
 )
 
 
@@ -342,28 +346,61 @@ def test_backward_without_input_grad_leaves_every_parameter_gradient_bit_identic
         assert all(np.array_equal(g[key], s[key]) for key in g)
 
 
-def test_backward_steps_each_layer_with_parameters_once_its_gradients_are_final():
+def steps_of_one_backward_pass():
+    """(layer, offset, size) of each step call of one backward pass, after
+    checking each span's gradient, the input gradient and that no
+    stepped parameter is read again."""
     rng = np.random.default_rng(12)
     specs = [Dense(6, 5, l1_coefficient=1e-3), BatchNorm(5), Activation("relu"), Dense(5, 3)]
-    params, grads = new_stack(specs, rng)
+    # the same draws as new_stack, into views of one vector
+    theta, stats = np.zeros(stack_size(specs)), np.zeros(stack_size(specs, buffers=True))
+    views = zip(stack_views(specs, theta)[0], stack_views(specs, stats, buffers=True)[0])
+    params = [init_layer_params(spec, rng, {**t, **b}) for spec, (t, b) in zip(specs, views)]
+    starts = np.cumsum([0] + [stack_size([spec]) for spec in specs])
+    grad = np.zeros(theta.size)
+    grads, _ = stack_views(specs, grad)
     x = rng.standard_normal((7, 6))
     dout = rng.standard_normal((7, 3))
     _, tape = stack_forward(specs, params, x, TRAIN)
     want_dx = stack_backward(specs, params, tape, dout, grads)
-    # every layer's gradients at the head of one shared buffer
-    shared = np.full(max(stack_size([spec]) for spec in specs), np.nan)
-    heads = [stack_views([spec], shared)[0][0] for spec in specs]
+    # every span's gradient at the head of one shared buffer
+    shared = np.full(max(step_grad_size(spec) for spec in specs), np.nan)
+    heads = [step_grad_views(spec, shared) for spec in specs]
     stepped = []
 
-    def step(i):
-        stepped.append(i)
-        assert all(np.array_equal(heads[i][key], grads[i][key]) for key in grads[i])
-        for key in layer_shapes(specs[i]):
-            params[i][key][...] = np.nan  # no later read may see the stepped tensors
+    def step(i, offset, span_grad):
+        stepped.append((i, offset, span_grad.size))
+        span = slice(starts[i] + offset, starts[i] + offset + span_grad.size)
+        assert np.shares_memory(span_grad, shared)
+        assert np.array_equal(span_grad.ravel(), grad[span])
+        theta[span] = np.nan  # no later read may see the stepped tensors
 
     dx = stack_backward(specs, params, tape, dout, heads, step=step)
-    assert stepped == [3, 1, 0]
+    # each span once, layer by layer from the last: a Dense bias, then its
+    # weights block by block; batch-norm gamma, then delta
+    want = []
+    for i in (3, 1, 0):
+        spec = specs[i]
+        if isinstance(spec, Dense):
+            block = block_rows(spec) * spec.out_dim
+            want += [(i, spec.in_dim * spec.out_dim, spec.out_dim)]
+            want += [(i, lo, min(block, spec.in_dim * spec.out_dim - lo))
+                     for lo in range(0, spec.in_dim * spec.out_dim, block)]
+        else:
+            want += [(i, 0, spec.dim), (i, spec.dim, spec.dim)]
+    assert stepped == want
+    assert np.isnan(theta).all()
     assert np.array_equal(dx, want_dx)
+    return stepped
+
+
+def test_backward_steps_each_layer_with_parameters_once_its_gradients_are_final(monkeypatch):
+    # at 10 entries the first Dense layer's 6 rows take three blocks of 2
+    # and the last layer's 5 rows a block of 3 and a short one of 2; at 4
+    # each Dense layer is wider than a block, so one row per block
+    for grad_block, spans in ((layers_module.GRAD_BLOCK, 6), (10, 9), (4, 15)):
+        monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
+        assert len(steps_of_one_backward_pass()) == spans
 
 
 def test_backward_requires_train_tape():

@@ -318,6 +318,17 @@ def test_probe_rejects_degenerate_labels():
         fit_probe(x, np.array([0, 1, 2, 0, 1, 2]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_probe_rejects_non_finite_features_naming_the_row(value):
+    # a NaN feature used to give NaN weights, and then all-0 predictions
+    x, y = separable_data()
+    model = fit_probe(x, y)
+    x[23, 1] = value
+    for call in (lambda: fit_probe(x, y), lambda: eval_probe(model, x, y)):
+        with pytest.raises(ValueError, match="^probe feature row 23 holds a non-finite value$"):
+            call()
+
+
 @pytest.mark.parametrize("setting, message", [
     ({"iters": 0}, "probe iters must be at least 1, got 0"),
     ({"lr": 0.0}, "probe lr must be positive, got 0.0"),

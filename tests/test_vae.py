@@ -20,8 +20,9 @@ from somatic_vae.layers import (
     Activation,
     BatchNorm,
     Dense,
+    block_rows,
     layer_shapes,
-    stack_size,
+    step_grad_size,
 )
 from somatic_vae.losses import BetaSchedule
 from somatic_vae.optim import init_rmsprop, rmsprop_update
@@ -411,9 +412,11 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     assert [len(calls[name]) for name in vae_module_spies[:2]] == [1, 1]  # one step
     (_, fwd), = calls["_forward_train"]
     (_, dprobs), = calls["reconstruction_grad"]
-    # one RMSprop call per layer that has parameters, inside the backward pass
+    # one RMSprop call per gradient span, inside the backward pass: each
+    # Dense bias and weight block (one block each here), each batch-norm tensor
     steps = [args for args, _ in calls["rmsprop_update"]]
-    assert len(steps) == sum(1 for spec in model.specs() if layer_shapes(spec)) == 11
+    assert len(steps) == sum(key not in BUFFER_KEYS for spec in model.specs()
+                             for key in layer_shapes(spec)) == 22
     caches = arrays_in([tape.caches for tape in fwd["tapes"].values()])
     masks = arrays_in([tape.masks for tape in fwd["tapes"].values()])
     assert len(masks) == 2  # one dropout layer in the encoder, one in the decoder
@@ -433,12 +436,9 @@ def test_one_training_step_computes_in_float32(monkeypatch):
         == [np.float32] * 4
 
 
-def test_layer_steps_in_the_backward_pass_equal_one_step_over_theta():
+def assert_layer_steps_equal_one_step_over_theta(config, cohort):
     # the order before the steps moved into the backward pass: the whole
     # gradient into model.grad, then one rmsprop_update over theta
-    cohort = small_cohort()
-    config = tiny_config(input_dim=cohort.n_loci, dropout_rate=0.25, l1_coefficient=1e-3,
-                         learning_rate=1e-2, batch_size=10)
     fused, flat = (build_vae(config, sub_rng(0, "init")) for _ in range(2))
     initial = fused.theta.copy()
     fused_state, flat_state = init_rmsprop(fused.theta), init_rmsprop(flat.theta)
@@ -458,15 +458,38 @@ def test_layer_steps_in_the_backward_pass_equal_one_step_over_theta():
     assert (fused.theta != initial).mean() > 0.9
 
 
-def test_training_writes_only_the_head_of_model_grad():
+def test_layer_steps_in_the_backward_pass_equal_one_step_over_theta():
+    cohort = small_cohort()
+    config = tiny_config(input_dim=cohort.n_loci, dropout_rate=0.25, l1_coefficient=1e-3,
+                         learning_rate=1e-2, batch_size=10)
+    assert_layer_steps_equal_one_step_over_theta(config, cohort)
+
+
+def test_block_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypatch):
+    monkeypatch.setattr(layers_module, "GRAD_BLOCK", 28)
+    cohort = small_cohort()
+    config = tiny_config(input_dim=cohort.n_loci, hidden_dims=(7, 5), dropout_rate=0.25,
+                         l1_coefficient=1e-3, learning_rate=1e-2, batch_size=10)
+    first, last = Dense(cohort.n_loci, 7), Dense(7, cohort.n_loci)
+    # the first layer's 30 rows take 7 blocks of 4 and one of 2; the last
+    # layer is wider than a block, so one row per block
+    assert (first.in_dim, block_rows(first)) == (30, 4)
+    assert (last.out_dim, block_rows(last)) == (30, 1)
+    assert_layer_steps_equal_one_step_over_theta(config, cohort)
+
+
+def test_training_writes_only_the_head_of_model_grad(monkeypatch):
     cohort = small_cohort()
     split = holdout_split(cohort.n_samples, 0.8, seed=0)
     config = tiny_config(input_dim=cohort.n_loci, epochs=1, batch_size=16, l1_coefficient=1e-3)
-    model, _ = train(cohort, split, config)
-    span = max(stack_size([spec]) for spec in model.specs())
-    assert span < model.grad.size
-    assert model.grad[:span].any()
-    assert not model.grad[span:].any()
+    # at 28 entries the first Dense layer and the last are split into blocks
+    for grad_block in (layers_module.GRAD_BLOCK, 28):
+        monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
+        model, _ = train(cohort, split, config)
+        span = max(step_grad_size(spec) for spec in model.specs())
+        assert span < model.grad.size
+        assert model.grad[:span].any()
+        assert not model.grad[span:].any()
 
 
 def test_build_vae_draws_the_same_weights_as_one_draw_per_layer():
