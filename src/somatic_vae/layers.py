@@ -12,16 +12,17 @@ the same call, in their input's dtype, never an input or a cache.
 
 A stack's trainable tensors are views into consecutive slices of one flat
 vector (stack_views). The backward pass writes the parameter gradients
-span by span: a Dense layer its bias, then its weights in row blocks of
-at most GRAD_BLOCK entries, a batch-norm layer each tensor. It writes
-them into the views it is given: the same views of a twin vector, so
-that an optimizer can step the whole model as one array, or the views
-of step_grad_views, all at the head of one small buffer, which a step
-hook consumes span by span before the next span overwrites it.
-Batch-norm running statistics are buffers, viewed the same way from a
-second vector (buffers=True).
+into the views it is given: the same views of a twin vector, each Dense
+weight gradient as one product, so that an optimizer can step the whole
+model as one array; or, with a step hook, the views of step_grad_views,
+all at the head of one small buffer, which the hook consumes span by
+span before the next span overwrites it: a Dense layer's bias, then its
+weights in row blocks of at most GRAD_BLOCK entries, each tensor of a
+batch-norm layer. Batch-norm running statistics are buffers, viewed
+the same way from a second vector (buffers=True).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,23 +127,17 @@ def block_rows(spec):
     return min(spec.in_dim, max(1, GRAD_BLOCK // spec.out_dim))
 
 
-def step_grad_views(spec, buf):
-    """One layer's gradient views for a backward pass with a step hook,
-    all at the head of buf: a Dense weight's holds one row block
-    (block_rows) and its bias shares the head, being stepped before the
-    first block is written. buf needs step_grad_size(spec) entries."""
+def step_grad_views(spec, vec):
+    """(views, size): one layer's gradient views for a backward pass with
+    a step hook, all in the first size entries of vec. A Dense weight's
+    view holds one row block of block_rows rows, which the pass fills
+    block after block; its bias shares the head, being stepped before the
+    first block is written."""
     if isinstance(spec, Dense):
-        rows = block_rows(spec)
-        return {"w": buf[: rows * spec.out_dim].reshape(rows, spec.out_dim),
-                "b": buf[: spec.out_dim]}
-    return stack_views([spec], buf)[0][0]
-
-
-def step_grad_size(spec):
-    """Entries of the buffer behind step_grad_views(spec, buf)."""
-    if isinstance(spec, Dense):
-        return block_rows(spec) * spec.out_dim
-    return stack_size([spec])
+        size = block_rows(spec) * spec.out_dim
+        return {"w": vec[:size].reshape(-1, spec.out_dim), "b": vec[: spec.out_dim]}, size
+    views, size = stack_views([spec], vec)
+    return views[0], size
 
 
 def stack_size(specs, buffers=False):
@@ -187,19 +182,26 @@ def _dense_backward(dout, cache, p, g, spec, input_grad, step):
     x, w, gw = cache, p["w"], g["w"]
     dx = dout @ w.T if input_grad else None
     dout.sum(axis=0, out=g["b"])
+    if step is None:  # the whole weight gradient in place, as one product
+        np.matmul(x.T, dout, out=gw)
+        _add_l1_term(gw, w, spec.l1_coefficient)
+        return dx
     step(w.size, g["b"])
-    rows = block_rows(spec)
+    rows = len(gw)  # gw is one row block at the head of a buffer
     for start in range(0, spec.in_dim, rows):
-        stop = min(start + rows, spec.in_dim)
-        # gw is the whole weight gradient, or one block at the head of a buffer
-        block = gw[start:stop] if len(gw) == spec.in_dim else gw[: stop - start]
-        np.matmul(x[:, start:stop].T, dout, out=block)
-        if spec.l1_coefficient > 0.0:
-            term = np.sign(w[start:stop])
-            term *= spec.l1_coefficient
-            block += term
+        block = gw[: min(rows, spec.in_dim - start)]
+        np.matmul(x[:, start : start + rows].T, dout, out=block)
+        _add_l1_term(block, w[start : start + rows], spec.l1_coefficient)
         step(start * spec.out_dim, block)
     return dx
+
+
+def _add_l1_term(gw, w, l1_coefficient):
+    # gw += l1 * sign(w)
+    if l1_coefficient > 0.0:
+        term = np.sign(w)
+        term *= l1_coefficient
+        gw += term
 
 
 def _batchnorm_forward(x, p, spec, mode, update_running):
@@ -326,10 +328,10 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None)
     Writes each layer's parameter gradients into the matching arrays of
     grads (one dict per layer, shaped like stack_views' dicts, or like
     step_grad_views' when step is given) and returns the input gradient.
-    Dense weight gradients include the L1 subgradient term, and are
-    written in row blocks of block_rows rows. With input_grad=False the
-    input gradient is not wanted: a Dense layer 0 skips its dout @ W.T,
-    and None is returned.
+    Dense weight gradients include the L1 subgradient term; each is one
+    product, or with step one product per row block of the view it is
+    given. With input_grad=False the input gradient is not wanted: a
+    Dense layer 0 skips its dout @ W.T, and None is returned.
 
     step, when given, is called as step(i, offset, grad) for each span
     of layer i's parameters, in stack_views order, as soon as its
@@ -347,17 +349,14 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None)
     dx = _as_real(dout)
     for i in range(len(specs) - 1, -1, -1):
         spec, p, g, cache = specs[i], params[i], grads[i], tape.caches[i]
-
-        def step_span(offset, grad, i=i):
-            if step is not None:
-                step(i, offset, grad)
-
         if isinstance(spec, Dense):
-            dx = _dense_backward(dx, cache, p, g, spec, i > 0 or input_grad, step_span)
+            dense_step = None if step is None else functools.partial(step, i)
+            dx = _dense_backward(dx, cache, p, g, spec, i > 0 or input_grad, dense_step)
         elif isinstance(spec, BatchNorm):
             dx = _batchnorm_backward(dx, cache, p, g)
-            step_span(0, g["gamma"])
-            step_span(spec.dim, g["delta"])
+            if step is not None:
+                step(i, 0, g["gamma"])
+                step(i, spec.dim, g["delta"])
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
         elif tape.masks[i] is not None:  # Dropout

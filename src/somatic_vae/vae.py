@@ -17,11 +17,12 @@ span by span, as soon as each span's gradient is written into one
 buffer at the head of model.grad: a Dense layer's bias, each row block
 of at most layers.GRAD_BLOCK of its weights, a batch-norm tensor. The
 buffer is as long as the largest such span; the gradient check fills
-the whole of model.grad, block by block, in place. Training and
-inference compute in float32; the random draws (initial weights,
-dropout uniforms, reparameterization noise) stay float64 and are
-rounded, so the streams do not depend on the model's dtype. The
-gradient check runs the same code on a float64 copy.
+the whole of model.grad in place, a Dense weight gradient as one
+product. Training and inference compute in float32; the random draws
+(initial weights, dropout uniforms, reparameterization noise) stay
+float64 and are rounded, so the streams do not depend on the model's
+dtype. The gradient check runs the same code, with no step hook, on a
+float64 copy.
 """
 
 import numbers
@@ -42,7 +43,6 @@ from .layers import (
     stack_l1_penalty,
     stack_size,
     stack_views,
-    step_grad_size,
     step_grad_views,
 )
 from .gradcheck import FD_DTYPE, compare_grads, finite_difference_grads
@@ -370,12 +370,12 @@ def _layer_steppers(model, state, config):
     written. The hook steps RMSprop over the spans of theta and state's
     accumulator that match each gradient span it is handed, and looks
     rmsprop_update up at each call."""
-    buf = model.grad[: max(step_grad_size(spec) for spec in model.specs())]
     hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
     steppers, offset = {}, 0
     for name, stack in model.stacks.items():
-        starts = []  # each layer's offset in theta
+        grads, starts = [], []  # each layer's views, and its offset in theta
         for spec in stack.specs:
+            grads.append(step_grad_views(spec, model.grad)[0])
             starts.append(offset)
             offset += stack_size([spec])
 
@@ -384,7 +384,7 @@ def _layer_steppers(model, state, config):
             rmsprop_update(model.theta[span], grad.reshape(-1),
                            RmspropState(state.accumulator[span], state.scratch), **hyper)
 
-        steppers[name] = ([step_grad_views(spec, buf) for spec in stack.specs], step)
+        steppers[name] = (grads, step)
     return steppers
 
 

@@ -5,13 +5,10 @@ The library builds each result with fewer passes and temporaries, but
 every value must keep the operations, and their order, of the
 expressions below, so every output of the pipeline stays byte-identical.
 
-One reference follows the library's blocking: a Dense weight gradient
-is taken in the same row blocks (block_rows), as one BLAS product per
-block. A float64 block can differ from the whole product in its last
-out_dim % 8 columns (OpenBLAS 0.3.31 on an AVX-512 Xeon, for the
-decoder's 1024 x d layers); test_blocked_weight_gradient_matches_one_gemm
-shows that in float32, the dtype of every training pass, the blocks
-give the bytes of the whole product at each workload's shapes.
+A Dense weight gradient is one product, as below, except in training,
+whose step hook takes it in row blocks (block_rows);
+test_blocked_weight_gradient_matches_one_gemm checks that in float32,
+at each workload's shapes, the blocks give the bytes of one product.
 """
 
 import copy
@@ -34,6 +31,7 @@ from somatic_vae.layers import (
     stack_forward,
     stack_size,
     stack_views,
+    step_grad_views,
 )
 from somatic_vae.vae import VaeConfig, _architecture, build_vae, decode_batch
 
@@ -80,8 +78,7 @@ def ref_forward(spec, p, x, mode, mask):
 def ref_backward(spec, p, cache, dout, mask):
     """(dx, parameter gradients) of one layer."""
     if isinstance(spec, Dense):
-        rows = block_rows(spec)
-        gw = np.concatenate([cache[:, r : r + rows].T @ dout for r in range(0, spec.in_dim, rows)])
+        gw = cache.T @ dout
         if spec.l1_coefficient > 0.0:
             gw += spec.l1_coefficient * np.sign(p["w"])
         return dout @ p["w"].T, {"w": gw, "b": dout.sum(axis=0)}
@@ -265,8 +262,9 @@ def test_vae_stacks_match_their_references(workload):
 def test_blocked_weight_gradient_matches_one_gemm(workload, batch):
     # the split weight gradients of training, in float32: the encoder's
     # first layer (d x 1024, from the 0/1 batch) and the decoder's last
-    # (1024 x d, from ReLU outputs); a BLAS build that rounds a row block
-    # differently from the whole product fails here, the shape named
+    # (1024 x d, from ReLU outputs), block by block through a step hook;
+    # a BLAS build that rounds a row block differently from the whole
+    # product fails here, the shape named
     _, d, (h, _), _ = SHAPES[workload]
     rng = np.random.default_rng(batch)
     inputs = {d: (rng.random((batch, d)) < 0.02).astype(np.float32),
@@ -275,13 +273,19 @@ def test_blocked_weight_gradient_matches_one_gemm(workload, batch):
         assert block_rows(spec) < spec.in_dim
         x = inputs[spec.in_dim]
         dout = (rng.standard_normal((batch, spec.out_dim)) * 1e-3).astype(np.float32)
-        grad = np.zeros(stack_size([spec]), np.float32)
-        grads, _ = stack_views([spec], grad)
         params = [{key: v.astype(np.float32) for key, v in init_layer_params(spec, rng).items()}]
+        grads, _ = step_grad_views(spec, np.zeros(stack_size([spec]), np.float32))
+        blocked = np.full(spec.in_dim * spec.out_dim, np.nan, np.float32)
+
+        def step(i, offset, grad, blocked=blocked):
+            if offset < blocked.size:  # a block of weights, not the bias
+                blocked[offset : offset + grad.size] = grad.ravel()
+
         _, tape = stack_forward([spec], params, x, TRAIN)
-        stack_backward([spec], params, tape, dout, grads, input_grad=False)
+        stack_backward([spec], params, tape, dout, [grads], input_grad=False, step=step)
         shape = f"{spec.in_dim} x {spec.out_dim} weights at batch {batch}"
-        assert_same_bytes(grads[0]["w"], x.T @ dout, f"blocked weight gradient of {shape}")
+        assert_same_bytes(blocked.reshape(spec.in_dim, spec.out_dim), x.T @ dout,
+                          f"blocked weight gradient of {shape}")
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 15, 16, 17, 31, 64, 67, 797])

@@ -21,7 +21,6 @@ from somatic_vae.layers import (
     stack_l1_penalty,
     stack_size,
     stack_views,
-    step_grad_size,
     step_grad_views,
 )
 
@@ -349,23 +348,27 @@ def test_backward_without_input_grad_leaves_every_parameter_gradient_bit_identic
 def steps_of_one_backward_pass():
     """(layer, offset, size) of each step call of one backward pass, after
     checking each span's gradient, the input gradient and that no
-    stepped parameter is read again."""
+    stepped parameter is read again. In float32, the dtype of training,
+    where a row block of this build's BLAS product gives the bytes of the
+    whole product (test_kernels checks that at the workloads' shapes)."""
     rng = np.random.default_rng(12)
     specs = [Dense(6, 5, l1_coefficient=1e-3), BatchNorm(5), Activation("relu"), Dense(5, 3)]
     # the same draws as new_stack, into views of one vector
-    theta, stats = np.zeros(stack_size(specs)), np.zeros(stack_size(specs, buffers=True))
+    theta = np.zeros(stack_size(specs), np.float32)
+    stats = np.zeros(stack_size(specs, buffers=True), np.float32)
     views = zip(stack_views(specs, theta)[0], stack_views(specs, stats, buffers=True)[0])
     params = [init_layer_params(spec, rng, {**t, **b}) for spec, (t, b) in zip(specs, views)]
     starts = np.cumsum([0] + [stack_size([spec]) for spec in specs])
-    grad = np.zeros(theta.size)
+    grad = np.zeros_like(theta)
     grads, _ = stack_views(specs, grad)
-    x = rng.standard_normal((7, 6))
-    dout = rng.standard_normal((7, 3))
+    x = rng.standard_normal((7, 6)).astype(np.float32)
+    dout = rng.standard_normal((7, 3)).astype(np.float32)
     _, tape = stack_forward(specs, params, x, TRAIN)
     want_dx = stack_backward(specs, params, tape, dout, grads)
     # every span's gradient at the head of one shared buffer
-    shared = np.full(max(step_grad_size(spec) for spec in specs), np.nan)
-    heads = [step_grad_views(spec, shared) for spec in specs]
+    shared = np.full(stack_size(specs), np.nan, np.float32)
+    heads, sizes = zip(*(step_grad_views(spec, shared) for spec in specs))
+    shared = shared[: max(sizes)]
     stepped = []
 
     def step(i, offset, span_grad):

@@ -22,7 +22,7 @@ from somatic_vae.layers import (
     Dense,
     block_rows,
     layer_shapes,
-    step_grad_size,
+    step_grad_views,
 )
 from somatic_vae.losses import BetaSchedule
 from somatic_vae.optim import init_rmsprop, rmsprop_update
@@ -486,7 +486,7 @@ def test_training_writes_only_the_head_of_model_grad(monkeypatch):
     for grad_block in (layers_module.GRAD_BLOCK, 28):
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
         model, _ = train(cohort, split, config)
-        span = max(step_grad_size(spec) for spec in model.specs())
+        span = max(step_grad_views(spec, model.grad)[1] for spec in model.specs())
         assert span < model.grad.size
         assert model.grad[:span].any()
         assert not model.grad[span:].any()
