@@ -133,7 +133,8 @@ def write_embeddings(sample_ids, z, path):
 
 def read_embeddings(path):
     """(sample ids, n x q float64 matrix) of an embedding TSV; a repeated
-    sample_id or a non-finite value is an error that names its line."""
+    sample_id or a non-finite value is an error that names its line, and
+    so is a file with no rows."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[0] != "sample_id" or header[1:] != [f"z{j}" for j in range(len(header) - 1)]:
@@ -151,6 +152,8 @@ def read_embeddings(path):
                 raise ValueError(
                     f"{path} line {lineno}: sample_id {parts[0]!r} repeats line {first}")
             rows.append([float(v) for v in parts[1:]])
+    if not rows:
+        raise ValueError(f"{path}: no embedding rows")
     z = np.array(rows, dtype=np.float64)
     row = metrics.first_non_finite_row(z)
     if row is not None:

@@ -17,9 +17,11 @@ weight gradient as one product, so that an optimizer can step the whole
 model as one array; or, with a step hook, the views of step_grad_views,
 all at the head of one small buffer, which the hook consumes span by
 span before the next span overwrites it: a Dense layer's bias, then its
-weights in row blocks of at most GRAD_BLOCK entries, each tensor of a
-batch-norm layer. Batch-norm running statistics are buffers, viewed
-the same way from a second vector (buffers=True).
+weights in row blocks of at most GRAD_BLOCK entries (with no L1 term, a
+block at most half of whose rows have a nonzero input column over the
+batch as those rows alone), each tensor of a batch-norm layer.
+Batch-norm running statistics are buffers, viewed the same way from a
+second vector (buffers=True).
 """
 
 import functools
@@ -188,11 +190,19 @@ def _dense_backward(dout, cache, p, g, spec, input_grad, step):
         return dx
     step(w.size, g["b"])
     rows = len(gw)  # gw is one row block at the head of a buffer
+    # without an L1 term a row whose input column is zero over the batch
+    # has a zero gradient: a block with at most half its rows live writes
+    # only those, and the step is told which they are
+    live = x.any(axis=0) if spec.l1_coefficient == 0.0 else None
     for start in range(0, spec.in_dim, rows):
-        block = gw[: min(rows, spec.in_dim - start)]
-        np.matmul(x[:, start : start + rows].T, dout, out=block)
+        xs, mask = x[:, start : start + rows], None
+        if live is not None and 2 * np.count_nonzero(live[start : start + rows]) <= xs.shape[1]:
+            mask = live[start : start + rows]
+            xs = xs[:, mask]
+        block = gw[: xs.shape[1]]
+        np.matmul(xs.T, dout, out=block)
         _add_l1_term(block, w[start : start + rows], spec.l1_coefficient)
-        step(start * spec.out_dim, block)
+        step(start * spec.out_dim, block, mask)
     return dx
 
 
@@ -333,14 +343,19 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None)
     given. With input_grad=False the input gradient is not wanted: a
     Dense layer 0 skips its dout @ W.T, and None is returned.
 
-    step, when given, is called as step(i, offset, grad) for each span
-    of layer i's parameters, in stack_views order, as soon as its
-    gradient grad (entries offset to offset + grad.size) is written: a
-    Dense layer's bias, then each block of its weights, after the
+    step, when given, is called as step(i, offset, grad, live=None) for
+    each span of layer i's parameters, in stack_views order, as soon as
+    its gradient grad (entries offset to offset + grad.size) is written:
+    a Dense layer's bias, then each block of its weights, after the
     layer's input gradient; a batch-norm layer's gamma, then delta, after
     its input gradient. No later read in the pass touches those
     parameters or that gradient, so step may update the one and the next
-    span may overwrite the other.
+    span may overwrite the other. A weight block of a Dense layer with no
+    L1 term whose input columns are zero over the batch for at least half
+    its rows comes with live, a boolean mask over the block's rows: grad
+    then holds the live rows' gradients only (count_nonzero(live) rows),
+    the span covers the whole block (live.size rows from offset), and
+    every other row's gradient is zero.
     """
     if tape.mode != TRAIN:
         raise ValueError("stack_backward requires a train-mode tape")

@@ -7,8 +7,15 @@ The update runs over a flat parameter vector and its twin gradient
 vector, in blocks small enough that the operands of every step stay in
 cache. It computes in the vectors' dtype: float32 for a model. Each
 entry's update depends on that entry alone, so stepping a model span by
-span (training steps one layer at a time, inside the backward pass)
-gives the same bytes as one call over the whole vector.
+span (training steps each gradient span inside the backward pass: a
+bias, a row block of weights, a batch-norm tensor) gives the same bytes
+as one call over the whole vector.
+
+An entry whose gradient is zero only decays its accumulator: g^2 is +0,
+so s becomes rho * s, and theta - (+-0) is theta for any theta but -0.0,
+which no weight ever holds (the Glorot draw does not round to it, and
+x - y is +0 when x == y). The rows form of the update (live=) uses that
+to touch only the rows of a span whose gradient is not known to be zero.
 """
 
 from dataclasses import dataclass
@@ -31,22 +38,50 @@ def init_rmsprop(theta):
     )
 
 
-def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8):
+def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8, live=None):
     """Apply one update to theta and the accumulator in place.
 
     Every entry sees the same operations, in the same order and with the
     same rounding, as the whole-array expressions in the module docstring.
+
+    With live, a boolean mask over the rows of theta (theta.size entries
+    in live.size equal rows), grad holds the gradients of the live rows
+    only, in order, and every other row's gradient is zero: the live rows
+    are gathered and updated, and the whole span's accumulator is decayed,
+    which gives the bytes of the whole update with a zero gradient in the
+    other rows.
     """
-    if not theta.shape == grad.shape == state.accumulator.shape:
-        raise ValueError(
-            f"shape mismatch: theta {theta.shape}, grad {grad.shape}, "
-            f"accumulator {state.accumulator.shape}"
-        )
-    sq_buf, step_buf = state.scratch
+    acc = state.accumulator
+    if live is None:
+        fits = theta.shape == grad.shape == acc.shape
+    else:
+        width = theta.size // live.size
+        fits = theta.shape == acc.shape and theta.size == live.size * width and \
+            grad.size == np.count_nonzero(live) * width
+    if not fits:
+        rows = "" if live is None else f", {live.size} rows"
+        raise ValueError(f"shape mismatch: theta {theta.shape}, grad {grad.shape}, "
+                         f"accumulator {acc.shape}{rows}")
+    if live is None:
+        _update(theta, grad, acc, state.scratch, lr, rho, eps)
+        return
+    theta, acc = theta.reshape(live.size, width), acc.reshape(live.size, width)
+    index = np.flatnonzero(live)
+    theta_live, acc_live = theta[index], acc[index]
+    acc *= rho  # all that a zero gradient does
+    _update(theta_live.reshape(-1), grad.reshape(-1), acc_live.reshape(-1),
+            state.scratch, lr, rho, eps)
+    theta[index] = theta_live
+    acc[index] = acc_live
+
+
+def _update(theta, grad, accumulator, scratch, lr, rho, eps):
+    # the update of flat vectors, BLOCK entries at a time
+    sq_buf, step_buf = scratch
     for start in range(0, theta.size, BLOCK):
         stop = min(start + BLOCK, theta.size)
         g = grad[start:stop]
-        acc = state.accumulator[start:stop]
+        acc = accumulator[start:stop]
         sq = sq_buf[: stop - start]
         step = step_buf[: stop - start]
         acc *= rho

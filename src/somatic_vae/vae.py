@@ -15,7 +15,8 @@ statistics are views of model.stats. All three are laid out stack by
 stack, layer by layer. Training steps RMSprop inside the backward pass,
 span by span, as soon as each span's gradient is written into one
 buffer at the head of model.grad: a Dense layer's bias, each row block
-of at most layers.GRAD_BLOCK of its weights, a batch-norm tensor. The
+of at most layers.GRAD_BLOCK of its weights (with no L1 term, only the
+live rows of a block at most half live), a batch-norm tensor. The
 buffer is as long as the largest such span; the gradient check fills
 the whole of model.grad in place, a Dense weight gradient as one
 product. Training and inference compute in float32; the random draws
@@ -368,8 +369,9 @@ def _layer_steppers(model, state, config):
     pass writes at once (step_grad_views): one block of a split Dense
     weight, or a whole smaller layer. The rest of model.grad is never
     written. The hook steps RMSprop over the spans of theta and state's
-    accumulator that match each gradient span it is handed, and looks
-    rmsprop_update up at each call."""
+    accumulator that match each gradient span it is handed (the span of
+    a whole row block when the pass hands it a block's live rows only),
+    and looks rmsprop_update up at each call."""
     hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
     steppers, offset = {}, 0
     for name, stack in model.stacks.items():
@@ -379,10 +381,12 @@ def _layer_steppers(model, state, config):
             starts.append(offset)
             offset += stack_size([spec])
 
-        def step(i, start, grad, starts=starts):
-            span = slice(starts[i] + start, starts[i] + start + grad.size)
+        def step(i, start, grad, live=None, starts=starts):
+            size = grad.size if live is None else live.size * grad.shape[1]
+            span = slice(starts[i] + start, starts[i] + start + size)
             rmsprop_update(model.theta[span], grad.reshape(-1),
-                           RmspropState(state.accumulator[span], state.scratch), **hyper)
+                           RmspropState(state.accumulator[span], state.scratch),
+                           live=live, **hyper)
 
         steppers[name] = (grads, step)
     return steppers

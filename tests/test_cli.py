@@ -453,6 +453,21 @@ def test_eval_cluster_refuses_a_repeated_embedding_row_naming_both_lines(tmp_pat
     assert capsys.readouterr().err == f"error: {emb} line {last}: sample_id {ids[2]!r} repeats line 4\n"
 
 
+@pytest.mark.parametrize("command", ["plot-data", "eval-cluster", "probe"])
+def test_embedding_commands_refuse_a_file_with_no_rows(tmp_path, capsys, command):
+    # a header-only file used to give plot-data an IndexError traceback and
+    # eval-cluster "kmeans_cluster expects a 2-D matrix"
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("sample_id\tz0\tz1\n\n", encoding="utf-8")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("sample_id\tlabel\n", encoding="utf-8")
+    extra = {"plot-data": ["--out", str(tmp_path / "scatter.tsv")],
+             "eval-cluster": ["--labels", str(labels)], "probe": ["--labels", str(labels)]}
+    assert run([command, "--embeddings", str(emb)] + extra[command]) == 1
+    assert capsys.readouterr().err == f"error: {emb}: no embedding rows\n"
+    assert not (tmp_path / "scatter.tsv").exists()
+
+
 def test_probe_with_zero_iters_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     assert run(["probe", "--cohort", cohort_dir, "--iters", "0"]) == 1

@@ -6,9 +6,11 @@ every value must keep the operations, and their order, of the
 expressions below, so every output of the pipeline stays byte-identical.
 
 A Dense weight gradient is one product, as below, except in training,
-whose step hook takes it in row blocks (block_rows);
-test_blocked_weight_gradient_matches_one_gemm checks that in float32,
-at each workload's shapes, the blocks give the bytes of one product.
+whose step hook takes it in row blocks (block_rows), and a block of a
+layer with no L1 term as the product over its live rows alone when at
+most half its rows are live; test_blocked_weight_gradient_matches_one_gemm
+and test_live_rows_of_a_block_match_the_whole_product check that in
+float32, at each workload's shapes, these give the bytes of one product.
 """
 
 import copy
@@ -274,18 +276,73 @@ def test_blocked_weight_gradient_matches_one_gemm(workload, batch):
         x = inputs[spec.in_dim]
         dout = (rng.standard_normal((batch, spec.out_dim)) * 1e-3).astype(np.float32)
         params = [{key: v.astype(np.float32) for key, v in init_layer_params(spec, rng).items()}]
-        grads, _ = step_grad_views(spec, np.zeros(stack_size([spec]), np.float32))
-        blocked = np.full(spec.in_dim * spec.out_dim, np.nan, np.float32)
-
-        def step(i, offset, grad, blocked=blocked):
-            if offset < blocked.size:  # a block of weights, not the bias
-                blocked[offset : offset + grad.size] = grad.ravel()
-
+        blocked = np.full((spec.in_dim, spec.out_dim), np.nan, np.float32)
         _, tape = stack_forward([spec], params, x, TRAIN)
-        stack_backward([spec], params, tape, dout, [grads], input_grad=False, step=step)
+        for offset, grad, live in hooked_weight_blocks(spec, params, tape, dout):
+            rows = blocked[offset // spec.out_dim :][: len(grad) if live is None else len(live)]
+            rows[... if live is None else live] = grad
+        # a row left out of a compact block is a zero row of the product
+        want = x.T @ dout
+        dead = np.isnan(blocked).all(axis=1)
+        assert not want[dead].any()
+        blocked[dead] = want[dead]
         shape = f"{spec.in_dim} x {spec.out_dim} weights at batch {batch}"
-        assert_same_bytes(blocked.reshape(spec.in_dim, spec.out_dim), x.T @ dout,
-                          f"blocked weight gradient of {shape}")
+        assert_same_bytes(blocked, want, f"blocked weight gradient of {shape}")
+
+
+def hooked_weight_blocks(spec, params, tape, dout):
+    """(offset, gradient, live mask or None) of each weight block that a
+    one-Dense-layer backward pass hands its step hook."""
+    grads, _ = step_grad_views(spec, np.zeros(stack_size([spec]), np.float32))
+    blocks = []
+
+    def step(i, offset, grad, live=None):
+        if offset < spec.in_dim * spec.out_dim:  # a block of weights, not the bias
+            blocks.append((offset, grad.copy(), None if live is None else live.copy()))
+
+    stack_backward([spec], params, tape, dout, [grads], input_grad=False, step=step)
+    return blocks
+
+
+# the share of first-layer rows live in a minibatch of the bench cohorts
+LIVE_FRACTION = {"canonical": 0.41, "wide": 0.32}
+
+
+@pytest.mark.parametrize("workload", sorted(LIVE_FRACTION))
+def test_live_rows_of_a_block_match_the_whole_product(workload):
+    # the first layer's weight gradient at the workload's float32 shape,
+    # each row block with a chosen number of live input columns: 1 to 32
+    # and the bench cohort's live fraction of a block. A block with at
+    # most half its rows live is handed to the hook as the product over
+    # those rows alone, which must hold the bytes of those rows of the
+    # whole product; a BLAS build that rounds it differently fails here
+    batch, d, (h, _), _ = SHAPES[workload]
+    spec = Dense(d, h)
+    rows = block_rows(spec)
+    full = [start for start in range(0, d, rows) if start + rows <= d]
+    counts = list(range(1, 33)) + [round(LIVE_FRACTION[workload] * rows)]
+    rng = np.random.default_rng(d)
+    params = [{key: v.astype(np.float32) for key, v in init_layer_params(spec, rng).items()}]
+    for first in range(0, len(counts), len(full)):
+        # offset of each block -> its live rows: the counts in full blocks, 0 elsewhere
+        chosen = dict.fromkeys(range(0, d * h, rows * h), 0)
+        x = np.zeros((batch, d), np.float32)
+        for start, count in zip(full, counts[first:]):
+            cols = start + rng.choice(rows, size=count, replace=False)
+            x[:, cols] = rng.random((batch, count)) < 0.1
+            x[rng.integers(batch, size=count), cols] = 1.0  # each chosen column live
+            chosen[start * h] = count
+        dout = (rng.standard_normal((batch, h)) * 1e-3).astype(np.float32)
+        _, tape = stack_forward([spec], params, x, TRAIN)
+        want = x.T @ dout
+        blocks = hooked_weight_blocks(spec, params, tape, dout)
+        assert [offset for offset, _, _ in blocks] == list(chosen)
+        for offset, grad, live in blocks:
+            assert live is not None and np.count_nonzero(live) == chosen[offset]
+            start = offset // h
+            shape = (f"{workload}: {d} x {h} weights at batch {batch}, "
+                     f"{chosen[offset]} live rows of the block at row {start}")
+            assert_same_bytes(grad, want[start : start + len(live)][live], shape)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 15, 16, 17, 31, 64, 67, 797])

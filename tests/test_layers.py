@@ -346,13 +346,15 @@ def test_backward_without_input_grad_leaves_every_parameter_gradient_bit_identic
 
 
 def steps_of_one_backward_pass():
-    """(layer, offset, size) of each step call of one backward pass, after
-    checking each span's gradient, the input gradient and that no
+    """(layer, offset, size, live) of each step call of one backward pass,
+    after checking each span's gradient, the input gradient and that no
     stepped parameter is read again. In float32, the dtype of training,
     where a row block of this build's BLAS product gives the bytes of the
-    whole product (test_kernels checks that at the workloads' shapes)."""
+    whole product (test_kernels checks that at the workloads' shapes).
+    The first Dense layer has no L1 term and its input two zero columns,
+    so a block with at most half its rows live is handed over compact."""
     rng = np.random.default_rng(12)
-    specs = [Dense(6, 5, l1_coefficient=1e-3), BatchNorm(5), Activation("relu"), Dense(5, 3)]
+    specs = [Dense(6, 5), BatchNorm(5), Activation("relu"), Dense(5, 3, l1_coefficient=1e-3)]
     # the same draws as new_stack, into views of one vector
     theta = np.zeros(stack_size(specs), np.float32)
     stats = np.zeros(stack_size(specs, buffers=True), np.float32)
@@ -362,6 +364,7 @@ def steps_of_one_backward_pass():
     grad = np.zeros_like(theta)
     grads, _ = stack_views(specs, grad)
     x = rng.standard_normal((7, 6)).astype(np.float32)
+    x[:, 3:5] = 0.0
     dout = rng.standard_normal((7, 3)).astype(np.float32)
     _, tape = stack_forward(specs, params, x, TRAIN)
     want_dx = stack_backward(specs, params, tape, dout, grads)
@@ -371,11 +374,17 @@ def steps_of_one_backward_pass():
     shared = shared[: max(sizes)]
     stepped = []
 
-    def step(i, offset, span_grad):
-        stepped.append((i, offset, span_grad.size))
-        span = slice(starts[i] + offset, starts[i] + offset + span_grad.size)
-        assert np.shares_memory(span_grad, shared)
-        assert np.array_equal(span_grad.ravel(), grad[span])
+    def step(i, offset, span_grad, live=None):
+        size = span_grad.size if live is None else live.size * span_grad.shape[1]
+        stepped.append((i, offset, size, None if live is None else live.tolist()))
+        span = slice(starts[i] + offset, starts[i] + offset + size)
+        assert np.shares_memory(span_grad, shared) or not span_grad.size
+        if live is None:
+            assert np.array_equal(span_grad.ravel(), grad[span])
+        else:  # the live rows only; the others' gradient is zero
+            rows = grad[span].reshape(live.size, -1)
+            assert np.array_equal(span_grad, rows[live])
+            assert not rows[~live].any()
         theta[span] = np.nan  # no later read may see the stepped tensors
 
     dx = stack_backward(specs, params, tape, dout, heads, step=step)
@@ -391,7 +400,7 @@ def steps_of_one_backward_pass():
                      for lo in range(0, spec.in_dim * spec.out_dim, block)]
         else:
             want += [(i, 0, spec.dim), (i, spec.dim, spec.dim)]
-    assert stepped == want
+    assert [s[:3] for s in stepped] == want
     assert np.isnan(theta).all()
     assert np.array_equal(dx, want_dx)
     return stepped
@@ -400,10 +409,17 @@ def steps_of_one_backward_pass():
 def test_backward_steps_each_layer_with_parameters_once_its_gradients_are_final(monkeypatch):
     # at 10 entries the first Dense layer's 6 rows take three blocks of 2
     # and the last layer's 5 rows a block of 3 and a short one of 2; at 4
-    # each Dense layer is wider than a block, so one row per block
-    for grad_block, spans in ((layers_module.GRAD_BLOCK, 6), (10, 9), (4, 15)):
+    # each Dense layer is wider than a block, so one row per block. Rows 3
+    # and 4 of the first layer are dead: at 10 entries the blocks of rows
+    # 2-3 and 4-5 are half live, at 4 the blocks of rows 3 and 4 have no
+    # live row, and the one block of all six rows is dense
+    for grad_block, spans, masks in ((layers_module.GRAD_BLOCK, 6, []),
+                                     (10, 9, [[True, False], [False, True]]),
+                                     (4, 15, [[False], [False]])):
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
-        assert len(steps_of_one_backward_pass()) == spans
+        stepped = steps_of_one_backward_pass()
+        assert len(stepped) == spans
+        assert [live for _, _, _, live in stepped if live is not None] == masks
 
 
 def test_backward_requires_train_tape():

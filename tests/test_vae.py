@@ -436,7 +436,7 @@ def test_one_training_step_computes_in_float32(monkeypatch):
         == [np.float32] * 4
 
 
-def assert_layer_steps_equal_one_step_over_theta(config, cohort):
+def assert_layer_steps_equal_one_step_over_theta(config, cohort, moved=0.9):
     # the order before the steps moved into the backward pass: the whole
     # gradient into model.grad, then one rmsprop_update over theta
     fused, flat = (build_vae(config, sub_rng(0, "init")) for _ in range(2))
@@ -455,7 +455,7 @@ def assert_layer_steps_equal_one_step_over_theta(config, cohort):
         assert fused.theta.tobytes() == flat.theta.tobytes()
         assert fused_state.accumulator.tobytes() == flat_state.accumulator.tobytes()
         assert fused.stats.tobytes() == flat.stats.tobytes()
-    assert (fused.theta != initial).mean() > 0.9
+    assert (fused.theta != initial).mean() > moved
 
 
 def test_layer_steps_in_the_backward_pass_equal_one_step_over_theta():
@@ -476,6 +476,43 @@ def test_block_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypatch)
     assert (first.in_dim, block_rows(first)) == (30, 4)
     assert (last.out_dim, block_rows(last)) == (30, 1)
     assert_layer_steps_equal_one_step_over_theta(config, cohort)
+
+
+def test_live_row_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypatch):
+    # without an L1 term a block of the first layer with at most half its
+    # rows live is computed and stepped over those rows only. Its 30 rows
+    # take blocks of 4: loci 0-3 are never mutated (no live row), 4-7 are
+    # all live in every minibatch (the whole block), 8 is the only live
+    # locus of 8-11 (one live row of four)
+    monkeypatch.setattr(layers_module, "GRAD_BLOCK", 28)
+    cohort = small_cohort()
+    cohort.matrix[:, 0:4] = 0
+    cohort.matrix[::10, 4:8] = 1
+    cohort.matrix[:, 9:12] = 0
+    cohort.matrix[::10, 8] = 1
+    config = tiny_config(input_dim=cohort.n_loci, hidden_dims=(7, 5), dropout_rate=0.25,
+                         l1_coefficient=0.0, learning_rate=1e-2, batch_size=10)
+    first = Dense(cohort.n_loci, 7)
+    assert block_rows(first) == 4
+    layer_0 = first.in_dim * first.out_dim
+    steps = []  # (offset in theta, size, live rows or None) of each weight step of layer 0
+    real = vae_module.rmsprop_update
+
+    def recording(theta, grad, state, live=None, **hyper):
+        # theta is a span of the model's vector, theta.base
+        offset = (theta.ctypes.data - theta.base.ctypes.data) // theta.itemsize
+        if offset < layer_0:  # a block of the first layer's weights
+            steps.append((offset, theta.size, None if live is None else int(live.sum())))
+        real(theta, grad, state, live=live, **hyper)
+
+    monkeypatch.setattr(vae_module, "rmsprop_update", recording)
+    # rows of loci that no minibatch mutates keep their weights
+    assert_layer_steps_equal_one_step_over_theta(config, cohort, moved=0.85)
+    steps = {(offset, size, live) for offset, size, live in steps}
+    assert (0, 28, 0) in steps  # loci 0-3: no live row
+    assert (28, 28, None) in steps  # loci 4-7: the whole block
+    assert (56, 28, 1) in steps  # loci 8-11: one live row
+    assert {size for _, size, _ in steps} == {28, 14}  # 7 blocks of 4 rows, one of 2
 
 
 def test_training_writes_only_the_head_of_model_grad(monkeypatch):
