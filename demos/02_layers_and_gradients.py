@@ -17,6 +17,8 @@ from somatic_vae.layers import (
     BatchNorm,
     Dense,
     Dropout,
+    collect_grads,
+    grad_buffer,
     init_layer_params,
     stack_backward,
     stack_forward,
@@ -31,7 +33,7 @@ def banner(title):
 
 def new_stack(specs, rng):
     """Fresh layer tensors, and zeroed gradient arrays that are views into
-    one flat vector, which is where stack_backward writes."""
+    one flat vector, which collect_grads fills from stack_backward."""
     grad = np.zeros(stack_size(specs))
     grads, _ = stack_views(specs, grad)
     return [init_layer_params(spec, rng) for spec in specs], grads, grad
@@ -62,7 +64,10 @@ print(f"dropout kept {kept:.2%} of units (rate 0.25 -> expect ~75%)")
 
 banner("analytic backward pass")
 upstream = np.ones_like(out_train) / out_train.size
-dx = stack_backward(specs, params, tape, upstream, grads)
+# each gradient span leaves the pass through a step hook; this one copies
+# it into the flat vector (training's hook steps RMSprop instead)
+dx = stack_backward(specs, params, tape, upstream, collect_grads(grads),
+                    grad_buffer(specs, np.float64))
 print(f"d(input) shape {dx.shape}; {grad.size} parameter gradients in one flat vector")
 for i, g in enumerate(grads):
     keys = {k: tuple(v.shape) for k, v in g.items()}
@@ -96,7 +101,8 @@ xs = sv.sub_rng(4, "demo-small-x").standard_normal((5, 6))
 w2 = sv.sub_rng(5, "demo-small-w").standard_normal((5, 3))
 out_small, tape_small = stack_forward(small, small_params, xs, TRAIN)
 honest = np.zeros_like(theta)
-stack_backward(small, small_params, tape_small, w2, stack_views(small, honest)[0])
+stack_backward(small, small_params, tape_small, w2, collect_grads(stack_views(small, honest)[0]),
+               grad_buffer(small, np.float64))
 
 
 def objective():

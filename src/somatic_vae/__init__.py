@@ -5,7 +5,7 @@ The package is organized as:
 - :mod:`somatic_vae.cohort` - TSV ingestion, filtering, splits, synthesis
 - :mod:`somatic_vae.layers` - dense / batch-norm / activation / dropout stacks
 - :mod:`somatic_vae.losses` - reconstruction losses, KL term, beta schedule
-- :mod:`somatic_vae.optim` - RMSprop, one blocked in-place pass over the parameter vector
+- :mod:`somatic_vae.optim` - RMSprop, blocked in-place steps over spans of the parameters
 - :mod:`somatic_vae.vae` - model assembly, training loop, encoding
 - :mod:`somatic_vae.gradcheck` - finite-difference gradient verification
 - :mod:`somatic_vae.framing` - the CRC-checked container of both binary files

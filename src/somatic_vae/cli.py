@@ -134,11 +134,13 @@ def write_embeddings(sample_ids, z, path):
 def read_embeddings(path):
     """(sample ids, n x q float64 matrix) of an embedding TSV; a repeated
     sample_id or a non-finite value is an error that names its line, and
-    so is a file with no rows."""
+    so is a file with no rows or no latent columns."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[0] != "sample_id" or header[1:] != [f"z{j}" for j in range(len(header) - 1)]:
             raise ValueError(f"{path}: not an embedding TSV")
+        if len(header) == 1:
+            raise ValueError(f"{path}: no embedding columns")
         lines, rows = {}, []  # sample_id -> its line number, in file order
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")

@@ -11,15 +11,9 @@ The elementwise kernels update in place only arrays they allocated in
 the same call, in their input's dtype, never an input or a cache.
 
 A stack's trainable tensors are views into consecutive slices of one flat
-vector (stack_views). The backward pass writes the parameter gradients
-into the views it is given: the same views of a twin vector, each Dense
-weight gradient as one product, so that an optimizer can step the whole
-model as one array; or, with a step hook, the views of step_grad_views,
-all at the head of one small buffer, which the hook consumes span by
-span before the next span overwrites it: a Dense layer's bias, then its
-weights in row blocks of at most GRAD_BLOCK entries (with no L1 term, a
-block at most half of whose rows have a nonzero input column over the
-batch as those rows alone), each tensor of a batch-norm layer.
+vector (stack_views). The backward pass hands each parameter gradient,
+span by span, to a step hook (stack_backward): training's steps the
+optimizer, collect_grads copies each span into a flat vector.
 Batch-norm running statistics are buffers, viewed the same way from a
 second vector (buffers=True).
 """
@@ -129,17 +123,29 @@ def block_rows(spec):
     return min(spec.in_dim, max(1, GRAD_BLOCK // spec.out_dim))
 
 
-def step_grad_views(spec, vec):
-    """(views, size): one layer's gradient views for a backward pass with
-    a step hook, all in the first size entries of vec. A Dense weight's
-    view holds one row block of block_rows rows, which the pass fills
-    block after block; its bias shares the head, being stepped before the
-    first block is written."""
-    if isinstance(spec, Dense):
-        size = block_rows(spec) * spec.out_dim
-        return {"w": vec[:size].reshape(-1, spec.out_dim), "b": vec[: spec.out_dim]}, size
-    views, size = stack_views([spec], vec)
-    return views[0], size
+def grad_buffer(specs, dtype):
+    """An unfilled buffer for stack_backward as long as the largest span
+    of specs: a Dense layer's bias or row block of weights, a batch-norm
+    tensor."""
+    sizes = [block_rows(s) * s.out_dim if isinstance(s, Dense) else s.dim
+             for s in specs if isinstance(s, (Dense, BatchNorm))]
+    return np.empty(max(sizes, default=0), dtype)
+
+
+def collect_grads(views):
+    """A step hook for stack_backward that writes each span into views
+    (stack_views' dicts of a flat vector), zeros in the rows a block
+    leaves out."""
+
+    def step(i, key, rows, grad, live=None):
+        target = views[i][key][rows]
+        if live is None:
+            target[...] = grad
+        else:
+            target[...] = 0.0
+            target[live] = grad
+
+    return step
 
 
 def stack_size(specs, buffers=False):
@@ -179,30 +185,28 @@ def _dense_forward(x, p):
     return out, x
 
 
-def _dense_backward(dout, cache, p, g, spec, input_grad, step):
+def _dense_backward(dout, cache, p, spec, input_grad, step, buf):
     # the input gradient first: step may update the weights it reads
-    x, w, gw = cache, p["w"], g["w"]
+    x, w = cache, p["w"]
     dx = dout @ w.T if input_grad else None
-    dout.sum(axis=0, out=g["b"])
-    if step is None:  # the whole weight gradient in place, as one product
-        np.matmul(x.T, dout, out=gw)
-        _add_l1_term(gw, w, spec.l1_coefficient)
-        return dx
-    step(w.size, g["b"])
-    rows = len(gw)  # gw is one row block at the head of a buffer
-    # without an L1 term a row whose input column is zero over the batch
-    # has a zero gradient: a block with at most half its rows live writes
-    # only those, and the step is told which they are
-    live = x.any(axis=0) if spec.l1_coefficient == 0.0 else None
+    gb = buf[: spec.out_dim]
+    dout.sum(axis=0, out=gb)
+    step("b", slice(None), gb)
+    rows = block_rows(spec)
+    # on the data layer without an L1 term, a row whose input column is
+    # zero over the batch has a zero gradient: a block with at most half
+    # its rows live writes only those, and the step is told which they are
+    live = x.any(axis=0) if spec.l1_coefficient == 0.0 and not input_grad else None
     for start in range(0, spec.in_dim, rows):
-        xs, mask = x[:, start : start + rows], None
-        if live is not None and 2 * np.count_nonzero(live[start : start + rows]) <= xs.shape[1]:
-            mask = live[start : start + rows]
+        span = slice(start, min(start + rows, spec.in_dim))
+        xs, mask = x[:, span], None
+        if live is not None and 2 * np.count_nonzero(live[span]) <= xs.shape[1]:
+            mask = live[span]
             xs = xs[:, mask]
-        block = gw[: xs.shape[1]]
+        block = buf[: xs.shape[1] * spec.out_dim].reshape(-1, spec.out_dim)
         np.matmul(xs.T, dout, out=block)
-        _add_l1_term(block, w[start : start + rows], spec.l1_coefficient)
-        step(start * spec.out_dim, block, mask)
+        _add_l1_term(block, w[span], spec.l1_coefficient)
+        step("w", span, block, mask)
     return dx
 
 
@@ -238,16 +242,13 @@ def _batchnorm_forward(x, p, spec, mode, update_running):
     return out, (xmu, inv, xhat)
 
 
-def _batchnorm_backward(dout, cache, p, g):
+def _batchnorm_backward(dout, cache, p, step, buf):
     # full backprop through the batch statistics
     # dx = dxhat * inv + dvar * 2 * xmu / n + dmean / n, built in dxhat
     xmu, inv, xhat = cache
     n = dout.shape[0]
-    tmp = dout * xhat
-    tmp.sum(axis=0, out=g["gamma"])
-    dout.sum(axis=0, out=g["delta"])
     dxhat = dout * p["gamma"]
-    np.multiply(dxhat, xmu, out=tmp)
+    tmp = dxhat * xmu
     dvar = tmp.sum(axis=0) * (-0.5) * inv**3
     dmean = -(dxhat.sum(axis=0)) * inv + dvar * (-2.0) * xmu.mean(axis=0)
     np.multiply(dvar * 2.0, xmu, out=tmp)
@@ -255,6 +256,13 @@ def _batchnorm_backward(dout, cache, p, g):
     dxhat *= inv
     dxhat += tmp
     dxhat += dmean / n
+    # the parameter gradients, after the last read of gamma
+    g = buf[: len(inv)]
+    np.multiply(dout, xhat, out=tmp)
+    tmp.sum(axis=0, out=g)
+    step("gamma", slice(None), g)
+    dout.sum(axis=0, out=g)
+    step("delta", slice(None), g)
     return dxhat
 
 
@@ -332,30 +340,26 @@ def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=T
     return out, Tape(mode, caches, used_masks)
 
 
-def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None):
-    """Reverse-mode gradients through a recorded train-mode pass.
+def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
+    """Reverse-mode gradients through a recorded train-mode pass; returns
+    the input gradient. With input_grad=False it is not wanted: a Dense
+    layer 0 skips its dout @ W.T, and None is returned.
 
-    Writes each layer's parameter gradients into the matching arrays of
-    grads (one dict per layer, shaped like stack_views' dicts, or like
-    step_grad_views' when step is given) and returns the input gradient.
-    Dense weight gradients include the L1 subgradient term; each is one
-    product, or with step one product per row block of the view it is
-    given. With input_grad=False the input gradient is not wanted: a
-    Dense layer 0 skips its dout @ W.T, and None is returned.
-
-    step, when given, is called as step(i, offset, grad, live=None) for
-    each span of layer i's parameters, in stack_views order, as soon as
-    its gradient grad (entries offset to offset + grad.size) is written:
-    a Dense layer's bias, then each block of its weights, after the
-    layer's input gradient; a batch-norm layer's gamma, then delta, after
-    its input gradient. No later read in the pass touches those
-    parameters or that gradient, so step may update the one and the next
-    span may overwrite the other. A weight block of a Dense layer with no
-    L1 term whose input columns are zero over the batch for at least half
-    its rows comes with live, a boolean mask over the block's rows: grad
-    then holds the live rows' gradients only (count_nonzero(live) rows),
-    the span covers the whole block (live.size rows from offset), and
-    every other row's gradient is zero.
+    Each parameter gradient leaves the pass through step, called as
+    step(i, key, rows, grad, live=None) for each span of layer i's
+    tensor key, as soon as its gradient grad is written at the head of
+    buf (from grad_buffer): rows slices the tensor's first axis,
+    slice(None) for a whole tensor. The spans come in this order: a Dense
+    layer's bias, then each row block of its weights, after the layer's
+    input gradient; a batch-norm layer's gamma, then delta, after its
+    input gradient. No later read in the pass touches those parameters or
+    that gradient, so step may update the one and the next span may
+    overwrite the other. Dense weight gradients include the L1
+    subgradient term. On a data layer (a Dense layer 0 with
+    input_grad=False) with no L1 term, a weight block whose input columns
+    are zero over the batch for at least half its rows comes with live, a
+    boolean mask over the block's rows: grad then holds the live rows'
+    gradients only, and every other row's gradient is zero.
     """
     if tape.mode != TRAIN:
         raise ValueError("stack_backward requires a train-mode tape")
@@ -363,15 +367,12 @@ def stack_backward(specs, params, tape, dout, grads, input_grad=True, step=None)
         raise ValueError("tape does not match the layer stack")
     dx = _as_real(dout)
     for i in range(len(specs) - 1, -1, -1):
-        spec, p, g, cache = specs[i], params[i], grads[i], tape.caches[i]
+        spec, p, cache = specs[i], params[i], tape.caches[i]
         if isinstance(spec, Dense):
-            dense_step = None if step is None else functools.partial(step, i)
-            dx = _dense_backward(dx, cache, p, g, spec, i > 0 or input_grad, dense_step)
+            dx = _dense_backward(dx, cache, p, spec, i > 0 or input_grad,
+                                 functools.partial(step, i), buf)
         elif isinstance(spec, BatchNorm):
-            dx = _batchnorm_backward(dx, cache, p, g)
-            if step is not None:
-                step(i, 0, g["gamma"])
-                step(i, spec.dim, g["delta"])
+            dx = _batchnorm_backward(dx, cache, p, functools.partial(step, i), buf)
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
         elif tape.masks[i] is not None:  # Dropout

@@ -3,13 +3,13 @@
 s <- rho * s + (1 - rho) * g^2
 theta <- theta - lr * g / (sqrt(s) + eps)
 
-The update runs over a flat parameter vector and its twin gradient
-vector, in blocks small enough that the operands of every step stay in
-cache. It computes in the vectors' dtype: float32 for a model. Each
-entry's update depends on that entry alone, so stepping a model span by
-span (training steps each gradient span inside the backward pass: a
-bias, a row block of weights, a batch-norm tensor) gives the same bytes
-as one call over the whole vector.
+The update runs over a parameter array and its gradient, one span of a
+model at a time (training steps each gradient span inside the backward
+pass: a bias, a row block of weights, a batch-norm tensor), in blocks
+small enough that the operands of every step stay in cache. It computes
+in the arrays' dtype: float32 for a model. Each entry's update depends
+on that entry alone, so stepping a model span by span gives the same
+bytes as one call over the whole vector.
 
 An entry whose gradient is zero only decays its accumulator: g^2 is +0,
 so s becomes rho * s, and theta - (+-0) is theta for any theta but -0.0,
@@ -44,39 +44,35 @@ def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8, live=None):
     Every entry sees the same operations, in the same order and with the
     same rounding, as the whole-array expressions in the module docstring.
 
-    With live, a boolean mask over the rows of theta (theta.size entries
-    in live.size equal rows), grad holds the gradients of the live rows
-    only, in order, and every other row's gradient is zero: the live rows
-    are gathered and updated, and the whole span's accumulator is decayed,
-    which gives the bytes of the whole update with a zero gradient in the
-    other rows.
+    With live, a boolean mask over the rows of theta (its first axis),
+    grad holds the gradients of the live rows only, in order, and every
+    other row's gradient is zero: the live rows are gathered and updated,
+    and the whole span's accumulator is decayed, which gives the bytes of
+    the whole update with a zero gradient in the other rows.
     """
     acc = state.accumulator
-    if live is None:
-        fits = theta.shape == grad.shape == acc.shape
-    else:
-        width = theta.size // live.size
-        fits = theta.shape == acc.shape and theta.size == live.size * width and \
-            grad.size == np.count_nonzero(live) * width
-    if not fits:
+    want = theta.shape if live is None else (np.count_nonzero(live),) + theta.shape[1:]
+    if acc.shape != theta.shape or grad.shape != want or \
+            (live is not None and live.shape != theta.shape[:1]):
         rows = "" if live is None else f", {live.size} rows"
         raise ValueError(f"shape mismatch: theta {theta.shape}, grad {grad.shape}, "
                          f"accumulator {acc.shape}{rows}")
     if live is None:
         _update(theta, grad, acc, state.scratch, lr, rho, eps)
         return
-    theta, acc = theta.reshape(live.size, width), acc.reshape(live.size, width)
     index = np.flatnonzero(live)
     theta_live, acc_live = theta[index], acc[index]
     acc *= rho  # all that a zero gradient does
-    _update(theta_live.reshape(-1), grad.reshape(-1), acc_live.reshape(-1),
-            state.scratch, lr, rho, eps)
+    _update(theta_live, grad, acc_live, state.scratch, lr, rho, eps)
     theta[index] = theta_live
     acc[index] = acc_live
 
 
 def _update(theta, grad, accumulator, scratch, lr, rho, eps):
-    # the update of flat vectors, BLOCK entries at a time
+    # the update of flat views of the arrays, BLOCK entries at a time; a
+    # flat copy of theta or the accumulator would not take the update
+    theta, accumulator = (a.reshape(-1, copy=False) for a in (theta, accumulator))
+    grad = grad.reshape(-1)
     sq_buf, step_buf = scratch
     for start in range(0, theta.size, BLOCK):
         stop = min(start + BLOCK, theta.size)

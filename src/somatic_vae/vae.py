@@ -1,29 +1,23 @@
 """MLP variational autoencoder over binary mutation profiles.
 
-model.stacks holds four Stack records (layer specs, parameter views,
-gradient views) in the order of theta: the encoder "enc", Dense ->
-BatchNorm -> LeakyReLU -> Dropout -> Dense -> BatchNorm -> LeakyReLU;
-the linear heads "mu" and "lv" (log-variance); and the decoder "dec",
-which mirrors the encoder with ReLU activations and a sigmoid output
-layer. Training is plain minibatch RMSprop on recon + beta * KL + L1,
-with beta following the configured schedule; the whole run is a pure
-function of (cohort, split, config.seed).
+model.stacks holds four Stack records (layer specs, parameter views) in
+the order of theta: the encoder "enc", Dense -> BatchNorm -> LeakyReLU
+-> Dropout -> Dense -> BatchNorm -> LeakyReLU; the linear heads "mu" and
+"lv" (log-variance); and the decoder "dec", which mirrors the encoder
+with ReLU activations and a sigmoid output layer. Training is plain
+minibatch RMSprop on recon + beta * KL + L1, with beta following the
+configured schedule; the whole run is a pure function of (cohort,
+split, config.seed).
 
-Every trainable tensor is a view into one float32 vector, model.theta,
-and its gradient the same view of model.grad; the batch-norm running
-statistics are views of model.stats. All three are laid out stack by
-stack, layer by layer. Training steps RMSprop inside the backward pass,
-span by span, as soon as each span's gradient is written into one
-buffer at the head of model.grad: a Dense layer's bias, each row block
-of at most layers.GRAD_BLOCK of its weights (with no L1 term, only the
-live rows of a block at most half live), a batch-norm tensor. The
-buffer is as long as the largest such span; the gradient check fills
-the whole of model.grad in place, a Dense weight gradient as one
-product. Training and inference compute in float32; the random draws
-(initial weights, dropout uniforms, reparameterization noise) stay
-float64 and are rounded, so the streams do not depend on the model's
-dtype. The gradient check runs the same code, with no step hook, on a
-float64 copy.
+Every trainable tensor is a view into one float32 vector, model.theta;
+the batch-norm running statistics are views of model.stats. Both are
+laid out stack by stack, layer by layer. Training steps RMSprop inside
+the backward pass on each gradient span as soon as it is written
+(layers.stack_backward). Training and inference compute in float32;
+the random draws (initial weights, dropout uniforms, reparameterization
+noise) stay float64 and are rounded, so the streams do not depend on
+the model's dtype. The gradient check runs the same code on a float64
+copy, collecting the spans into one vector (layers.collect_grads).
 """
 
 import numbers
@@ -38,13 +32,14 @@ from .layers import (
     BatchNorm,
     Dense,
     Dropout,
+    collect_grads,
+    grad_buffer,
     init_layer_params,
     stack_backward,
     stack_forward,
     stack_l1_penalty,
     stack_size,
     stack_views,
-    step_grad_views,
 )
 from .gradcheck import FD_DTYPE, compare_grads, finite_difference_grads
 from .losses import (
@@ -159,7 +154,6 @@ class EpochStats:
 class Stack:
     specs: list
     params: list  # per layer, views into theta (and stats, for batch norm)
-    grads: list  # per layer, views into grad
 
     def forward(self, x, mode, **kwargs):
         return stack_forward(self.specs, self.params, x, mode, **kwargs)
@@ -170,7 +164,6 @@ class VaeModel:
     config: VaeConfig
     stacks: dict  # "enc", "mu", "lv", "dec" -> Stack, in the order of theta
     theta: np.ndarray  # every trainable scalar; the stacks' params view it
-    grad: np.ndarray  # twin of theta: the gradient check's; training reuses its head
     stats: np.ndarray  # batch-norm running statistics; the stacks' params view it
 
     def specs(self):
@@ -212,21 +205,18 @@ def _architecture(config):
 
 def _bind(config, theta=None):
     """A model whose trainable tensors are views into theta (a fresh,
-    unfilled float32 vector when None), with a zeroed twin gradient
-    vector, and whose running statistics are views into a fresh, unfilled
-    stats vector of theta's dtype."""
+    unfilled float32 vector when None), and whose running statistics are
+    views into a fresh, unfilled stats vector of theta's dtype."""
     arch = _architecture(config)
     if theta is None:
         theta = np.empty(sum(stack_size(specs) for specs in arch.values()), np.float32)
-    grad = np.zeros(theta.size, theta.dtype)  # calloc: no memory until written
     stats = np.empty(sum(stack_size(specs, buffers=True) for specs in arch.values()), theta.dtype)
     stacks, offset, stats_offset = {}, 0, 0
     for name, specs in arch.items():
-        views, _ = stack_views(specs, theta, offset)
-        grads, offset = stack_views(specs, grad, offset)
+        views, offset = stack_views(specs, theta, offset)
         sviews, stats_offset = stack_views(specs, stats, stats_offset, buffers=True)
-        stacks[name] = Stack(specs, [{**v, **s} for v, s in zip(views, sviews)], grads)
-    return VaeModel(config, stacks, theta, grad, stats)
+        stacks[name] = Stack(specs, [{**v, **s} for v, s in zip(views, sviews)])
+    return VaeModel(config, stacks, theta, stats)
 
 
 def build_vae(config, rng):
@@ -341,17 +331,16 @@ def _forward_train(model, x, beta, rngs, masks=(None, None), eps=None, update_ru
             "tapes": tapes}  # tapes by stack name
 
 
-def _backward_train(model, x, beta, fwd, steppers=None):
-    """Backpropagates the total loss: into model.grad, or with steppers
-    (stack name -> (gradient views, step hook), from _layer_steppers)
-    into those views, each span stepped as soon as it is written."""
+def _backward_train(model, x, beta, fwd, steps, buf):
+    """Backpropagates the total loss, each gradient span written into buf
+    and handed to steps[stack name], a step hook for stack_backward."""
     tapes = fwd["tapes"]
     mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
 
     def backward(name, dout, input_grad=True):
         stack = model.stacks[name]
-        grads, step = steppers[name] if steppers else (stack.grads, None)
-        return stack_backward(stack.specs, stack.params, tapes[name], dout, grads, input_grad, step)
+        return stack_backward(stack.specs, stack.params, tapes[name], dout, steps[name], buf,
+                              input_grad)
 
     dprobs = reconstruction_grad(model.config.loss_kind, fwd["probs"], x)
     dz = backward("dec", dprobs)
@@ -362,34 +351,36 @@ def _backward_train(model, x, beta, fwd, steppers=None):
     backward("enc", dh, input_grad=False)
 
 
-def _layer_steppers(model, state, config):
-    """Per stack name, (gradient views, step hook) for _backward_train.
-    Every layer's gradient views start at the head of one buffer, the
-    first entries of model.grad, as long as the largest span the backward
-    pass writes at once (step_grad_views): one block of a split Dense
-    weight, or a whole smaller layer. The rest of model.grad is never
-    written. The hook steps RMSprop over the spans of theta and state's
-    accumulator that match each gradient span it is handed (the span of
-    a whole row block when the pass hands it a block's live rows only),
-    and looks rmsprop_update up at each call."""
-    hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
-    steppers, offset = {}, 0
+def _views_by_stack(model, vec):
+    """Per stack name, stack_views of a vector laid out as theta."""
+    views, offset = {}, 0
     for name, stack in model.stacks.items():
-        grads, starts = [], []  # each layer's views, and its offset in theta
-        for spec in stack.specs:
-            grads.append(step_grad_views(spec, model.grad)[0])
-            starts.append(offset)
-            offset += stack_size([spec])
+        views[name], offset = stack_views(stack.specs, vec, offset)
+    return views
 
-        def step(i, start, grad, live=None, starts=starts):
-            size = grad.size if live is None else live.size * grad.shape[1]
-            span = slice(starts[i] + start, starts[i] + start + size)
-            rmsprop_update(model.theta[span], grad.reshape(-1),
-                           RmspropState(state.accumulator[span], state.scratch),
-                           live=live, **hyper)
 
-        steppers[name] = (grads, step)
-    return steppers
+def _rmsprop_steps(model, state, config):
+    """Per stack name, a step hook that steps RMSprop over the rows of
+    the parameter tensor and of state's accumulator that each gradient
+    span covers, looking rmsprop_update up at each call."""
+    hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
+    steps = {}
+    for name, acc in _views_by_stack(model, state.accumulator).items():
+
+        def step(i, key, rows, grad, live=None, params=model.stacks[name].params, acc=acc):
+            rmsprop_update(params[i][key][rows], grad,
+                           RmspropState(acc[i][key][rows], state.scratch), live=live, **hyper)
+
+        steps[name] = step
+    return steps
+
+
+def _model_grads(model, x, beta, fwd):
+    """The gradient of fwd's training pass, as a vector laid out as theta."""
+    grad = np.zeros_like(model.theta)
+    steps = {name: collect_grads(views) for name, views in _views_by_stack(model, grad).items()}
+    _backward_train(model, x, beta, fwd, steps, grad_buffer(model.specs(), grad.dtype))
+    return grad
 
 
 def _fd_objective(model, x, beta, fwd):
@@ -439,7 +430,8 @@ def train(cohort, split, config):
         "reparam": sub_rng(config.seed, "reparam"),
     }
     model = build_vae(config, sub_rng(config.seed, "init"))
-    steppers = _layer_steppers(model, init_rmsprop(model.theta), config)
+    steps = _rmsprop_steps(model, init_rmsprop(model.theta), config)
+    buf = grad_buffer(model.specs(), model.theta.dtype)
     shuffle_rng = sub_rng(config.seed, "shuffle")
 
     history = []
@@ -462,7 +454,7 @@ def train(cohort, split, config):
             breakdown = fwd["breakdown"]
             if not np.isfinite(breakdown.total):
                 raise FloatingPointError(f"epoch {epoch} batch {batch}: non-finite loss")
-            _backward_train(model, xb, beta, fwd, steppers)
+            _backward_train(model, xb, beta, fwd, steps, buf)
             for key in sums:
                 sums[key] += float(getattr(breakdown, key)) * len(rows)
             seen += len(rows)
@@ -478,10 +470,11 @@ def train(cohort, split, config):
 
 
 def _grads_to_check(config, beta, batch_size, fd_step):
-    """(model, numeric): a model built from config and re-bound onto float64
-    copies of its vectors, whose model.grad holds the analytic gradients of
-    one training pass on a drawn binary batch, and the central differences
-    of that pass's loss, dropout masks and noise frozen."""
+    """(model, analytic, numeric): a model built from config and re-bound
+    onto float64 copies of its vectors, the analytic gradients of one
+    training pass on a drawn binary batch, as a vector laid out as theta,
+    and the central differences of that pass's loss, dropout masks and
+    noise frozen."""
     config.validate()
     rng = sub_rng(config.seed, "gradcheck")
     built = build_vae(config, rng)
@@ -492,9 +485,9 @@ def _grads_to_check(config, beta, batch_size, fd_step):
 
     rngs = {"dropout": rng, "reparam": rng}
     fwd = _forward_train(model, x, beta, rngs)
-    _backward_train(model, x, beta, fwd)
+    analytic = _model_grads(model, x, beta, fwd)
     numeric = finite_difference_grads(_fd_objective(model, x, beta, fwd), model.theta, fd_step)
-    return model, numeric
+    return model, analytic, numeric
 
 
 def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
@@ -505,5 +498,5 @@ def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
     analytic gradients of recon + beta * KL + L1, computed in float64,
     against central differences for every parameter.
     """
-    model, numeric = _grads_to_check(config, beta, batch_size, fd_step)
-    return compare_grads(model.specs(), model.grad, numeric, tolerance)
+    model, analytic, numeric = _grads_to_check(config, beta, batch_size, fd_step)
+    return compare_grads(model.specs(), analytic, numeric, tolerance)

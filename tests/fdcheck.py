@@ -1,4 +1,5 @@
-"""Finite-difference check of one layer stack, for the layer tests.
+"""Finite-difference check of one layer stack, and the backward pass that
+collects a stack's gradients, for the layer tests.
 
 The objective is sum(stack output * weights) plus the stack's L1 penalty,
 which is what stack_backward differentiates when fed weights as the
@@ -12,12 +13,30 @@ import numpy as np
 from somatic_vae.gradcheck import FD_DTYPE, compare_grads, finite_difference_grads
 from somatic_vae.layers import (
     TRAIN,
+    collect_grads,
+    grad_buffer,
     stack_backward,
     stack_forward,
     stack_l1_penalty,
     stack_size,
     stack_views,
 )
+
+
+def collected_backward(specs, params, tape, dout, grads, input_grad=True, spy=None):
+    """stack_backward with every gradient span written into grads
+    (stack_views' dicts of a flat vector) by collect_grads, through a
+    buffer of dout's dtype; spy(i, key, rows, grad, live), when given,
+    sees each span first. Returns the input gradient."""
+    collect = collect_grads(grads)
+
+    def step(i, key, rows, grad, live=None):
+        if spy is not None:
+            spy(i, key, rows, grad, live)
+        collect(i, key, rows, grad, live)
+
+    buf = grad_buffer(specs, np.asarray(dout).dtype)
+    return stack_backward(specs, params, tape, dout, step, buf, input_grad)
 
 
 def grad_check(specs, params, x, weights, tolerance=1e-5, fd_step=1e-5, rng=None):
@@ -40,7 +59,7 @@ def grad_check(specs, params, x, weights, tolerance=1e-5, fd_step=1e-5, rng=None
     out, tape = stack_forward(specs, params, x, TRAIN, rng=rng, update_running=False)
     if out.shape != weights.shape:
         raise ValueError(f"weights have shape {weights.shape}, the stack output {out.shape}")
-    stack_backward(specs, params, tape, weights, stack_views(specs, grad)[0])
+    collected_backward(specs, params, tape, weights, stack_views(specs, grad)[0])
     x_fd = np.asarray(x).astype(FD_DTYPE)
 
     def objective():

@@ -468,6 +468,20 @@ def test_embedding_commands_refuse_a_file_with_no_rows(tmp_path, capsys, command
     assert not (tmp_path / "scatter.tsv").exists()
 
 
+@pytest.mark.parametrize("command", ["plot-data", "eval-cluster", "probe"])
+def test_embedding_commands_refuse_a_file_with_no_latent_columns(tmp_path, capsys, command):
+    # a sample_id-only header used to give eval-cluster "nmi 0" and exit 0
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("sample_id\nS0\nS1\nS2\n", encoding="utf-8")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("sample_id\tlabel\nS0\t0\nS1\t1\nS2\t0\n", encoding="utf-8")
+    extra = {"plot-data": ["--out", str(tmp_path / "scatter.tsv")],
+             "eval-cluster": ["--labels", str(labels)], "probe": ["--labels", str(labels)]}
+    assert run([command, "--embeddings", str(emb)] + extra[command]) == 1
+    assert capsys.readouterr().err == f"error: {emb}: no embedding columns\n"
+    assert not (tmp_path / "scatter.tsv").exists()
+
+
 def test_probe_with_zero_iters_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     assert run(["probe", "--cohort", cohort_dir, "--iters", "0"]) == 1

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from fdcheck import grad_check
+from fdcheck import collected_backward, grad_check
 
 from somatic_vae.gradcheck import GradReport, compare_grads, finite_difference_grads
 from somatic_vae.layers import (
@@ -10,7 +10,6 @@ from somatic_vae.layers import (
     BatchNorm,
     Dense,
     init_layer_params,
-    stack_backward,
     stack_forward,
     stack_size,
     stack_views,
@@ -115,7 +114,7 @@ def test_grad_check_detects_injected_fault():
     _, tape = stack_forward(specs, params, x, "train")
     grad = np.zeros_like(theta)
     grads, _ = stack_views(specs, grad)
-    stack_backward(specs, params, tape, weights, grads)
+    collected_backward(specs, params, tape, weights, grads)
     grads[0]["w"] *= 1.01
 
     def objective():

@@ -5,19 +5,25 @@ The library builds each result with fewer passes and temporaries, but
 every value must keep the operations, and their order, of the
 expressions below, so every output of the pipeline stays byte-identical.
 
-A Dense weight gradient is one product, as below, except in training,
-whose step hook takes it in row blocks (block_rows), and a block of a
-layer with no L1 term as the product over its live rows alone when at
-most half its rows are live; test_blocked_weight_gradient_matches_one_gemm
-and test_live_rows_of_a_block_match_the_whole_product check that in
-float32, at each workload's shapes, these give the bytes of one product.
+The backward pass hands a Dense weight gradient to its step hook in row
+blocks (block_rows), one product each, and on the data layer with no L1
+term a block with at most half its rows live as the product over those
+rows alone. check_stack raises GRAD_BLOCK past every layer and wants
+the input gradient, so each weight gradient is one product, as below;
+test_blocked_weight_gradient_matches_one_gemm and
+test_live_rows_of_a_block_match_the_whole_product check in float32, the
+dtype of training, at each workload's shapes, that the blocks give the
+bytes of one product (in float64 a row block of the 1024 x 1470 product
+rounds differently).
 """
 
 import copy
 
 import numpy as np
 import pytest
+from fdcheck import collected_backward
 
+import somatic_vae.layers as layers_module
 from somatic_vae.gradcheck import FD_DTYPE
 from somatic_vae.layers import (
     INFERENCE,
@@ -29,11 +35,9 @@ from somatic_vae.layers import (
     block_rows,
     init_layer_params,
     sigmoid,
-    stack_backward,
     stack_forward,
     stack_size,
     stack_views,
-    step_grad_views,
 )
 from somatic_vae.vae import VaeConfig, _architecture, build_vae, decode_batch
 
@@ -186,6 +190,12 @@ def fresh_params(specs, rng, dtype=np.float64):
     return params
 
 
+@pytest.fixture
+def one_block(monkeypatch):
+    """Every Dense weight gradient of check_stack's shapes in one block."""
+    monkeypatch.setattr(layers_module, "GRAD_BLOCK", 1 << 30)
+
+
 def check_stack(specs, params, x, dout, seed, dtype=np.float64):
     """The library's stack against the references: train forward, masks,
     caches, running statistics, backward, then inference forward."""
@@ -199,7 +209,7 @@ def check_stack(specs, params, x, dout, seed, dtype=np.float64):
 
     grad = np.zeros(stack_size(specs), dtype)
     grads, _ = stack_views(specs, grad)
-    dx = stack_backward(specs, params, tape, dout, grads)
+    dx = collected_backward(specs, params, tape, dout, grads)
     want_dx, want_grads = ref_stack_backward(specs, ref_params, caches, masks, dout)
     assert_same_bytes(dx, want_dx, "input gradient")
     assert_trees_same_bytes(grads, want_grads, "parameter gradients")
@@ -235,7 +245,7 @@ def single_layer(name, d, h):
 @pytest.mark.parametrize("workload", sorted(SHAPES))
 @pytest.mark.parametrize("layer", ["batchnorm", "dense", "dense-l1", "dropout", "leaky",
                                    "relu", "sigmoid"])
-def test_each_kernel_matches_its_reference_on_edge_inputs(workload, layer):
+def test_each_kernel_matches_its_reference_on_edge_inputs(one_block, workload, layer):
     n, d, (h, _), _ = SHAPES[workload]
     rng = np.random.default_rng(sorted(SHAPES).index(workload))
     specs = single_layer(layer, d, h)
@@ -246,7 +256,7 @@ def test_each_kernel_matches_its_reference_on_edge_inputs(workload, layer):
 
 
 @pytest.mark.parametrize("workload", sorted(SHAPES))
-def test_vae_stacks_match_their_references(workload):
+def test_vae_stacks_match_their_references(one_block, workload):
     n, d, hidden, latent = SHAPES[workload]
     config = VaeConfig(input_dim=d, hidden_dims=hidden, latent_dim=latent,
                        dropout_rate=0.2, l1_coefficient=1e-5)
@@ -278,9 +288,8 @@ def test_blocked_weight_gradient_matches_one_gemm(workload, batch):
         params = [{key: v.astype(np.float32) for key, v in init_layer_params(spec, rng).items()}]
         blocked = np.full((spec.in_dim, spec.out_dim), np.nan, np.float32)
         _, tape = stack_forward([spec], params, x, TRAIN)
-        for offset, grad, live in hooked_weight_blocks(spec, params, tape, dout):
-            rows = blocked[offset // spec.out_dim :][: len(grad) if live is None else len(live)]
-            rows[... if live is None else live] = grad
+        for rows, grad, live in hooked_weight_blocks(spec, params, tape, dout):
+            blocked[rows][... if live is None else live] = grad
         # a row left out of a compact block is a zero row of the product
         want = x.T @ dout
         dead = np.isnan(blocked).all(axis=1)
@@ -291,16 +300,16 @@ def test_blocked_weight_gradient_matches_one_gemm(workload, batch):
 
 
 def hooked_weight_blocks(spec, params, tape, dout):
-    """(offset, gradient, live mask or None) of each weight block that a
-    one-Dense-layer backward pass hands its step hook."""
-    grads, _ = step_grad_views(spec, np.zeros(stack_size([spec]), np.float32))
+    """(rows, gradient, live mask or None) of each weight block that a
+    one-Dense-layer backward pass with no input gradient hands its hook."""
     blocks = []
 
-    def step(i, offset, grad, live=None):
-        if offset < spec.in_dim * spec.out_dim:  # a block of weights, not the bias
-            blocks.append((offset, grad.copy(), None if live is None else live.copy()))
+    def spy(i, key, rows, grad, live):
+        if key == "w":
+            blocks.append((rows, grad.copy(), None if live is None else live.copy()))
 
-    stack_backward([spec], params, tape, dout, [grads], input_grad=False, step=step)
+    grads, _ = stack_views([spec], np.zeros(stack_size([spec]), np.float32))
+    collected_backward([spec], params, tape, dout, grads, input_grad=False, spy=spy)
     return blocks
 
 
@@ -324,25 +333,24 @@ def test_live_rows_of_a_block_match_the_whole_product(workload):
     rng = np.random.default_rng(d)
     params = [{key: v.astype(np.float32) for key, v in init_layer_params(spec, rng).items()}]
     for first in range(0, len(counts), len(full)):
-        # offset of each block -> its live rows: the counts in full blocks, 0 elsewhere
-        chosen = dict.fromkeys(range(0, d * h, rows * h), 0)
+        # first row of each block -> its live rows: the counts in full blocks, 0 elsewhere
+        chosen = dict.fromkeys(range(0, d, rows), 0)
         x = np.zeros((batch, d), np.float32)
         for start, count in zip(full, counts[first:]):
             cols = start + rng.choice(rows, size=count, replace=False)
             x[:, cols] = rng.random((batch, count)) < 0.1
             x[rng.integers(batch, size=count), cols] = 1.0  # each chosen column live
-            chosen[start * h] = count
+            chosen[start] = count
         dout = (rng.standard_normal((batch, h)) * 1e-3).astype(np.float32)
         _, tape = stack_forward([spec], params, x, TRAIN)
         want = x.T @ dout
         blocks = hooked_weight_blocks(spec, params, tape, dout)
-        assert [offset for offset, _, _ in blocks] == list(chosen)
-        for offset, grad, live in blocks:
-            assert live is not None and np.count_nonzero(live) == chosen[offset]
-            start = offset // h
+        assert [span.start for span, _, _ in blocks] == list(chosen)
+        for span, grad, live in blocks:
+            assert live is not None and np.count_nonzero(live) == chosen[span.start]
             shape = (f"{workload}: {d} x {h} weights at batch {batch}, "
-                     f"{chosen[offset]} live rows of the block at row {start}")
-            assert_same_bytes(grad, want[start : start + len(live)][live], shape)
+                     f"{chosen[span.start]} live rows of the block at row {span.start}")
+            assert_same_bytes(grad, want[span][live], shape)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 15, 16, 17, 31, 64, 67, 797])
@@ -367,7 +375,7 @@ def test_leaky_relu_matches_its_reference_at_every_accepted_slope(slope, length)
     out, tape = stack_forward([spec], [{}], x, TRAIN)
     want, cache = ref_forward(spec, {}, x, TRAIN, None)
     assert_same_bytes(out, want, "leaky forward")
-    dx = stack_backward([spec], [{}], tape, dout.reshape(2, length), [{}])
+    dx = collected_backward([spec], [{}], tape, dout.reshape(2, length), [{}])
     assert_same_bytes(dx, ref_backward(spec, {}, cache, dout.reshape(2, length), None)[0],
                       "leaky backward")
 
@@ -432,7 +440,7 @@ def test_stack_backward_twice_on_one_tape_writes_the_same_bytes():
     results = []
     for _ in range(2):
         grad = np.zeros(stack_size(specs))
-        dx = stack_backward(specs, params, tape, dout, stack_views(specs, grad)[0])
+        dx = collected_backward(specs, params, tape, dout, stack_views(specs, grad)[0])
         results.append((grad.tobytes(), dx.tobytes()))
     assert results[0] == results[1]
     assert_trees_same_bytes((tape.caches, tape.masks, dout), snapshot, "tape and upstream gradient")

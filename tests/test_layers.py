@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from fdcheck import grad_check
+from fdcheck import collected_backward, grad_check
 
 import somatic_vae.layers as layers_module
 from somatic_vae.layers import (
@@ -13,20 +13,20 @@ from somatic_vae.layers import (
     Dense,
     Dropout,
     block_rows,
+    grad_buffer,
     init_layer_params,
     layer_shapes,
     sigmoid,
-    stack_backward,
     stack_forward,
     stack_l1_penalty,
     stack_size,
     stack_views,
-    step_grad_views,
 )
 
 
 def new_stack(specs, rng):
-    """Freshly initialised layer tensors and zeroed gradient buffers."""
+    """Freshly initialised layer tensors, and zeroed gradient views of one
+    flat vector for collected_backward."""
     grads, _ = stack_views(specs, np.zeros(stack_size(specs)))
     return [init_layer_params(spec, rng) for spec in specs], grads
 
@@ -168,7 +168,7 @@ def test_relu_activation_forward_and_backward():
     # the gradient is zero at the kink
     out, tape = stack_forward([Activation("relu")], [{}], np.array([[-1.0, 0.0, 2.0]]), TRAIN)
     assert out.tolist() == [[0.0, 0.0, 2.0]]
-    dx = stack_backward([Activation("relu")], [{}], tape, np.full((1, 3), 3.0), [{}])
+    dx = collected_backward([Activation("relu")], [{}], tape, np.full((1, 3), 3.0), [{}])
     assert dx.tolist() == [[0.0, 0.0, 3.0]]
 
 
@@ -289,20 +289,28 @@ def test_inference_forward_is_bit_deterministic():
 
 
 def test_backward_zero_upstream_gives_zero_grads():
+    # the first Dense layer has no L1 term and three dead input columns of
+    # four, so without an input gradient its weights come as one live row
     rng = np.random.default_rng(8)
     specs = [Dense(4, 3), BatchNorm(3), Activation("relu")]
     params, grads = new_stack(specs, rng)
-    for g in grads:
-        for arr in g.values():
-            arr[...] = 7.0  # stale values must be overwritten, not added to
     x = rng.random((5, 4))
+    x[:, 1:] = 0.0
     _, tape = stack_forward(specs, params, x, TRAIN)
-    dx = stack_backward(specs, params, tape, np.zeros((5, 3)), grads)
-    assert np.array_equal(dx, np.zeros((5, 4)))
-    assert np.array_equal(grads[0]["w"], np.zeros((4, 3)))
-    assert np.array_equal(grads[0]["b"], np.zeros(3))
-    assert np.array_equal(grads[1]["gamma"], np.zeros(3))
-    assert np.array_equal(grads[1]["delta"], np.zeros(3))
+    lives = []
+    for input_grad in (True, False):
+        for g in grads:
+            for arr in g.values():
+                arr[...] = 7.0  # stale values must be overwritten, not added to
+        dx = collected_backward(specs, params, tape, np.zeros((5, 3)), grads, input_grad,
+                                spy=lambda i, key, rows, grad, live: lives.append(live))
+        if input_grad:
+            assert np.array_equal(dx, np.zeros((5, 4)))
+        assert np.array_equal(grads[0]["w"], np.zeros((4, 3)))
+        assert np.array_equal(grads[0]["b"], np.zeros(3))
+        assert np.array_equal(grads[1]["gamma"], np.zeros(3))
+        assert np.array_equal(grads[1]["delta"], np.zeros(3))
+    assert [live.tolist() for live in lives if live is not None] == [[True, False, False, False]]
 
 
 def test_backward_single_dense_matches_hand_formulas():
@@ -313,7 +321,7 @@ def test_backward_single_dense_matches_hand_formulas():
     x = rng.standard_normal((6, 4))
     dout = rng.standard_normal((6, 3))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    dx = stack_backward(specs, params, tape, dout, grads)
+    dx = collected_backward(specs, params, tape, dout, grads)
     assert np.allclose(grads[0]["w"], x.T @ dout, rtol=1e-14)
     assert np.allclose(grads[0]["b"], dout.sum(axis=0), rtol=1e-14)
     assert np.allclose(dx, dout @ params[0]["w"].T, rtol=1e-14)
@@ -325,7 +333,7 @@ def test_backward_includes_l1_subgradient_with_sign_zero_zero():
     x = np.zeros((1, 2))
     _, grads = new_stack(specs, np.random.default_rng(0))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    stack_backward(specs, params, tape, np.zeros((1, 2)), grads)
+    collected_backward(specs, params, tape, np.zeros((1, 2)), grads)
     # data gradient is zero, so only the subgradient remains; sign(0) = 0
     assert np.allclose(grads[0]["w"], 0.1 * np.array([[1.0, -1.0], [0.0, 1.0]]))
 
@@ -338,71 +346,67 @@ def test_backward_without_input_grad_leaves_every_parameter_gradient_bit_identic
     x = rng.standard_normal((7, 6))
     dout = rng.standard_normal((7, 3))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    assert stack_backward(specs, params, tape, dout, grads).shape == (7, 6)
-    assert stack_backward(specs, params, tape, dout, skipped, input_grad=False) is None
+    assert collected_backward(specs, params, tape, dout, grads).shape == (7, 6)
+    assert collected_backward(specs, params, tape, dout, skipped, input_grad=False) is None
     for g, s in zip(grads, skipped):
         assert g.keys() == s.keys()
         assert all(np.array_equal(g[key], s[key]) for key in g)
 
 
-def steps_of_one_backward_pass():
-    """(layer, offset, size, live) of each step call of one backward pass,
-    after checking each span's gradient, the input gradient and that no
-    stepped parameter is read again. In float32, the dtype of training,
-    where a row block of this build's BLAS product gives the bytes of the
-    whole product (test_kernels checks that at the workloads' shapes).
-    The first Dense layer has no L1 term and its input two zero columns,
-    so a block with at most half its rows live is handed over compact."""
+def steps_of_one_backward_pass(monkeypatch, grad_block, input_grad):
+    """(layer, key, rows, live) of each span of one backward pass at
+    GRAD_BLOCK = grad_block, after checking each span's gradient and the
+    input gradient against a pass at the default GRAD_BLOCK, where each
+    weight gradient is one product, that every span is written at the
+    head of one buffer, and that no stepped parameter is read again. In
+    float32, the dtype of training, where a row block of this build's
+    BLAS product gives the bytes of the whole product (test_kernels checks
+    that at the workloads' shapes). The first Dense layer has no L1 term
+    and its input two zero columns, so without an input gradient a block
+    with at most half its rows live is handed over compact."""
     rng = np.random.default_rng(12)
     specs = [Dense(6, 5), BatchNorm(5), Activation("relu"), Dense(5, 3, l1_coefficient=1e-3)]
-    # the same draws as new_stack, into views of one vector
     theta = np.zeros(stack_size(specs), np.float32)
     stats = np.zeros(stack_size(specs, buffers=True), np.float32)
     views = zip(stack_views(specs, theta)[0], stack_views(specs, stats, buffers=True)[0])
     params = [init_layer_params(spec, rng, {**t, **b}) for spec, (t, b) in zip(specs, views)]
-    starts = np.cumsum([0] + [stack_size([spec]) for spec in specs])
-    grad = np.zeros_like(theta)
-    grads, _ = stack_views(specs, grad)
     x = rng.standard_normal((7, 6)).astype(np.float32)
     x[:, 3:5] = 0.0
     dout = rng.standard_normal((7, 3)).astype(np.float32)
     _, tape = stack_forward(specs, params, x, TRAIN)
-    want_dx = stack_backward(specs, params, tape, dout, grads)
-    # every span's gradient at the head of one shared buffer
-    shared = np.full(stack_size(specs), np.nan, np.float32)
-    heads, sizes = zip(*(step_grad_views(spec, shared) for spec in specs))
-    shared = shared[: max(sizes)]
-    stepped = []
+    want, _ = stack_views(specs, np.zeros(stack_size(specs), np.float32))
+    want_dx = collected_backward(specs, params, tape, dout, want, input_grad)
+    monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
+    got, _ = stack_views(specs, np.zeros(stack_size(specs), np.float32))
+    stepped, heads = [], set()
+    largest = grad_buffer(specs, np.float32).size
 
-    def step(i, offset, span_grad, live=None):
-        size = span_grad.size if live is None else live.size * span_grad.shape[1]
-        stepped.append((i, offset, size, None if live is None else live.tolist()))
-        span = slice(starts[i] + offset, starts[i] + offset + size)
-        assert np.shares_memory(span_grad, shared) or not span_grad.size
-        if live is None:
-            assert np.array_equal(span_grad.ravel(), grad[span])
-        else:  # the live rows only; the others' gradient is zero
-            rows = grad[span].reshape(live.size, -1)
-            assert np.array_equal(span_grad, rows[live])
-            assert not rows[~live].any()
-        theta[span] = np.nan  # no later read may see the stepped tensors
+    def spy(i, key, rows, grad, live):
+        stepped.append((i, key, rows, None if live is None else live.tolist()))
+        # each span at the head of one buffer as long as the largest span
+        heads.add(grad.base.ctypes.data)
+        assert grad.ctypes.data == grad.base.ctypes.data
+        assert grad.base.size == largest
+        params[i][key][rows] = np.nan  # no later read may see the stepped tensors
 
-    dx = stack_backward(specs, params, tape, dout, heads, step=step)
+    dx = collected_backward(specs, params, tape, dout, got, input_grad, spy)
     # each span once, layer by layer from the last: a Dense bias, then its
     # weights block by block; batch-norm gamma, then delta
-    want = []
+    spans = []
     for i in (3, 1, 0):
         spec = specs[i]
         if isinstance(spec, Dense):
-            block = block_rows(spec) * spec.out_dim
-            want += [(i, spec.in_dim * spec.out_dim, spec.out_dim)]
-            want += [(i, lo, min(block, spec.in_dim * spec.out_dim - lo))
-                     for lo in range(0, spec.in_dim * spec.out_dim, block)]
+            rows = block_rows(spec)
+            spans += [(i, "b", slice(None))] + [(i, "w", slice(lo, min(lo + rows, spec.in_dim)))
+                                                for lo in range(0, spec.in_dim, rows)]
         else:
-            want += [(i, 0, spec.dim), (i, spec.dim, spec.dim)]
-    assert [s[:3] for s in stepped] == want
+            spans += [(i, "gamma", slice(None)), (i, "delta", slice(None))]
+    assert [s[:3] for s in stepped] == spans
+    assert len(heads) == 1
     assert np.isnan(theta).all()
-    assert np.array_equal(dx, want_dx)
+    for g, w in zip(got, want):
+        assert all(g[key].tobytes() == w[key].tobytes() for key in w)
+    assert (dx is None and want_dx is None) or np.array_equal(dx, want_dx)
     return stepped
 
 
@@ -412,14 +416,39 @@ def test_backward_steps_each_layer_with_parameters_once_its_gradients_are_final(
     # each Dense layer is wider than a block, so one row per block. Rows 3
     # and 4 of the first layer are dead: at 10 entries the blocks of rows
     # 2-3 and 4-5 are half live, at 4 the blocks of rows 3 and 4 have no
-    # live row, and the one block of all six rows is dense
-    for grad_block, spans, masks in ((layers_module.GRAD_BLOCK, 6, []),
+    # live row, and the one block of all six rows is dense. Only without
+    # an input gradient is the first layer handed live rows
+    default = layers_module.GRAD_BLOCK
+    for grad_block, spans, masks in ((default, 6, []),
                                      (10, 9, [[True, False], [False, True]]),
                                      (4, 15, [[False], [False]])):
-        monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
-        stepped = steps_of_one_backward_pass()
-        assert len(stepped) == spans
-        assert [live for _, _, _, live in stepped if live is not None] == masks
+        for input_grad in (True, False):
+            monkeypatch.setattr(layers_module, "GRAD_BLOCK", default)
+            stepped = steps_of_one_backward_pass(monkeypatch, grad_block, input_grad)
+            assert len(stepped) == spans
+            assert [live for *_, live in stepped if live is not None] == \
+                ([] if input_grad else masks)
+
+
+def test_only_the_data_layer_hands_live_rows_to_the_hook(monkeypatch):
+    # a product over a few rows can round differently from those rows of
+    # the whole product at a later layer's shapes, so a layer whose input
+    # gradient is wanted never takes the live-row path: here the second
+    # Dense layer, with no L1 term and three of its four inputs dead
+    monkeypatch.setattr(layers_module, "GRAD_BLOCK", 12)
+    rng = np.random.default_rng(13)
+    specs = [Dense(6, 4), Activation("relu"), Dense(4, 6)]
+    params, grads = new_stack(specs, rng)
+    params[0]["b"][1:] = -100.0
+    x = rng.random((5, 6))
+    x[:, 1:] = 0.0
+    out, tape = stack_forward(specs, params, x, TRAIN)
+    assert not tape.caches[2][:, 1:].any()
+    for input_grad, want in ((True, []), (False, [0, 0])):
+        lives = []
+        collected_backward(specs, params, tape, rng.standard_normal(out.shape), grads, input_grad,
+                           spy=lambda i, key, rows, grad, live: lives.append((i, live)))
+        assert [i for i, live in lives if live is not None] == want
 
 
 def test_backward_requires_train_tape():
@@ -427,7 +456,7 @@ def test_backward_requires_train_tape():
     params, grads = new_stack(specs, np.random.default_rng(0))
     _, tape = stack_forward(specs, params, np.ones((2, 2)), INFERENCE)
     with pytest.raises(ValueError, match="train"):
-        stack_backward(specs, params, tape, np.ones((2, 2)), grads)
+        collected_backward(specs, params, tape, np.ones((2, 2)), grads)
 
 
 def test_stack_l1_penalty_sums_dense_weights():

@@ -115,8 +115,8 @@ def test_rows_update_equals_the_whole_update_with_zero_gradients_elsewhere(zero)
     rows, width = 40, 1000
     lr, rho, eps = 1e-3, 0.9, 1e-8
     rng = np.random.default_rng(9)
-    theta = rng.standard_normal(rows * width).astype(np.float32)
-    theta[::7] = 0.0  # a +0.0 weight stays +0.0 under a step of -0.0
+    theta = rng.standard_normal((rows, width)).astype(np.float32)
+    theta.reshape(-1)[::7] = 0.0  # a +0.0 weight stays +0.0 under a step of -0.0
     whole = theta.copy()
     state, whole_state = init_rmsprop(theta), init_rmsprop(whole)
     for live in (rng.random(rows) < 0.3, np.zeros(rows, bool), np.ones(rows, bool),
@@ -124,20 +124,22 @@ def test_rows_update_equals_the_whole_update_with_zero_gradients_elsewhere(zero)
         g = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 3, (rows, width))
         g = g.astype(np.float32)
         g[~live] = zero
-        rmsprop_update(whole, g.reshape(-1), whole_state, lr=lr, rho=rho, eps=eps)
-        rmsprop_update(theta, g[live].reshape(-1), state, lr=lr, rho=rho, eps=eps, live=live)
+        rmsprop_update(whole, g, whole_state, lr=lr, rho=rho, eps=eps)
+        rmsprop_update(theta, g[live], state, lr=lr, rho=rho, eps=eps, live=live)
         assert theta.tobytes() == whole.tobytes()
         assert state.accumulator.tobytes() == whole_state.accumulator.tobytes()
     assert (theta != 0.0).mean() > 0.8
 
 
 def test_rows_update_rejects_a_gradient_of_other_rows():
-    theta = np.zeros(12, np.float32)
+    theta = np.zeros((4, 3), np.float32)
     state = init_rmsprop(theta)
     live = np.array([True, False, True, False])
     with pytest.raises(ValueError, match="shape"):
-        rmsprop_update(theta, np.zeros(9, np.float32), state, live=live)  # 3 rows for 2 live
+        rmsprop_update(theta, np.zeros((3, 3), np.float32), state, live=live)  # 3 rows for 2 live
     with pytest.raises(ValueError, match="shape"):
-        rmsprop_update(theta, np.zeros(6, np.float32), state, live=live[:3])  # 2 live rows of 4
-    rmsprop_update(theta, np.ones(6, np.float32), state, live=live)
-    assert np.array_equal(theta.reshape(4, 3).any(axis=1), live)
+        rmsprop_update(theta, np.zeros((2, 3), np.float32), state, live=live[:3])  # a mask of 3 rows
+    with pytest.raises(ValueError, match="shape"):
+        rmsprop_update(theta, np.zeros(6, np.float32), state, live=live)  # the rows flattened
+    rmsprop_update(theta, np.ones((2, 3), np.float32), state, live=live)
+    assert np.array_equal(theta.any(axis=1), live)

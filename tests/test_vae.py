@@ -21,8 +21,8 @@ from somatic_vae.layers import (
     BatchNorm,
     Dense,
     block_rows,
+    grad_buffer,
     layer_shapes,
-    step_grad_views,
 )
 from somatic_vae.losses import BetaSchedule
 from somatic_vae.optim import init_rmsprop, rmsprop_update
@@ -31,7 +31,8 @@ from somatic_vae.vae import (
     VaeConfig,
     _backward_train,
     _forward_train,
-    _layer_steppers,
+    _model_grads,
+    _rmsprop_steps,
     build_vae,
     count_parameters,
     decode_batch,
@@ -43,6 +44,8 @@ from somatic_vae.vae import (
     vae_grad_check,
 )
 from somatic_vae.metrics import mean_cosine_similarity, micro_f1
+
+DEFAULT_GRAD_BLOCK = layers_module.GRAD_BLOCK
 
 TINY = dict(
     input_dim=12,
@@ -404,7 +407,7 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     vae_module_spies = ("_forward_train", "reconstruction_grad", "rmsprop_update")
     for name in vae_module_spies:
         spy(vae_module, name)
-    # the backward kernels' input gradients never reach model.grad uncast
+    # the backward kernels' input gradients never reach a step uncast
     backward = ("_dense_backward", "_batchnorm_backward", "_activation_backward")
     for name in backward:
         spy(layers_module, name)
@@ -423,7 +426,7 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     dxs = arrays_in([out for name in backward for _, out in calls[name]])
     assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
     named = {"eps": fwd["eps"], "probs": fwd["probs"], "dprobs": dprobs, "theta": model.theta,
-             "grad": model.grad, "stats": model.stats,
+             "stats": model.stats,
              **{f"step {i} {what}": a for i, (theta, grad, state) in enumerate(steps)
                 for what, a in (("theta", theta), ("grad", grad),
                                 ("accumulator", state.accumulator))},
@@ -436,21 +439,26 @@ def test_one_training_step_computes_in_float32(monkeypatch):
         == [np.float32] * 4
 
 
-def assert_layer_steps_equal_one_step_over_theta(config, cohort, moved=0.9):
+def assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort, moved=0.9):
     # the order before the steps moved into the backward pass: the whole
-    # gradient into model.grad, then one rmsprop_update over theta
+    # gradient, collected at the default GRAD_BLOCK (one block per weight
+    # at these shapes), then one rmsprop_update over theta; the steps in
+    # the backward pass take GRAD_BLOCK as the caller set it
+    grad_block, default = layers_module.GRAD_BLOCK, DEFAULT_GRAD_BLOCK
     fused, flat = (build_vae(config, sub_rng(0, "init")) for _ in range(2))
     initial = fused.theta.copy()
     fused_state, flat_state = init_rmsprop(fused.theta), init_rmsprop(flat.theta)
-    steppers = _layer_steppers(fused, fused_state, config)
+    steps = _rmsprop_steps(fused, fused_state, config)
+    buf = grad_buffer(fused.specs(), np.float32)
     rngs = [{"dropout": sub_rng(0, "dropout"), "reparam": sub_rng(0, "reparam")} for _ in range(2)]
     for step in range(4):
         xb = cohort.matrix[10 * step : 10 * (step + 1)].astype(np.float32)
+        monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
         fwd = _forward_train(fused, xb, 0.5, rngs[0])
-        _backward_train(fused, xb, 0.5, fwd, steppers)
+        _backward_train(fused, xb, 0.5, fwd, steps, buf)
+        monkeypatch.setattr(layers_module, "GRAD_BLOCK", default)
         fwd = _forward_train(flat, xb, 0.5, rngs[1])
-        _backward_train(flat, xb, 0.5, fwd)
-        rmsprop_update(flat.theta, flat.grad, flat_state,
+        rmsprop_update(flat.theta, _model_grads(flat, xb, 0.5, fwd), flat_state,
                        lr=config.learning_rate, rho=config.rho, eps=config.epsilon)
         assert fused.theta.tobytes() == flat.theta.tobytes()
         assert fused_state.accumulator.tobytes() == flat_state.accumulator.tobytes()
@@ -458,11 +466,11 @@ def assert_layer_steps_equal_one_step_over_theta(config, cohort, moved=0.9):
     assert (fused.theta != initial).mean() > moved
 
 
-def test_layer_steps_in_the_backward_pass_equal_one_step_over_theta():
+def test_layer_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypatch):
     cohort = small_cohort()
     config = tiny_config(input_dim=cohort.n_loci, dropout_rate=0.25, l1_coefficient=1e-3,
                          learning_rate=1e-2, batch_size=10)
-    assert_layer_steps_equal_one_step_over_theta(config, cohort)
+    assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort)
 
 
 def test_block_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypatch):
@@ -475,7 +483,7 @@ def test_block_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypatch)
     # layer is wider than a block, so one row per block
     assert (first.in_dim, block_rows(first)) == (30, 4)
     assert (last.out_dim, block_rows(last)) == (30, 1)
-    assert_layer_steps_equal_one_step_over_theta(config, cohort)
+    assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort)
 
 
 def test_live_row_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypatch):
@@ -507,7 +515,7 @@ def test_live_row_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypat
 
     monkeypatch.setattr(vae_module, "rmsprop_update", recording)
     # rows of loci that no minibatch mutates keep their weights
-    assert_layer_steps_equal_one_step_over_theta(config, cohort, moved=0.85)
+    assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort, moved=0.85)
     steps = {(offset, size, live) for offset, size, live in steps}
     assert (0, 28, 0) in steps  # loci 0-3: no live row
     assert (28, 28, None) in steps  # loci 4-7: the whole block
@@ -515,18 +523,27 @@ def test_live_row_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypat
     assert {size for _, size, _ in steps} == {28, 14}  # 7 blocks of 4 rows, one of 2
 
 
-def test_training_writes_only_the_head_of_model_grad(monkeypatch):
+def test_training_hands_every_backward_pass_one_buffer_smaller_than_theta(monkeypatch):
     cohort = small_cohort()
     split = holdout_split(cohort.n_samples, 0.8, seed=0)
     config = tiny_config(input_dim=cohort.n_loci, epochs=1, batch_size=16, l1_coefficient=1e-3)
+    real = vae_module.stack_backward
     # at 28 entries the first Dense layer and the last are split into blocks
     for grad_block in (layers_module.GRAD_BLOCK, 28):
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
+        bufs = []
+
+        def recording(specs, params, tape, dout, step, buf, input_grad=True):
+            bufs.append(buf)
+            return real(specs, params, tape, dout, step, buf, input_grad)
+
+        monkeypatch.setattr(vae_module, "stack_backward", recording)
         model, _ = train(cohort, split, config)
-        span = max(step_grad_views(spec, model.grad)[1] for spec in model.specs())
-        assert span < model.grad.size
-        assert model.grad[:span].any()
-        assert not model.grad[span:].any()
+        want = grad_buffer(model.specs(), np.float32)
+        assert len(bufs) == 4 * 2  # four stacks, two minibatches of 32 training rows
+        assert all(buf is bufs[0] for buf in bufs)
+        assert (bufs[0].dtype, bufs[0].size) == (want.dtype, want.size)
+        assert bufs[0].size < model.theta.size
 
 
 def test_build_vae_draws_the_same_weights_as_one_draw_per_layer():
@@ -553,7 +570,6 @@ def assert_views_of_flat_vectors(model):
     tensors = [(key, t) for stack in stacks for p in stack.params for key, t in p.items()]
     trainable = [t for key, t in tensors if key not in BUFFER_KEYS]
     buffers = [t for key, t in tensors if key in BUFFER_KEYS]
-    grads = [g for stack in stacks for layer in stack.grads for g in layer.values()]
     assert buffers
     assert model.theta.size == count_parameters(model)
     # the views tile each vector in layer order, so a rebound tensor
@@ -563,14 +579,6 @@ def assert_views_of_flat_vectors(model):
     assert all(np.shares_memory(t, model.theta) for t in trainable)
     assert all(np.shares_memory(b, model.stats) for b in buffers)
     assert not any(np.shares_memory(b, model.theta) for b in buffers)
-    assert [g.shape for g in grads] == [t.shape for t in trainable]
-    assert all(np.shares_memory(g, model.grad) for g in grads)
-    assert model.grad.shape == model.theta.shape
-    # distinct values: a stack bound at the wrong offset of grad would show
-    saved = model.grad.copy()
-    model.grad[...] = np.arange(model.grad.size)
-    assert np.array_equal(np.concatenate([g.ravel() for g in grads]), model.grad)
-    model.grad[...] = saved
 
 
 def test_trainable_tensors_are_views_of_theta(tmp_path):
