@@ -35,7 +35,7 @@ def new_stack(specs, rng):
     """Fresh layer tensors, and zeroed gradient arrays that are views into
     one flat vector, which collect_grads fills from stack_backward."""
     grad = np.zeros(stack_size(specs))
-    grads, _ = stack_views(specs, grad)
+    grads = stack_views(specs, grad)
     return [init_layer_params(spec, rng) for spec in specs], grads, grad
 
 
@@ -92,7 +92,7 @@ banner("a corrupted gradient is flagged")
 # batch-norm-free stack, so plain f64 central differences are clean here
 small = [Dense(6, 5), Activation("sigmoid"), Dense(5, 3)]
 theta = np.empty(stack_size(small))
-small_params, _ = stack_views(small, theta)
+small_params = stack_views(small, theta)
 small_rng = sv.sub_rng(3, "demo-small")
 for spec, p in zip(small, small_params):
     for key, value in init_layer_params(spec, small_rng).items():
@@ -101,7 +101,7 @@ xs = sv.sub_rng(4, "demo-small-x").standard_normal((5, 6))
 w2 = sv.sub_rng(5, "demo-small-w").standard_normal((5, 3))
 out_small, tape_small = stack_forward(small, small_params, xs, TRAIN)
 honest = np.zeros_like(theta)
-stack_backward(small, small_params, tape_small, w2, collect_grads(stack_views(small, honest)[0]),
+stack_backward(small, small_params, tape_small, w2, collect_grads(stack_views(small, honest)),
                grad_buffer(small, np.float64))
 
 
@@ -113,5 +113,5 @@ def objective():
 numeric = sv.finite_difference_grads(objective, theta)
 print("honest  :", sv.compare_grads(small, honest, numeric, tolerance=1e-5))
 faulted = honest.copy()
-stack_views(small, faulted)[0][0]["w"][...] *= 1.01
+stack_views(small, faulted)[0]["w"][...] *= 1.01
 print("1% fault:", sv.compare_grads(small, faulted, numeric, tolerance=1e-5))

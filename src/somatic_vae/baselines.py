@@ -14,6 +14,9 @@ from .metrics import first_non_finite_row
 from .seeding import indexed_rng
 from .vae import row_chunks
 
+MAX_ITERS = 300  # most Lloyd iterations per restart
+REL_TOL = 1e-4  # a restart stops once an iteration cuts inertia by less than this share
+
 
 @dataclass
 class PcaModel:
@@ -157,12 +160,12 @@ def _assign(points, sq_norms, centroids):
     return labels, inertia
 
 
-def _lloyd(points, sq_norms, k, rng, max_iters, rel_tol):
+def _lloyd(points, sq_norms, k, rng):
     centroids = _kmeans_pp_init(points, k, rng)
     labels, inertia = _assign(points, sq_norms, centroids)
     trace = [inertia]
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         for c in range(k):
             members = points[labels == c]
             if len(members):
@@ -175,14 +178,14 @@ def _lloyd(points, sq_norms, k, rng, max_iters, rel_tol):
         labels, new_inertia = _assign(points, sq_norms, centroids)
         iterations += 1
         trace.append(new_inertia)
-        if (inertia - new_inertia) / max(inertia, 1e-12) < rel_tol:
+        if (inertia - new_inertia) / max(inertia, 1e-12) < REL_TOL:
             inertia = new_inertia
             break
         inertia = new_inertia
     return KmeansResult(centroids, labels, inertia, iterations, tuple(trace))
 
 
-def kmeans_cluster(points, k, seed, restarts=10, max_iters=300, rel_tol=1e-4):
+def kmeans_cluster(points, k, seed, restarts=10):
     """Best of `restarts` seeded Lloyd runs (ties keep the lowest index)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -199,7 +202,7 @@ def kmeans_cluster(points, k, seed, restarts=10, max_iters=300, rel_tol=1e-4):
     best = None
     for r in range(int(restarts)):
         rng = indexed_rng(seed, "kmeans", r)
-        result = _lloyd(points, sq_norms, k, rng, int(max_iters), float(rel_tol))
+        result = _lloyd(points, sq_norms, k, rng)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

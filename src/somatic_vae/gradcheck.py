@@ -66,8 +66,7 @@ def compare_grads(specs, analytic, numeric, tolerance):
     rel = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
     per_param = {}
     worst_name, worst = "(none)", 0.0
-    views, _ = stack_views(specs, rel)
-    for i, view in enumerate(views):
+    for i, view in enumerate(stack_views(specs, rel)):
         for key, r in view.items():
             name = f"layer{i}.{key}"
             per_param[name] = float(r.max()) if r.size else 0.0

@@ -11,9 +11,10 @@ The elementwise kernels update in place only arrays they allocated in
 the same call, in their input's dtype, never an input or a cache.
 
 A stack's trainable tensors are views into consecutive slices of one flat
-vector (stack_views). The backward pass hands each parameter gradient,
-span by span, to a step hook (stack_backward): training's steps the
-optimizer, collect_grads copies each span into a flat vector.
+vector, one dict of views per layer (stack_views). The backward pass
+hands each parameter gradient, span by span, to a step hook
+(stack_backward): training's steps the optimizer, collect_grads copies
+each span into a flat vector.
 Batch-norm running statistics are buffers, viewed the same way from a
 second vector (buffers=True).
 """
@@ -27,8 +28,7 @@ import numpy as np
 TRAIN = "train"
 INFERENCE = "inference"
 BUFFER_KEYS = ("run_mean", "run_var")
-GRAD_BLOCK = 1 << 18  # weights per block of a Dense weight gradient: 1 MiB of float32
-INIT_BLOCK = 1 << 15  # weights per block of the initial draw: 256 KiB of float64
+GRAD_BLOCK = 1 << 18  # weights per row block of a Dense layer: 1 MiB of float32, 2 of float64
 
 
 def _as_real(t):
@@ -101,11 +101,10 @@ def layer_shapes(spec):
     return {}
 
 
-def stack_views(specs, vec, offset=0, buffers=False):
-    """One dict per layer of views into consecutive slices of vec, from
-    offset on, one view per trainable tensor (per running statistic with
-    buffers=True); returns (dicts, end offset)."""
-    views = []
+def stack_views(specs, vec, buffers=False):
+    """One dict per layer of views into consecutive slices of vec, one
+    view per trainable tensor (per running statistic with buffers=True)."""
+    views, offset = [], 0
     for spec in specs:
         p = {}
         for key, shape in layer_shapes(spec).items():
@@ -114,12 +113,13 @@ def stack_views(specs, vec, offset=0, buffers=False):
                 p[key] = vec[offset : offset + size].reshape(shape)
                 offset += size
         views.append(p)
-    return views, offset
+    return views
 
 
 def block_rows(spec):
-    """Rows of a Dense layer's weight gradient written at once: as many as
-    fit in GRAD_BLOCK entries, at least one, at most all."""
+    """Rows of a Dense layer's weights drawn, or of its weight gradient
+    written, at once: as many as fit in GRAD_BLOCK entries, at least one,
+    at most all."""
     return min(spec.in_dim, max(1, GRAD_BLOCK // spec.out_dim))
 
 
@@ -160,15 +160,15 @@ def init_layer_params(spec, rng, p=None):
     """One layer's tensors: Glorot-uniform weights, zero biases, unit
     batch-norm scale, zero shift, and the running-statistic buffers.
     Written into p (views shaped as layer_shapes) when given, else into
-    fresh float64 arrays; returns them. The weights are drawn in row
-    blocks of about INIT_BLOCK, the same float64 stream as one draw, so
-    no layer-sized float64 draw is allocated."""
+    fresh float64 arrays; returns them. The weights are drawn in blocks of
+    block_rows rows, the same float64 stream as one draw, so no
+    layer-sized float64 draw is allocated."""
     if p is None:
         p = {key: np.empty(shape) for key, shape in layer_shapes(spec).items()}
     if isinstance(spec, Dense):
         limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         w = p["w"]
-        rows = max(1, INIT_BLOCK // spec.out_dim)
+        rows = block_rows(spec)
         for start in range(0, spec.in_dim, rows):
             block = w[start : start + rows]
             block[...] = rng.uniform(-limit, limit, size=block.shape)

@@ -11,16 +11,20 @@ import zlib
 import numpy as np
 
 
+def _stream(seed, name, *words):
+    if not isinstance(name, str) or not name:
+        raise ValueError("stream name must be a non-empty string")
+    tag = zlib.crc32(name.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, *words]))
+
+
 def sub_rng(seed, name):
     """Return a Generator for the stream `name` under master `seed`.
 
     The stream identity is (seed, crc32(name)), so distinct names give
     independent streams and the same name always gives the same stream.
     """
-    if not isinstance(name, str) or not name:
-        raise ValueError("stream name must be a non-empty string")
-    tag = zlib.crc32(name.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+    return _stream(seed, name)
 
 
 def indexed_rng(seed, name, index):
@@ -30,7 +34,4 @@ def indexed_rng(seed, name, index):
     entropy word as absent, so lane 0 would otherwise collide with the
     plain sub_rng stream of the same name.
     """
-    tag = zlib.crc32(name.encode("utf-8"))
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), tag, int(index) + 1])
-    )
+    return _stream(seed, name, int(index) + 1)

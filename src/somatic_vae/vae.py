@@ -1,18 +1,19 @@
 """MLP variational autoencoder over binary mutation profiles.
 
-model.stacks holds four Stack records (layer specs, parameter views) in
-the order of theta: the encoder "enc", Dense -> BatchNorm -> LeakyReLU
--> Dropout -> Dense -> BatchNorm -> LeakyReLU; the linear heads "mu" and
-"lv" (log-variance); and the decoder "dec", which mirrors the encoder
-with ReLU activations and a sigmoid output layer. Training is plain
-minibatch RMSprop on recon + beta * KL + L1, with beta following the
-configured schedule; the whole run is a pure function of (cohort,
-split, config.seed).
+model.specs and model.params list every layer in the order of theta;
+model.stacks slices them into the encoder "enc", Dense -> BatchNorm ->
+LeakyReLU -> Dropout -> Dense -> BatchNorm -> LeakyReLU; the linear
+heads "mu" and "lv" (log-variance); and the decoder "dec", which mirrors
+the encoder with ReLU activations and a sigmoid output layer. Training
+is plain minibatch RMSprop on recon + beta * KL + L1, with beta
+following the configured schedule; the whole run is a pure function of
+(cohort, split, config.seed).
 
 Every trainable tensor is a view into one float32 vector, model.theta;
 the batch-norm running statistics are views of model.stats. Both are
-laid out stack by stack, layer by layer. Training steps RMSprop inside
-the backward pass on each gradient span as soon as it is written
+laid out layer by layer, and layer i of model.specs is the step hook's
+i and the gradient check's layer{i}. Training steps RMSprop inside the
+backward pass on each gradient span as soon as it is written
 (layers.stack_backward). Training and inference compute in float32;
 the random draws (initial weights, dropout uniforms, reparameterization
 noise) stay float64 and are rounded, so the streams do not depend on
@@ -151,27 +152,18 @@ class EpochStats:
 
 
 @dataclass
-class Stack:
-    specs: list
-    params: list  # per layer, views into theta (and stats, for batch norm)
-
-    def forward(self, x, mode, **kwargs):
-        return stack_forward(self.specs, self.params, x, mode, **kwargs)
-
-
-@dataclass
 class VaeModel:
     config: VaeConfig
-    stacks: dict  # "enc", "mu", "lv", "dec" -> Stack, in the order of theta
-    theta: np.ndarray  # every trainable scalar; the stacks' params view it
-    stats: np.ndarray  # batch-norm running statistics; the stacks' params view it
+    specs: list  # every layer spec, in the order of theta
+    params: list  # per layer, views into theta (and stats, for batch norm)
+    stacks: dict  # "enc", "mu", "lv", "dec" -> slice of specs and params
+    theta: np.ndarray  # every trainable scalar; params view it
+    stats: np.ndarray  # batch-norm running statistics; params view it
 
-    def specs(self):
-        """Every layer spec, in the order of theta."""
-        return [spec for stack in self.stacks.values() for spec in stack.specs]
-
-    def l1_penalty(self):
-        return sum(stack_l1_penalty(s.specs, s.params) for s in self.stacks.values())
+    def forward(self, name, x, mode, **kwargs):
+        """stack_forward over the layers of stack name."""
+        s = self.stacks[name]
+        return stack_forward(self.specs[s], self.params[s], x, mode, **kwargs)
 
 
 def _architecture(config):
@@ -207,16 +199,16 @@ def _bind(config, theta=None):
     """A model whose trainable tensors are views into theta (a fresh,
     unfilled float32 vector when None), and whose running statistics are
     views into a fresh, unfilled stats vector of theta's dtype."""
-    arch = _architecture(config)
+    specs, stacks = [], {}
+    for name, layers in _architecture(config).items():
+        stacks[name] = slice(len(specs), len(specs) + len(layers))
+        specs += layers
     if theta is None:
-        theta = np.empty(sum(stack_size(specs) for specs in arch.values()), np.float32)
-    stats = np.empty(sum(stack_size(specs, buffers=True) for specs in arch.values()), theta.dtype)
-    stacks, offset, stats_offset = {}, 0, 0
-    for name, specs in arch.items():
-        views, offset = stack_views(specs, theta, offset)
-        sviews, stats_offset = stack_views(specs, stats, stats_offset, buffers=True)
-        stacks[name] = Stack(specs, [{**v, **s} for v, s in zip(views, sviews)])
-    return VaeModel(config, stacks, theta, stats)
+        theta = np.empty(stack_size(specs), np.float32)
+    stats = np.empty(stack_size(specs, buffers=True), theta.dtype)
+    params = [{**v, **s} for v, s in zip(stack_views(specs, theta),
+                                         stack_views(specs, stats, buffers=True))]
+    return VaeModel(config, specs, params, stacks, theta, stats)
 
 
 def build_vae(config, rng):
@@ -225,9 +217,8 @@ def build_vae(config, rng):
     decoder; the float64 draws are rounded to float32."""
     config.validate()
     model = _bind(config)
-    for stack in model.stacks.values():
-        for spec, p in zip(stack.specs, stack.params):
-            init_layer_params(spec, rng, p)
+    for spec, p in zip(model.specs, model.params):
+        init_layer_params(spec, rng, p)
     return model
 
 
@@ -245,33 +236,33 @@ def _check_binary(x, dtype):
     return x
 
 
-def encode_batch(model, x, mode=INFERENCE, rng=None):
+def encode_batch(model, x):
     """Run the encoder and both heads; returns the latent Gaussian."""
     x = _check_binary(x, model.theta.dtype)
     if x.shape[1] != model.config.input_dim:
         raise ValueError(
             f"input has {x.shape[1]} columns, model expects {model.config.input_dim}"
         )
-    mu, lv, _ = _encode(model, x, mode, rng)
+    mu, lv, _ = _encode(model, x, INFERENCE)
     return LatentDistribution(mu, lv)
 
 
-def _encode(model, x, mode, rng, masks=None, update_running=True):
+def _encode(model, x, mode, rng=None, masks=None, update_running=True):
     """The encoder and both heads: (mu, logvar, their tapes by stack name)."""
-    stacks, tapes = model.stacks, {}
-    h, tapes["enc"] = stacks["enc"].forward(x, mode, rng=rng, masks=masks,
-                                            update_running=update_running)
-    mu, tapes["mu"] = stacks["mu"].forward(h, mode)
-    lv, tapes["lv"] = stacks["lv"].forward(h, mode)
+    tapes = {}
+    h, tapes["enc"] = model.forward("enc", x, mode, rng=rng, masks=masks,
+                                    update_running=update_running)
+    mu, tapes["mu"] = model.forward("mu", h, mode)
+    lv, tapes["lv"] = model.forward("lv", h, mode)
     return mu, lv, tapes
 
 
-def decode_batch(model, z, mode=INFERENCE, rng=None):
+def decode_batch(model, z):
     """Decode latent points to per-locus probabilities in (0, 1)."""
     z = np.asarray(z, dtype=model.theta.dtype)
     if z.ndim != 2 or z.shape[1] != model.config.latent_dim:
         raise ValueError(f"latent batch must have {model.config.latent_dim} columns")
-    probs, _ = model.stacks["dec"].forward(z, mode, rng=rng)
+    probs, _ = model.forward("dec", z, INFERENCE)
     # sigmoid can round to exactly 0 or 1 at extreme logits; keep the
     # documented open interval (in place: probs is fresh, its tape dropped)
     zero, one = probs.dtype.type(0), probs.dtype.type(1)
@@ -280,8 +271,8 @@ def decode_batch(model, z, mode=INFERENCE, rng=None):
 
 def reconstruct_mu(model, x):
     """Deterministic reconstruction through mu (inference mode)."""
-    dist = encode_batch(model, x, INFERENCE)
-    return decode_batch(model, dist.mu, INFERENCE)
+    dist = encode_batch(model, x)
+    return decode_batch(model, dist.mu)
 
 
 def row_chunks(matrix, dtype):
@@ -322,25 +313,27 @@ def _forward_train(model, x, beta, rngs, masks=(None, None), eps=None, update_ru
     if eps is None:
         eps = rngs["reparam"].standard_normal(mu.shape).astype(mu.dtype, copy=False)
     z = mu + np.exp(0.5 * lv) * eps
-    probs, tapes["dec"] = model.stacks["dec"].forward(
-        z, TRAIN, rng=rngs.get("dropout"), masks=dec_masks, update_running=update_running)
+    probs, tapes["dec"] = model.forward(
+        "dec", z, TRAIN, rng=rngs.get("dropout"), masks=dec_masks, update_running=update_running)
     recon = reconstruction_loss(model.config.loss_kind, probs, x)
     kl = kl_divergence(mu, lv)
-    breakdown = total_loss(recon, kl, model.l1_penalty(), beta)
+    # per stack, then over stacks: one flat float32 sum rounds history.tsv differently
+    l1 = sum(stack_l1_penalty(model.specs[s], model.params[s]) for s in model.stacks.values())
+    breakdown = total_loss(recon, kl, l1, beta)
     return {"breakdown": breakdown, "probs": probs, "mu": mu, "lv": lv, "eps": eps,
             "tapes": tapes}  # tapes by stack name
 
 
-def _backward_train(model, x, beta, fwd, steps, buf):
+def _backward_train(model, x, beta, fwd, step, buf):
     """Backpropagates the total loss, each gradient span written into buf
-    and handed to steps[stack name], a step hook for stack_backward."""
+    and handed to step with its layer's index in model.specs."""
     tapes = fwd["tapes"]
     mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
 
     def backward(name, dout, input_grad=True):
-        stack = model.stacks[name]
-        return stack_backward(stack.specs, stack.params, tapes[name], dout, steps[name], buf,
-                              input_grad)
+        s = model.stacks[name]
+        return stack_backward(model.specs[s], model.params[s], tapes[name], dout,
+                              lambda i, *span: step(s.start + i, *span), buf, input_grad)
 
     dprobs = reconstruction_grad(model.config.loss_kind, fwd["probs"], x)
     dz = backward("dec", dprobs)
@@ -351,35 +344,25 @@ def _backward_train(model, x, beta, fwd, steps, buf):
     backward("enc", dh, input_grad=False)
 
 
-def _views_by_stack(model, vec):
-    """Per stack name, stack_views of a vector laid out as theta."""
-    views, offset = {}, 0
-    for name, stack in model.stacks.items():
-        views[name], offset = stack_views(stack.specs, vec, offset)
-    return views
-
-
-def _rmsprop_steps(model, state, config):
-    """Per stack name, a step hook that steps RMSprop over the rows of
-    the parameter tensor and of state's accumulator that each gradient
-    span covers, looking rmsprop_update up at each call."""
+def _rmsprop_step(model, state, config):
+    """A step hook that steps RMSprop over the rows of the parameter
+    tensor and of state's accumulator that each gradient span covers,
+    looking rmsprop_update up at each call."""
     hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
-    steps = {}
-    for name, acc in _views_by_stack(model, state.accumulator).items():
+    acc = stack_views(model.specs, state.accumulator)
 
-        def step(i, key, rows, grad, live=None, params=model.stacks[name].params, acc=acc):
-            rmsprop_update(params[i][key][rows], grad,
-                           RmspropState(acc[i][key][rows], state.scratch), live=live, **hyper)
+    def step(i, key, rows, grad, live=None):
+        rmsprop_update(model.params[i][key][rows], grad,
+                       RmspropState(acc[i][key][rows], state.scratch), live=live, **hyper)
 
-        steps[name] = step
-    return steps
+    return step
 
 
 def _model_grads(model, x, beta, fwd):
     """The gradient of fwd's training pass, as a vector laid out as theta."""
     grad = np.zeros_like(model.theta)
-    steps = {name: collect_grads(views) for name, views in _views_by_stack(model, grad).items()}
-    _backward_train(model, x, beta, fwd, steps, grad_buffer(model.specs(), grad.dtype))
+    _backward_train(model, x, beta, fwd, collect_grads(stack_views(model.specs, grad)),
+                    grad_buffer(model.specs, grad.dtype))
     return grad
 
 
@@ -430,8 +413,8 @@ def train(cohort, split, config):
         "reparam": sub_rng(config.seed, "reparam"),
     }
     model = build_vae(config, sub_rng(config.seed, "init"))
-    steps = _rmsprop_steps(model, init_rmsprop(model.theta), config)
-    buf = grad_buffer(model.specs(), model.theta.dtype)
+    step = _rmsprop_step(model, init_rmsprop(model.theta), config)
+    buf = grad_buffer(model.specs, model.theta.dtype)
     shuffle_rng = sub_rng(config.seed, "shuffle")
 
     history = []
@@ -454,7 +437,7 @@ def train(cohort, split, config):
             breakdown = fwd["breakdown"]
             if not np.isfinite(breakdown.total):
                 raise FloatingPointError(f"epoch {epoch} batch {batch}: non-finite loss")
-            _backward_train(model, xb, beta, fwd, steps, buf)
+            _backward_train(model, xb, beta, fwd, step, buf)
             for key in sums:
                 sums[key] += float(getattr(breakdown, key)) * len(rows)
             seen += len(rows)
@@ -499,4 +482,4 @@ def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
     against central differences for every parameter.
     """
     model, analytic, numeric = _grads_to_check(config, beta, batch_size, fd_step)
-    return compare_grads(model.specs(), analytic, numeric, tolerance)
+    return compare_grads(model.specs, analytic, numeric, tolerance)

@@ -49,7 +49,7 @@ def grad_check(specs, params, x, weights, tolerance=1e-5, fd_step=1e-5, rng=None
     """
     weights = np.asarray(weights, dtype=np.float64)
     theta = np.empty(stack_size(specs))
-    views, _ = stack_views(specs, theta)
+    views = stack_views(specs, theta)
     for view, p in zip(views, params):
         for key in view:
             view[key][...] = p[key]
@@ -59,11 +59,11 @@ def grad_check(specs, params, x, weights, tolerance=1e-5, fd_step=1e-5, rng=None
     out, tape = stack_forward(specs, params, x, TRAIN, rng=rng, update_running=False)
     if out.shape != weights.shape:
         raise ValueError(f"weights have shape {weights.shape}, the stack output {out.shape}")
-    collected_backward(specs, params, tape, weights, stack_views(specs, grad)[0])
+    collected_backward(specs, params, tape, weights, stack_views(specs, grad))
     x_fd = np.asarray(x).astype(FD_DTYPE)
 
     def objective():
-        wide, _ = stack_views(specs, theta.astype(FD_DTYPE))
+        wide = stack_views(specs, theta.astype(FD_DTYPE))
         o, _ = stack_forward(specs, wide, x_fd, TRAIN, masks=tape.masks, update_running=False)
         return (o * weights).sum() + stack_l1_penalty(specs, wide)
 

@@ -84,10 +84,10 @@ def _grad_reports_with_fault(config, beta):
     """Clean and 1%-corrupted gradient comparisons sharing one FD run of
     the float64 model that vae_grad_check checks."""
     model, analytic, numeric = _grads_to_check(config, beta, batch_size=4, fd_step=1e-5)
-    specs = model.specs()
+    specs = model.specs
     clean = compare_grads(specs, analytic, numeric, 1e-5)
     faulted = analytic.copy()
-    stack_views(specs, faulted)[0][0]["w"][...] *= 1.01
+    stack_views(specs, faulted)[0]["w"][...] *= 1.01
     dirty = compare_grads(specs, faulted, numeric, 1e-5)
     return clean, dirty
 

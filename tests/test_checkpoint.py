@@ -46,8 +46,7 @@ def test_roundtrip_reproduces_every_tensor_bit_exactly(tmp_path):
     assert loaded_config == config
     assert np.array_equal(loaded.theta, model.theta)
     assert np.array_equal(loaded.stats, model.stats)
-    layers = [[p for stack in m.stacks.values() for p in stack.params] for m in (model, loaded)]
-    for p, q in zip(*layers):
+    for p, q in zip(model.params, loaded.params):
         assert p.keys() == q.keys()
         assert all(np.array_equal(p[key], q[key]) for key in p)
 

@@ -104,7 +104,7 @@ def test_grad_check_detects_injected_fault():
     rng = np.random.default_rng(0)
     specs = [Dense(4, 3), Activation("leaky_relu", slope=0.3), Dense(3, 2)]
     theta = np.empty(stack_size(specs))
-    params, _ = stack_views(specs, theta)
+    params = stack_views(specs, theta)
     for spec, p in zip(specs, params):
         for key, value in init_layer_params(spec, rng).items():
             p[key][...] = value
@@ -113,7 +113,7 @@ def test_grad_check_detects_injected_fault():
 
     _, tape = stack_forward(specs, params, x, "train")
     grad = np.zeros_like(theta)
-    grads, _ = stack_views(specs, grad)
+    grads = stack_views(specs, grad)
     collected_backward(specs, params, tape, weights, grads)
     grads[0]["w"] *= 1.01
 

@@ -208,7 +208,7 @@ def check_stack(specs, params, x, dout, seed, dtype=np.float64):
     assert_trees_same_bytes(params, ref_params, "running statistics")
 
     grad = np.zeros(stack_size(specs), dtype)
-    grads, _ = stack_views(specs, grad)
+    grads = stack_views(specs, grad)
     dx = collected_backward(specs, params, tape, dout, grads)
     want_dx, want_grads = ref_stack_backward(specs, ref_params, caches, masks, dout)
     assert_same_bytes(dx, want_dx, "input gradient")
@@ -308,7 +308,7 @@ def hooked_weight_blocks(spec, params, tape, dout):
         if key == "w":
             blocks.append((rows, grad.copy(), None if live is None else live.copy()))
 
-    grads, _ = stack_views([spec], np.zeros(stack_size([spec]), np.float32))
+    grads = stack_views([spec], np.zeros(stack_size([spec]), np.float32))
     collected_backward([spec], params, tape, dout, grads, input_grad=False, spy=spy)
     return blocks
 
@@ -440,7 +440,7 @@ def test_stack_backward_twice_on_one_tape_writes_the_same_bytes():
     results = []
     for _ in range(2):
         grad = np.zeros(stack_size(specs))
-        dx = collected_backward(specs, params, tape, dout, stack_views(specs, grad)[0])
+        dx = collected_backward(specs, params, tape, dout, stack_views(specs, grad))
         results.append((grad.tobytes(), dx.tobytes()))
     assert results[0] == results[1]
     assert_trees_same_bytes((tape.caches, tape.masks, dout), snapshot, "tape and upstream gradient")
@@ -453,6 +453,6 @@ def test_decode_batch_clips_like_its_reference():
     real = model.theta.dtype.type
     assert real is np.float32
     dec = model.stacks["dec"]
-    probs, _ = stack_forward(dec.specs, dec.params, z.astype(real), INFERENCE)
+    probs, _ = stack_forward(model.specs[dec], model.params[dec], z.astype(real), INFERENCE)
     want = np.clip(probs, np.nextafter(real(0), real(1)), np.nextafter(real(1), real(0)))
     assert_same_bytes(decode_batch(model, z), want, "clipped probabilities")

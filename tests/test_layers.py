@@ -27,7 +27,7 @@ from somatic_vae.layers import (
 def new_stack(specs, rng):
     """Freshly initialised layer tensors, and zeroed gradient views of one
     flat vector for collected_backward."""
-    grads, _ = stack_views(specs, np.zeros(stack_size(specs)))
+    grads = stack_views(specs, np.zeros(stack_size(specs)))
     return [init_layer_params(spec, rng) for spec in specs], grads
 
 
@@ -135,19 +135,17 @@ def test_layer_shapes_match_init_and_views_tile_the_vector():
         fresh = init_layer_params(spec, rng)
         assert {k: v.shape for k, v in fresh.items()} == layer_shapes(spec)
     vec = np.arange(float(stack_size(specs)))
-    views, end = stack_views(specs, vec, 0)
-    assert end == vec.size == 4 * 3 + 3 + 2 * 3 + 3 * 2 + 2
+    views = stack_views(specs, vec)
+    assert vec.size == 4 * 3 + 3 + 2 * 3 + 3 * 2 + 2
     assert [list(v) for v in views] == [["w", "b"], ["gamma", "delta"], [], [], ["w", "b"]]
     # consecutive, in layer and draw order, and sharing memory with vec
     flat = np.concatenate([a.ravel() for v in views for a in v.values()])
     assert np.array_equal(flat, vec)
     assert all(np.shares_memory(a, vec) for v in views for a in v.values())
-    _, offset_end = stack_views(specs, np.zeros(end + 5), 5)
-    assert offset_end == end + 5
     # the running statistics tile a second vector the same way
     stats = np.arange(float(stack_size(specs, buffers=True)))
-    buffers, end = stack_views(specs, stats, 0, buffers=True)
-    assert end == stats.size == 2 * 3
+    buffers = stack_views(specs, stats, buffers=True)
+    assert stats.size == 2 * 3
     assert [list(v) for v in buffers] == [[], ["run_mean", "run_var"], [], [], []]
     assert np.array_equal(np.concatenate([a for v in buffers for a in v.values()]), stats)
     assert all(np.shares_memory(a, stats) for v in buffers for a in v.values())
@@ -368,16 +366,16 @@ def steps_of_one_backward_pass(monkeypatch, grad_block, input_grad):
     specs = [Dense(6, 5), BatchNorm(5), Activation("relu"), Dense(5, 3, l1_coefficient=1e-3)]
     theta = np.zeros(stack_size(specs), np.float32)
     stats = np.zeros(stack_size(specs, buffers=True), np.float32)
-    views = zip(stack_views(specs, theta)[0], stack_views(specs, stats, buffers=True)[0])
+    views = zip(stack_views(specs, theta), stack_views(specs, stats, buffers=True))
     params = [init_layer_params(spec, rng, {**t, **b}) for spec, (t, b) in zip(specs, views)]
     x = rng.standard_normal((7, 6)).astype(np.float32)
     x[:, 3:5] = 0.0
     dout = rng.standard_normal((7, 3)).astype(np.float32)
     _, tape = stack_forward(specs, params, x, TRAIN)
-    want, _ = stack_views(specs, np.zeros(stack_size(specs), np.float32))
+    want = stack_views(specs, np.zeros(stack_size(specs), np.float32))
     want_dx = collected_backward(specs, params, tape, dout, want, input_grad)
     monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
-    got, _ = stack_views(specs, np.zeros(stack_size(specs), np.float32))
+    got = stack_views(specs, np.zeros(stack_size(specs), np.float32))
     stepped, heads = [], set()
     largest = grad_buffer(specs, np.float32).size
 

@@ -64,8 +64,7 @@ def test_buffer_entries_without_grads_stay_untouched():
     rmsprop_update(model.theta, grad, state, lr=0.1)
     assert (model.theta != theta_before).all()
     assert np.array_equal(model.stats, stats_before)
-    layers = [p for stack in model.stacks.values() for p in stack.params]
-    buffers = [p[key] for p in layers for key in BUFFER_KEYS if key in p]
+    buffers = [p[key] for p in model.params for key in BUFFER_KEYS if key in p]
     assert np.array_equal(np.concatenate([b.ravel() for b in buffers]), stats_before)
 
 

@@ -1,5 +1,7 @@
 """Named sub-generator derivation from a master seed."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,17 @@ def test_distinct_seeds_give_distinct_streams():
 
 
 def test_invalid_stream_name_rejected():
-    with pytest.raises(ValueError):
-        sub_rng(0, "")
-    with pytest.raises(ValueError):
-        sub_rng(0, None)
+    for make in (lambda name: sub_rng(0, name), lambda name: indexed_rng(0, name, 0)):
+        for name in ("", None):
+            with pytest.raises(ValueError, match="stream name must be a non-empty string"):
+                make(name)
+
+
+def test_indexed_rng_lane_is_the_index_plus_one():
+    tag = zlib.crc32(b"kmeans")
+    for index in (0, 1, 9):
+        want = np.random.default_rng(np.random.SeedSequence([3, tag, index + 1])).random(8)
+        assert np.array_equal(indexed_rng(3, "kmeans", index).random(8), want)
 
 
 def test_indexed_rng_lanes_are_independent_and_reproducible():

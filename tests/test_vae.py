@@ -14,9 +14,9 @@ from somatic_vae.cohort import (
     generate_synthetic_cohort,
     holdout_split,
 )
+from somatic_vae.gradcheck import compare_grads
 from somatic_vae.layers import (
     BUFFER_KEYS,
-    INIT_BLOCK,
     Activation,
     BatchNorm,
     Dense,
@@ -32,7 +32,7 @@ from somatic_vae.vae import (
     _backward_train,
     _forward_train,
     _model_grads,
-    _rmsprop_steps,
+    _rmsprop_step,
     build_vae,
     count_parameters,
     decode_batch,
@@ -89,14 +89,14 @@ def test_full_scale_architecture_shapes():
     config = VaeConfig(input_dim=8298, hidden_dims=(1024, 256), latent_dim=64)
     model = build_vae(config, sub_rng(0, "init"))
     dec = model.stacks["dec"]
-    final_dense = dec.specs[-2]
+    final_dense = model.specs[dec][-2]
     assert isinstance(final_dense, Dense)
     assert (final_dense.in_dim, final_dense.out_dim) == (1024, 8298)
-    assert dec.params[-2]["w"].shape == (1024, 8298)
-    assert isinstance(dec.specs[-1], Activation)
-    assert dec.specs[-1].kind == "sigmoid"
-    assert model.stacks["mu"].params[0]["w"].shape == (256, 64)
-    assert model.stacks["lv"].params[0]["w"].shape == (256, 64)
+    assert model.params[dec][-2]["w"].shape == (1024, 8298)
+    assert isinstance(model.specs[dec][-1], Activation)
+    assert model.specs[dec][-1].kind == "sigmoid"
+    assert model.params[model.stacks["mu"]][0]["w"].shape == (256, 64)
+    assert model.params[model.stacks["lv"]][0]["w"].shape == (256, 64)
 
 
 def test_parameter_count_matches_shape_arithmetic():
@@ -202,7 +202,7 @@ def training_latents(model, x, noise):
 def fix_heads(model, mu, logvar):
     """Zero both heads' weights so every row gets the given mu and logvar."""
     for name, value in (("mu", mu), ("lv", logvar)):
-        params = model.stacks[name].params
+        params = model.params[model.stacks[name]]
         params[0]["w"][...] = 0.0
         params[0]["b"][...] = value
 
@@ -245,7 +245,7 @@ def test_decode_outputs_open_unit_interval_and_deterministic():
 
 def test_decode_zero_parameters_give_half_everywhere():
     model, _ = tiny_model()
-    for p in model.stacks["dec"].params:
+    for p in model.params[model.stacks["dec"]]:
         if "w" in p:
             p["w"][:] = 0.0
             p["b"][:] = 0.0
@@ -418,7 +418,7 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     # one RMSprop call per gradient span, inside the backward pass: each
     # Dense bias and weight block (one block each here), each batch-norm tensor
     steps = [args for args, _ in calls["rmsprop_update"]]
-    assert len(steps) == sum(key not in BUFFER_KEYS for spec in model.specs()
+    assert len(steps) == sum(key not in BUFFER_KEYS for spec in model.specs
                              for key in layer_shapes(spec)) == 22
     caches = arrays_in([tape.caches for tape in fwd["tapes"].values()])
     masks = arrays_in([tape.masks for tape in fwd["tapes"].values()])
@@ -448,14 +448,14 @@ def assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort, mo
     fused, flat = (build_vae(config, sub_rng(0, "init")) for _ in range(2))
     initial = fused.theta.copy()
     fused_state, flat_state = init_rmsprop(fused.theta), init_rmsprop(flat.theta)
-    steps = _rmsprop_steps(fused, fused_state, config)
-    buf = grad_buffer(fused.specs(), np.float32)
+    step = _rmsprop_step(fused, fused_state, config)
+    buf = grad_buffer(fused.specs, np.float32)
     rngs = [{"dropout": sub_rng(0, "dropout"), "reparam": sub_rng(0, "reparam")} for _ in range(2)]
-    for step in range(4):
-        xb = cohort.matrix[10 * step : 10 * (step + 1)].astype(np.float32)
+    for batch in range(4):
+        xb = cohort.matrix[10 * batch : 10 * (batch + 1)].astype(np.float32)
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
         fwd = _forward_train(fused, xb, 0.5, rngs[0])
-        _backward_train(fused, xb, 0.5, fwd, steps, buf)
+        _backward_train(fused, xb, 0.5, fwd, step, buf)
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", default)
         fwd = _forward_train(flat, xb, 0.5, rngs[1])
         rmsprop_update(flat.theta, _model_grads(flat, xb, 0.5, fwd), flat_state,
@@ -539,7 +539,7 @@ def test_training_hands_every_backward_pass_one_buffer_smaller_than_theta(monkey
 
         monkeypatch.setattr(vae_module, "stack_backward", recording)
         model, _ = train(cohort, split, config)
-        want = grad_buffer(model.specs(), np.float32)
+        want = grad_buffer(model.specs, np.float32)
         assert len(bufs) == 4 * 2  # four stacks, two minibatches of 32 training rows
         assert all(buf is bufs[0] for buf in bufs)
         assert (bufs[0].dtype, bufs[0].size) == (want.dtype, want.size)
@@ -547,13 +547,16 @@ def test_training_hands_every_backward_pass_one_buffer_smaller_than_theta(monkey
 
 
 def test_build_vae_draws_the_same_weights_as_one_draw_per_layer():
-    # the first Dense layer takes several row blocks, the last more
-    # columns than a block, so one row per block
-    config = tiny_config(input_dim=INIT_BLOCK + 5000, hidden_dims=(5, 3), latent_dim=2)
+    # the first Dense layer takes three row blocks, the last more columns
+    # than half a block, so one row per block
+    config = tiny_config(input_dim=DEFAULT_GRAD_BLOCK // 2 + 5000, hidden_dims=(5, 3),
+                         latent_dim=2)
     model = build_vae(config, sub_rng(4, "init"))
+    first, last = model.specs[0], model.specs[-2]
+    assert (-(-first.in_dim // block_rows(first)), block_rows(last)) == (3, 1)
     rng = sub_rng(4, "init")
     want, stats = [], []
-    for spec in model.specs():
+    for spec in model.specs:
         if isinstance(spec, Dense):
             limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
             want += [rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)).ravel(),
@@ -566,8 +569,7 @@ def test_build_vae_draws_the_same_weights_as_one_draw_per_layer():
 
 
 def assert_views_of_flat_vectors(model):
-    stacks = model.stacks.values()
-    tensors = [(key, t) for stack in stacks for p in stack.params for key, t in p.items()]
+    tensors = [(key, t) for p in model.params for key, t in p.items()]
     trainable = [t for key, t in tensors if key not in BUFFER_KEYS]
     buffers = [t for key, t in tensors if key in BUFFER_KEYS]
     assert buffers
@@ -684,3 +686,33 @@ def test_full_model_gradient_check_single_combo():
     config = tiny_config(l1_coefficient=1e-5)
     report = vae_grad_check(config, beta=0.5)
     assert report.passed, str(report)
+
+
+def test_step_hook_layer_index_is_the_gradient_check_name(monkeypatch):
+    # a layer has one index: the hook's (i, key) over one training pass is
+    # the tensor compare_grads names layer{i}.{key}, and its spans' rows
+    # tile that tensor's first axis (at 28 entries the first and last
+    # Dense layers take several blocks)
+    monkeypatch.setattr(layers_module, "GRAD_BLOCK", 28)
+    cohort = small_cohort()
+    config = tiny_config(input_dim=cohort.n_loci, hidden_dims=(7, 5), l1_coefficient=1e-3)
+    model = build_vae(config, sub_rng(0, "init"))
+    xb = cohort.matrix[:10].astype(np.float32)
+    fwd = _forward_train(model, xb, 0.5, {"dropout": sub_rng(0, "dropout"),
+                                          "reparam": sub_rng(0, "reparam")})
+    seen = {}
+
+    def spy(i, key, rows, grad, live=None):
+        tensor = model.params[i][key]
+        start, stop, stride = rows.indices(len(tensor))
+        assert stride == 1 and grad.size == (stop - start) * tensor[0].size
+        seen.setdefault(f"layer{i}.{key}", []).append((start, stop, len(tensor)))
+
+    _backward_train(model, xb, 0.5, fwd, spy, grad_buffer(model.specs, np.float32))
+    zeros = np.zeros(model.theta.size)
+    assert seen.keys() == compare_grads(model.specs, zeros, zeros, 0.0).per_param.keys()
+    assert max(len(spans) for spans in seen.values()) > 1
+    for spans in seen.values():
+        bounds = sorted(spans)
+        assert bounds[0][0] == 0 and bounds[-1][1] == bounds[-1][2]
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
