@@ -32,11 +32,16 @@ def banner(title):
 
 
 def new_stack(specs, rng):
-    """Fresh layer tensors, and zeroed gradient arrays that are views into
-    one flat vector, which collect_grads fills from stack_backward."""
-    grad = np.zeros(stack_size(specs))
-    grads = stack_views(specs, grad)
-    return [init_layer_params(spec, rng) for spec in specs], grads, grad
+    """Fresh layer tensors as views into one flat vector theta (running
+    statistics into a second), the way build_vae lays out a model; and
+    zeroed gradient arrays that are views into a flat vector grad, which
+    collect_grads fills from stack_backward. Returns (params, theta,
+    grads, grad)."""
+    theta, grad = np.empty(stack_size(specs)), np.zeros(stack_size(specs))
+    stats = np.empty(stack_size(specs, buffers=True))
+    views = zip(stack_views(specs, theta), stack_views(specs, stats, buffers=True))
+    params = [init_layer_params(spec, rng, {**t, **b}) for spec, (t, b) in zip(specs, views)]
+    return params, theta, stack_views(specs, grad), grad
 
 
 specs = [
@@ -48,7 +53,7 @@ specs = [
     Activation("sigmoid"),
 ]
 rng = sv.sub_rng(0, "demo-stack")
-params, grads, grad = new_stack(specs, rng)
+params, _, grads, grad = new_stack(specs, rng)
 x = (rng.random((8, 10)) < 0.3).astype(np.float64)
 
 banner("train vs inference mode")
@@ -58,8 +63,9 @@ print(f"train output mean  {out_train.mean():.4f} (dropout active, batch stats)"
 print(f"infer output mean  {out_infer.mean():.4f} (deterministic, running stats)")
 again, _ = stack_forward(specs, params, x, INFERENCE)
 print(f"inference is bit-reproducible: {np.array_equal(out_infer, again)}")
-# masks store 1/keep_rate for survivors, so count nonzeros for the fraction
-kept = (tape.masks[3] > 0).mean()
+# a dropout layer's cache is its mask, which stores 1/keep_rate for
+# survivors, so count nonzeros for the fraction
+kept = (tape.caches[3] > 0).mean()
 print(f"dropout kept {kept:.2%} of units (rate 0.25 -> expect ~75%)")
 
 banner("analytic backward pass")
@@ -76,7 +82,8 @@ for i, g in enumerate(grads):
 
 banner("finite-difference verification of the full model")
 # every trainable scalar of the VAE is perturbed in model.theta, and the
-# loss is replayed with the dropout masks and reparameterization noise frozen
+# loss is replayed with the check's random stream rewound each time, so each
+# replay draws the same dropout masks and reparameterization noise
 tiny = sv.VaeConfig(
     input_dim=12, hidden_dims=(8, 6), latent_dim=3,
     dropout_rate=0.25, l1_coefficient=1e-4, loss_kind="bce",
@@ -91,12 +98,7 @@ print(f"{len(report.per_param)} tensors checked, e.g. layer1.gamma max rel error
 banner("a corrupted gradient is flagged")
 # batch-norm-free stack, so plain f64 central differences are clean here
 small = [Dense(6, 5), Activation("sigmoid"), Dense(5, 3)]
-theta = np.empty(stack_size(small))
-small_params = stack_views(small, theta)
-small_rng = sv.sub_rng(3, "demo-small")
-for spec, p in zip(small, small_params):
-    for key, value in init_layer_params(spec, small_rng).items():
-        p[key][...] = value
+small_params, theta, _, _ = new_stack(small, sv.sub_rng(3, "demo-small"))
 xs = sv.sub_rng(4, "demo-small-x").standard_normal((5, 6))
 w2 = sv.sub_rng(5, "demo-small-w").standard_normal((5, 3))
 out_small, tape_small = stack_forward(small, small_params, xs, TRAIN)

@@ -82,13 +82,11 @@ class Dropout:
 
 @dataclass
 class Tape:
-    """Per-layer caches from one train-mode stack_forward call (None for
-    each layer in inference mode), and the dropout masks, so the pass can
-    be replayed exactly."""
+    """Per-layer caches from one train-mode stack_forward call, a Dropout
+    layer's being its mask (None for each layer in inference mode)."""
 
     mode: str
     caches: list
-    masks: list
 
 
 def layer_shapes(spec):
@@ -156,15 +154,12 @@ def stack_size(specs, buffers=False):
     )
 
 
-def init_layer_params(spec, rng, p=None):
+def init_layer_params(spec, rng, p):
     """One layer's tensors: Glorot-uniform weights, zero biases, unit
-    batch-norm scale, zero shift, and the running-statistic buffers.
-    Written into p (views shaped as layer_shapes) when given, else into
-    fresh float64 arrays; returns them. The weights are drawn in blocks of
-    block_rows rows, the same float64 stream as one draw, so no
-    layer-sized float64 draw is allocated."""
-    if p is None:
-        p = {key: np.empty(shape) for key, shape in layer_shapes(spec).items()}
+    batch-norm scale, zero shift, and the running-statistic buffers,
+    written into p (views shaped as layer_shapes); returns p. The weights
+    are drawn in blocks of block_rows rows, the same float64 stream as one
+    draw, so no layer-sized float64 draw is allocated."""
     if isinstance(spec, Dense):
         limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
         w = p["w"]
@@ -218,7 +213,7 @@ def _add_l1_term(gw, w, l1_coefficient):
         gw += term
 
 
-def _batchnorm_forward(x, p, spec, mode, update_running):
+def _batchnorm_forward(x, p, spec, mode):
     if mode == INFERENCE:
         inv = 1.0 / np.sqrt(p["run_var"] + spec.epsilon)
         out = x - p["run_mean"]
@@ -232,11 +227,10 @@ def _batchnorm_forward(x, p, spec, mode, update_running):
     var = out.mean(axis=0)  # biased, ddof=0
     inv = 1.0 / np.sqrt(var + spec.epsilon)
     xhat = xmu * inv
-    if update_running:
-        m = spec.momentum
-        # in place: the buffers may be views of a model's stats vector
-        p["run_mean"][...] = m * p["run_mean"] + (1.0 - m) * mean
-        p["run_var"][...] = m * p["run_var"] + (1.0 - m) * var
+    m = spec.momentum
+    # in place: the buffers may be views of a model's stats vector
+    p["run_mean"][...] = m * p["run_mean"] + (1.0 - m) * mean
+    p["run_var"][...] = m * p["run_var"] + (1.0 - m) * var
     np.multiply(p["gamma"], xhat, out=out)
     out += p["delta"]
     return out, (xmu, inv, xhat)
@@ -292,52 +286,46 @@ def _activation_backward(dout, cache, spec):
     return dx
 
 
-def stack_forward(specs, params, x, mode, rng=None, masks=None, update_running=True):
+def stack_forward(specs, params, x, mode, rng=None):
     """Run the layer stack; returns (output, Tape).
 
-    mode is "train" or "inference". In train mode an rng is required when
-    the stack contains Dropout (unless pre-drawn masks are supplied, which
-    is how finite-difference replays freeze the stochastic path).
+    mode is "train" or "inference". In train mode batch norm updates its
+    running statistics and Dropout draws its mask from the required rng,
+    so rewinding rng replays the pass.
     """
     if mode not in (TRAIN, INFERENCE):
         raise ValueError(f"unknown mode {mode!r}")
     x = _as_real(x)
     caches = []
-    used_masks = []
     out = x
     for i, (spec, p) in enumerate(zip(specs, params)):
         # release the previous layer's cache: in inference mode nothing keeps it
-        mask = cache = None
+        cache = None
         if isinstance(spec, Dense):
             if out.shape[1] != spec.in_dim:
                 raise ValueError(f"layer {i} (Dense) expects {spec.in_dim} columns, got {out.shape[1]}")
             out, cache = _dense_forward(out, p)
         elif isinstance(spec, BatchNorm):
-            out, cache = _batchnorm_forward(out, p, spec, mode, update_running)
+            out, cache = _batchnorm_forward(out, p, spec, mode)
         elif isinstance(spec, Activation):
             out, cache = _activation_forward(out, spec)
         elif isinstance(spec, Dropout):
-            cache = None
             if mode == TRAIN and spec.rate > 0.0:
-                if masks is not None:
-                    mask = masks[i]
-                elif rng is not None:
-                    # inverted dropout: survivors pre-scaled, inference is identity.
-                    # The uniforms are float64 whatever the activation's dtype,
-                    # so the stream does not depend on it; the mask takes that dtype
-                    mask = rng.random(out.shape)
-                    np.divide(mask >= spec.rate, 1.0 - spec.rate, out=mask)
-                    mask = mask.astype(out.dtype, copy=False)
-                else:
+                if rng is None:
                     raise ValueError(f"layer {i} (Dropout) needs an rng in train mode")
-                out = out * mask
+                # inverted dropout: survivors pre-scaled, inference is identity.
+                # The uniforms are float64 whatever the activation's dtype,
+                # so the stream does not depend on it; the mask takes that dtype
+                cache = rng.random(out.shape)
+                np.divide(cache >= spec.rate, 1.0 - spec.rate, out=cache)
+                cache = cache.astype(out.dtype, copy=False)
+                out = out * cache
         else:
             raise ValueError(f"unknown layer spec {spec!r}")
         if not np.isfinite(out).all():
             raise FloatingPointError(f"non-finite output at layer {i} ({type(spec).__name__})")
         caches.append(cache if mode == TRAIN else None)
-        used_masks.append(mask)
-    return out, Tape(mode, caches, used_masks)
+    return out, Tape(mode, caches)
 
 
 def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
@@ -375,8 +363,8 @@ def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
             dx = _batchnorm_backward(dx, cache, p, functools.partial(step, i), buf)
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
-        elif tape.masks[i] is not None:  # Dropout
-            dx = dx * tape.masks[i]
+        elif cache is not None:  # Dropout: its mask
+            dx = dx * cache
     return dx if input_grad else None
 
 

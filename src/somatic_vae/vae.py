@@ -247,11 +247,10 @@ def encode_batch(model, x):
     return LatentDistribution(mu, lv)
 
 
-def _encode(model, x, mode, rng=None, masks=None, update_running=True):
+def _encode(model, x, mode, rng=None):
     """The encoder and both heads: (mu, logvar, their tapes by stack name)."""
     tapes = {}
-    h, tapes["enc"] = model.forward("enc", x, mode, rng=rng, masks=masks,
-                                    update_running=update_running)
+    h, tapes["enc"] = model.forward("enc", x, mode, rng=rng)
     mu, tapes["mu"] = model.forward("mu", h, mode)
     lv, tapes["lv"] = model.forward("lv", h, mode)
     return mu, lv, tapes
@@ -304,17 +303,14 @@ def reconstruction_scores(model, x):
     return f1, cos
 
 
-def _forward_train(model, x, beta, rngs, masks=(None, None), eps=None, update_running=True):
-    """One training-mode pass; returns loss breakdown plus everything the
-    backward pass needs. masks (encoder's, decoder's) and eps, when given,
-    freeze the stochastic path."""
-    enc_masks, dec_masks = masks
-    mu, lv, tapes = _encode(model, x, TRAIN, rngs.get("dropout"), enc_masks, update_running)
-    if eps is None:
-        eps = rngs["reparam"].standard_normal(mu.shape).astype(mu.dtype, copy=False)
+def _forward_train(model, x, beta, rngs):
+    """One training-mode pass, a function of (theta, x, the states of
+    rngs["dropout"] and rngs["reparam"]); returns loss breakdown plus
+    everything the backward pass needs."""
+    mu, lv, tapes = _encode(model, x, TRAIN, rngs["dropout"])
+    eps = rngs["reparam"].standard_normal(mu.shape).astype(mu.dtype, copy=False)
     z = mu + np.exp(0.5 * lv) * eps
-    probs, tapes["dec"] = model.forward(
-        "dec", z, TRAIN, rng=rngs.get("dropout"), masks=dec_masks, update_running=update_running)
+    probs, tapes["dec"] = model.forward("dec", z, TRAIN, rng=rngs["dropout"])
     recon = reconstruction_loss(model.config.loss_kind, probs, x)
     kl = kl_divergence(mu, lv)
     # per stack, then over stacks: one flat float32 sum rounds history.tsv differently
@@ -366,20 +362,22 @@ def _model_grads(model, x, beta, fwd):
     return grad
 
 
-def _fd_objective(model, x, beta, fwd):
-    """Total loss of fwd's training pass, dropout masks and noise frozen,
+def _fd_objective(model, x, beta, rng):
+    """Total loss of the next training pass with rng as both streams,
     replayed at FD_DTYPE on a copy of model.theta taken at each call, so
-    it sees every in-place perturbation of model.theta."""
-    masks = (fwd["tapes"]["enc"].masks, fwd["tapes"]["dec"].masks)
+    it sees every in-place perturbation of model.theta. Each call rewinds
+    rng to its state now and draws the pass's masks and noise again,
+    ending where the pass did: build the objective before the pass."""
+    start = rng.bit_generator.state
     x_fd = x.astype(FD_DTYPE)
     wide = _bind(model.config, np.empty(model.theta.size, FD_DTYPE))
+    # replays update these; a train-mode loss never reads them
+    wide.stats[...] = model.stats
 
     def objective():
         wide.theta[...] = model.theta
-        out = _forward_train(
-            wide, x_fd, beta, rngs={}, masks=masks, eps=fwd["eps"], update_running=False
-        )
-        return out["breakdown"].total
+        rng.bit_generator.state = start
+        return _forward_train(wide, x_fd, beta, {"dropout": rng, "reparam": rng})["breakdown"].total
 
     return objective
 
@@ -404,8 +402,9 @@ def train(cohort, split, config):
         )
     train_idx = np.asarray(split.train_indices, dtype=int)
     val_idx = np.asarray(split.val_indices, dtype=int)
-    if train_idx.size == 0:
-        raise ValueError("empty training split")
+    if min(train_idx.size, config.batch_size) < 2:  # batch norm maps one row to its shift
+        raise ValueError(f"a training split of {train_idx.size} rows in batches of "
+                         f"{config.batch_size}: batch norm needs at least 2 rows per batch")
     x_val = cohort.matrix[val_idx]
 
     rngs = {
@@ -452,34 +451,34 @@ def train(cohort, split, config):
     return model, history
 
 
-def _grads_to_check(config, beta, batch_size, fd_step):
+def _grads_to_check(config, beta):
     """(model, analytic, numeric): a model built from config and re-bound
     onto float64 copies of its vectors, the analytic gradients of one
-    training pass on a drawn binary batch, as a vector laid out as theta,
-    and the central differences of that pass's loss, dropout masks and
-    noise frozen."""
+    training pass on a drawn binary batch of four rows, as a vector laid
+    out as theta, and the central differences of that pass's loss, each
+    replay drawing the pass's dropout masks and noise again."""
     config.validate()
     rng = sub_rng(config.seed, "gradcheck")
     built = build_vae(config, rng)
     # the check is of the derivative, not of float32 rounding
     model = _bind(config, built.theta.astype(np.float64))
     model.stats[...] = built.stats
-    x = (rng.random((batch_size, config.input_dim)) < 0.3).astype(np.float64)
+    x = (rng.random((4, config.input_dim)) < 0.3).astype(np.float64)
 
-    rngs = {"dropout": rng, "reparam": rng}
-    fwd = _forward_train(model, x, beta, rngs)
+    objective = _fd_objective(model, x, beta, rng)  # before the pass draws
+    fwd = _forward_train(model, x, beta, {"dropout": rng, "reparam": rng})
     analytic = _model_grads(model, x, beta, fwd)
-    numeric = finite_difference_grads(_fd_objective(model, x, beta, fwd), model.theta, fd_step)
+    numeric = finite_difference_grads(objective, model.theta)
     return model, analytic, numeric
 
 
-def vae_grad_check(config, beta, batch_size=4, tolerance=1e-5, fd_step=1e-5):
+def vae_grad_check(config, beta, tolerance=1e-5):
     """Full-model finite-difference check of the training gradients.
 
-    Builds a model from config, draws one binary batch, freezes the
-    dropout masks and reparameterization noise, then compares the
-    analytic gradients of recon + beta * KL + L1, computed in float64,
-    against central differences for every parameter.
+    Builds a model from config, draws one binary batch of four rows, then
+    compares the analytic gradients of one training pass's recon + beta *
+    KL + L1, computed in float64, against central differences (step 1e-5)
+    of that pass's loss for every parameter.
     """
-    model, analytic, numeric = _grads_to_check(config, beta, batch_size, fd_step)
+    model, analytic, numeric = _grads_to_check(config, beta)
     return compare_grads(model.specs, analytic, numeric, tolerance)

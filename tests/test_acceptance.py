@@ -83,7 +83,7 @@ def _tiny_config(loss_kind):
 def _grad_reports_with_fault(config, beta):
     """Clean and 1%-corrupted gradient comparisons sharing one FD run of
     the float64 model that vae_grad_check checks."""
-    model, analytic, numeric = _grads_to_check(config, beta, batch_size=4, fd_step=1e-5)
+    model, analytic, numeric = _grads_to_check(config, beta)
     specs = model.specs
     clean = compare_grads(specs, analytic, numeric, 1e-5)
     faulted = analytic.copy()

@@ -1,7 +1,11 @@
 """Command-line pipeline: config handling, subcommands, reproducibility."""
 
 import argparse
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,15 @@ def test_leaky_slope_outside_zero_one_exits_one_before_training(tmp_path, capsys
         assert not (run_dir / "checkpoint.bin").exists()
 
 
+def test_batch_size_one_exits_one_before_training(tmp_path, capsys):
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    run_dir = tmp_path / "run"
+    code = run(["train", "--cohort", cohort_dir, "--out", str(run_dir), "--batch-size", "1"])
+    assert code == 1
+    assert "in batches of 1: batch norm needs at least 2 rows per batch" in capsys.readouterr().err
+    assert not (run_dir / "checkpoint.bin").exists()
+
+
 def test_unknown_config_key_in_file_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     cfg = tmp_path / "bad.toml"
@@ -291,6 +304,27 @@ TRAIN_FLAGS = [
     "--batch-size", "16", "--dropout-rate", "0.1", "--beta-max", "0.1",
     "--warmup-epochs", "3", "--seed", "5",
 ]
+
+
+def test_train_writes_the_same_bytes_in_fresh_processes(tmp_path, capsys):
+    # a run is a pure function of its inputs: two processes with different
+    # string hashing write the same files. One BLAS thread each, since the
+    # thread count can change the bytes (README, "Determinism")
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        run_dir = tmp_path / f"run{hash_seed}"
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "somatic_vae.cli", "train", "--cohort", cohort_dir,
+             "--out", str(run_dir), *TRAIN_FLAGS],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append([(run_dir / name).read_bytes() for name in ("history.tsv", "checkpoint.bin")])
+    assert outputs[0] == outputs[1]
 
 
 def test_pipeline_train_embed_eval(tmp_path, capsys):

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from fdcheck import collected_backward, grad_check
+from fdcheck import collected_backward, fresh_stack, grad_check
 
 from somatic_vae.gradcheck import GradReport, compare_grads, finite_difference_grads
 from somatic_vae.layers import (
     Activation,
     BatchNorm,
     Dense,
-    init_layer_params,
+    Dropout,
     stack_forward,
     stack_size,
     stack_views,
@@ -79,7 +79,7 @@ def test_grad_report_verdict_and_str():
 def test_grad_check_leaves_the_callers_params_untouched():
     rng = np.random.default_rng(1)
     specs = [Dense(3, 2), BatchNorm(2), Activation("leaky_relu", slope=0.3)]
-    params = [init_layer_params(spec, rng) for spec in specs]
+    params, _ = fresh_stack(specs, rng)
     before = [{k: v.copy() for k, v in p.items()} for p in params]
     report = grad_check(specs, params, rng.random((4, 3)), rng.random((4, 2)))
     assert report.passed, str(report)
@@ -100,25 +100,25 @@ def test_grad_check_all_zero_case():
 
 
 def test_grad_check_detects_injected_fault():
-    # scale one analytic gradient by 1.01 and require the check to name it
+    # scale one analytic gradient by 1.01 and require the check to name it;
+    # each evaluation rewinds the rng to replay the recorded dropout mask
     rng = np.random.default_rng(0)
-    specs = [Dense(4, 3), Activation("leaky_relu", slope=0.3), Dense(3, 2)]
-    theta = np.empty(stack_size(specs))
-    params = stack_views(specs, theta)
-    for spec, p in zip(specs, params):
-        for key, value in init_layer_params(spec, rng).items():
-            p[key][...] = value
+    specs = [Dense(4, 3), Activation("leaky_relu", slope=0.3), Dropout(0.25), Dense(3, 2)]
+    params, theta = fresh_stack(specs, rng)
     x = rng.random((5, 4))
     weights = rng.standard_normal((5, 2))
 
-    _, tape = stack_forward(specs, params, x, "train")
+    start = rng.bit_generator.state
+    _, tape = stack_forward(specs, params, x, "train", rng=rng)
+    assert not tape.caches[2].all()  # the mask drops some units
     grad = np.zeros_like(theta)
     grads = stack_views(specs, grad)
     collected_backward(specs, params, tape, weights, grads)
     grads[0]["w"] *= 1.01
 
     def objective():
-        out, _ = stack_forward(specs, params, x, "train", masks=tape.masks, update_running=False)
+        rng.bit_generator.state = start
+        out, _ = stack_forward(specs, params, x, "train", rng=rng)
         return (out * weights).sum()
 
     report = compare_grads(specs, grad, finite_difference_grads(objective, theta), 1e-5)

@@ -21,7 +21,7 @@ import copy
 
 import numpy as np
 import pytest
-from fdcheck import collected_backward
+from fdcheck import collected_backward, fresh_stack
 
 import somatic_vae.layers as layers_module
 from somatic_vae.gradcheck import FD_DTYPE
@@ -33,7 +33,6 @@ from somatic_vae.layers import (
     Dense,
     Dropout,
     block_rows,
-    init_layer_params,
     sigmoid,
     stack_forward,
     stack_size,
@@ -54,7 +53,8 @@ def ref_sigmoid(x):
 
 
 def ref_forward(spec, p, x, mode, mask):
-    """(out, cache) of one layer; updates batch-norm running statistics."""
+    """(out, cache) of one layer, a Dropout layer's cache its mask;
+    updates batch-norm running statistics."""
     if isinstance(spec, Dense):
         return x @ p["w"] + p["b"], x
     if isinstance(spec, BatchNorm):
@@ -78,10 +78,10 @@ def ref_forward(spec, p, x, mode, mask):
             return np.where(x > 0.0, x, spec.slope * x), x
         out = ref_sigmoid(x)
         return out, out
-    return (x if mask is None else x * mask), None
+    return (x if mask is None else x * mask), mask
 
 
-def ref_backward(spec, p, cache, dout, mask):
+def ref_backward(spec, p, cache, dout):
     """(dx, parameter gradients) of one layer."""
     if isinstance(spec, Dense):
         gw = cache.T @ dout
@@ -102,12 +102,13 @@ def ref_backward(spec, p, cache, dout, mask):
         if spec.kind == "leaky_relu":
             return dout * np.where(cache > 0.0, 1.0, spec.slope), {}
         return dout * cache * (1.0 - cache), {}
-    return (dout if mask is None else dout * mask), {}
+    return (dout if cache is None else dout * cache), {}  # Dropout: cache is the mask
 
 
 def ref_stack(specs, params, x, mode, rng=None, masks=None):
-    """(out, caches, masks) with dropout masks drawn as the library draws them."""
-    caches, used = [], []
+    """(out, caches) with dropout masks drawn as the library draws them,
+    or taken from masks, a list indexed by layer."""
+    caches = []
     for i, (spec, p) in enumerate(zip(specs, params)):
         mask = None
         if isinstance(spec, Dropout) and mode == TRAIN and spec.rate > 0.0:
@@ -117,14 +118,13 @@ def ref_stack(specs, params, x, mode, rng=None, masks=None):
                 mask = (rng.random(x.shape) >= spec.rate) / (1.0 - spec.rate)
         x, cache = ref_forward(spec, p, x, mode, mask)
         caches.append(cache)
-        used.append(mask)
-    return x, caches, used
+    return x, caches
 
 
-def ref_stack_backward(specs, params, caches, masks, dout):
+def ref_stack_backward(specs, params, caches, dout):
     grads = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
-        dout, grads[i] = ref_backward(specs[i], params[i], caches[i], dout, masks[i])
+        dout, grads[i] = ref_backward(specs[i], params[i], caches[i], dout)
     return dout, grads
 
 
@@ -178,15 +178,13 @@ def assert_trees_same_bytes(got, want, what):
 def fresh_params(specs, rng, dtype=np.float64):
     """Initialised tensors, with batch-norm scale, shift and statistics
     moved off their trivial starting values."""
-    params = []
-    for spec in specs:
-        p = {k: np.asarray(v, dtype) for k, v in init_layer_params(spec, rng).items()}
+    params, _ = fresh_stack(specs, rng, dtype)
+    for spec, p in zip(specs, params):
         if isinstance(spec, BatchNorm):
             p["gamma"] += rng.standard_normal(spec.dim) * 0.3
             p["delta"] += rng.standard_normal(spec.dim) * 0.3
             p["run_mean"] += rng.standard_normal(spec.dim)
             p["run_var"] += rng.random(spec.dim)
-        params.append(p)
     return params
 
 
@@ -197,25 +195,25 @@ def one_block(monkeypatch):
 
 
 def check_stack(specs, params, x, dout, seed, dtype=np.float64):
-    """The library's stack against the references: train forward, masks,
-    caches, running statistics, backward, then inference forward."""
+    """The library's stack against the references: train forward, caches
+    with the dropout masks, running statistics, backward, then inference
+    forward."""
     ref_params = copy.deepcopy(params)
     out, tape = stack_forward(specs, params, x, TRAIN, rng=np.random.default_rng(seed))
-    want, caches, masks = ref_stack(specs, ref_params, x, TRAIN, rng=np.random.default_rng(seed))
+    want, caches = ref_stack(specs, ref_params, x, TRAIN, rng=np.random.default_rng(seed))
     assert_same_bytes(out, want, "train output")
-    assert_trees_same_bytes(tape.masks, masks, "dropout masks")
     assert_trees_same_bytes(tape.caches, caches, "caches")
     assert_trees_same_bytes(params, ref_params, "running statistics")
 
     grad = np.zeros(stack_size(specs), dtype)
     grads = stack_views(specs, grad)
     dx = collected_backward(specs, params, tape, dout, grads)
-    want_dx, want_grads = ref_stack_backward(specs, ref_params, caches, masks, dout)
+    want_dx, want_grads = ref_stack_backward(specs, ref_params, caches, dout)
     assert_same_bytes(dx, want_dx, "input gradient")
     assert_trees_same_bytes(grads, want_grads, "parameter gradients")
 
     out, _ = stack_forward(specs, params, x, INFERENCE)
-    want, _, _ = ref_stack(specs, ref_params, x, INFERENCE)
+    want, _ = ref_stack(specs, ref_params, x, INFERENCE)
     assert_same_bytes(out, want, "inference output")
 
 
@@ -285,7 +283,7 @@ def test_blocked_weight_gradient_matches_one_gemm(workload, batch):
         assert block_rows(spec) < spec.in_dim
         x = inputs[spec.in_dim]
         dout = (rng.standard_normal((batch, spec.out_dim)) * 1e-3).astype(np.float32)
-        params = [{key: v.astype(np.float32) for key, v in init_layer_params(spec, rng).items()}]
+        params, _ = fresh_stack([spec], rng, np.float32)
         blocked = np.full((spec.in_dim, spec.out_dim), np.nan, np.float32)
         _, tape = stack_forward([spec], params, x, TRAIN)
         for rows, grad, live in hooked_weight_blocks(spec, params, tape, dout):
@@ -331,7 +329,7 @@ def test_live_rows_of_a_block_match_the_whole_product(workload):
     full = [start for start in range(0, d, rows) if start + rows <= d]
     counts = list(range(1, 33)) + [round(LIVE_FRACTION[workload] * rows)]
     rng = np.random.default_rng(d)
-    params = [{key: v.astype(np.float32) for key, v in init_layer_params(spec, rng).items()}]
+    params, _ = fresh_stack([spec], rng, np.float32)
     for first in range(0, len(counts), len(full)):
         # first row of each block -> its live rows: the counts in full blocks, 0 elsewhere
         chosen = dict.fromkeys(range(0, d, rows), 0)
@@ -376,12 +374,13 @@ def test_leaky_relu_matches_its_reference_at_every_accepted_slope(slope, length)
     want, cache = ref_forward(spec, {}, x, TRAIN, None)
     assert_same_bytes(out, want, "leaky forward")
     dx = collected_backward([spec], [{}], tape, dout.reshape(2, length), [{}])
-    assert_same_bytes(dx, ref_backward(spec, {}, cache, dout.reshape(2, length), None)[0],
+    assert_same_bytes(dx, ref_backward(spec, {}, cache, dout.reshape(2, length))[0],
                       "leaky backward")
 
 
 def test_extended_precision_replay_matches_its_reference():
-    # a float64 temporary anywhere on this path would round the result
+    # a float64 temporary anywhere on this path would round the result;
+    # the replay draws the recorded pass's dropout mask from a rewound rng
     n, d, h = 6, 12, 8
     specs = [Dense(d, h, 1e-4), BatchNorm(h), Activation("leaky_relu", slope=0.3),
              Dropout(0.25), Dense(h, d, 1e-4), BatchNorm(d), Activation("relu"),
@@ -389,9 +388,11 @@ def test_extended_precision_replay_matches_its_reference():
     rng = np.random.default_rng(3)
     params = fresh_params(specs, rng, FD_DTYPE)
     x = edge_batch(rng, n, d, FD_DTYPE) * 1e-2
+    start = rng.bit_generator.state
     _, tape = stack_forward(specs, copy.deepcopy(params), x.astype(np.float64), TRAIN, rng=rng)
-    out, _ = stack_forward(specs, params, x, TRAIN, masks=tape.masks, update_running=False)
-    want, _, _ = ref_stack(specs, copy.deepcopy(params), x, TRAIN, masks=tape.masks)
+    rng.bit_generator.state = start
+    out, _ = stack_forward(specs, copy.deepcopy(params), x, TRAIN, rng=rng)
+    want, _ = ref_stack(specs, copy.deepcopy(params), x, TRAIN, masks=tape.caches)
     assert out.dtype == FD_DTYPE
     assert_same_bytes(out, want, "extended-precision output")
     assert_same_bytes(sigmoid(x), ref_sigmoid(x), "extended-precision sigmoid")
@@ -425,9 +426,9 @@ def test_a_second_forward_call_leaves_the_first_calls_results_unchanged(mode):
     specs, params = vae_like_stack(rng)
     for stack in (specs, specs[:8]):  # the whole stack; the encoder and its mu head
         out, tape = stack_forward(stack, params, edge_batch(rng, 16, 40) * 1e-2, mode, rng=rng)
-        snapshot = copy.deepcopy((out, tape.caches, tape.masks))
+        snapshot = copy.deepcopy((out, tape.caches))
         stack_forward(stack, params, edge_batch(rng, 16, 40) * 1e-2, mode, rng=rng)
-        assert_trees_same_bytes((out, tape.caches, tape.masks), snapshot, "first call's results")
+        assert_trees_same_bytes((out, tape.caches), snapshot, "first call's results")
 
 
 def test_stack_backward_twice_on_one_tape_writes_the_same_bytes():
@@ -436,14 +437,14 @@ def test_stack_backward_twice_on_one_tape_writes_the_same_bytes():
     x = edge_batch(rng, 16, 40) * 1e-2
     _, tape = stack_forward(specs, params, x, TRAIN, rng=rng)
     dout = rng.standard_normal((16, 40))
-    snapshot = copy.deepcopy((tape.caches, tape.masks, dout))
+    snapshot = copy.deepcopy((tape.caches, dout))
     results = []
     for _ in range(2):
         grad = np.zeros(stack_size(specs))
         dx = collected_backward(specs, params, tape, dout, stack_views(specs, grad))
         results.append((grad.tobytes(), dx.tobytes()))
     assert results[0] == results[1]
-    assert_trees_same_bytes((tape.caches, tape.masks, dout), snapshot, "tape and upstream gradient")
+    assert_trees_same_bytes((tape.caches, dout), snapshot, "tape and upstream gradient")
 
 
 def test_decode_batch_clips_like_its_reference():

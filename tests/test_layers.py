@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from fdcheck import collected_backward, grad_check
+from fdcheck import collected_backward, fresh_stack, grad_check
 
 import somatic_vae.layers as layers_module
 from somatic_vae.layers import (
@@ -14,7 +14,6 @@ from somatic_vae.layers import (
     Dropout,
     block_rows,
     grad_buffer,
-    init_layer_params,
     layer_shapes,
     sigmoid,
     stack_forward,
@@ -28,7 +27,7 @@ def new_stack(specs, rng):
     """Freshly initialised layer tensors, and zeroed gradient views of one
     flat vector for collected_backward."""
     grads = stack_views(specs, np.zeros(stack_size(specs)))
-    return [init_layer_params(spec, rng) for spec in specs], grads
+    return fresh_stack(specs, rng)[0], grads
 
 
 def triple_loop_matmul(a, b):
@@ -104,7 +103,7 @@ def test_sigmoid_is_stable_at_extreme_inputs():
 
 def test_dense_init_glorot_bounds_and_zero_bias():
     spec = Dense(40, 30)
-    p = init_layer_params(spec, np.random.default_rng(0))
+    (p,), _ = fresh_stack([spec], np.random.default_rng(0))
     limit = np.sqrt(6.0 / (40 + 30))
     assert p["w"].shape == (40, 30)
     assert np.abs(p["w"]).max() <= limit
@@ -114,7 +113,7 @@ def test_dense_init_glorot_bounds_and_zero_bias():
 
 
 def test_batchnorm_init_unit_scale_zero_shift():
-    p = init_layer_params(BatchNorm(5), np.random.default_rng(0))
+    (p,), _ = fresh_stack([BatchNorm(5)], np.random.default_rng(0))
     assert np.array_equal(p["gamma"], np.ones(5))
     assert np.array_equal(p["delta"], np.zeros(5))
     assert np.array_equal(p["run_mean"], np.zeros(5))
@@ -131,8 +130,7 @@ def test_check_stack_dims_flags_incompatible_layers():
 def test_layer_shapes_match_init_and_views_tile_the_vector():
     rng = np.random.default_rng(0)
     specs = [Dense(4, 3), BatchNorm(3), Activation("relu"), Dropout(0.5), Dense(3, 2)]
-    for spec in specs:
-        fresh = init_layer_params(spec, rng)
+    for spec, fresh in zip(specs, fresh_stack(specs, rng)[0]):
         assert {k: v.shape for k, v in fresh.items()} == layer_shapes(spec)
     vec = np.arange(float(stack_size(specs)))
     views = stack_views(specs, vec)
@@ -185,7 +183,7 @@ def test_dropout_rate_zero_is_identity_in_train_mode():
     x = np.random.default_rng(3).random((4, 5))
     out, tape = stack_forward([Dropout(0.0)], [{}], x, TRAIN)
     assert np.array_equal(out, x)
-    assert tape.masks == [None]
+    assert tape.caches == [None]
 
 
 def test_dropout_inference_is_identity_at_any_rate():
@@ -202,7 +200,7 @@ def test_dropout_train_mode_scales_survivors():
     assert set(values.tolist()) <= {0.0, 1.0 / 0.6}
     # survivor fraction concentrates near 1 - rate
     assert abs((out > 0).mean() - 0.6) < 0.05
-    assert tape.masks[0] is not None
+    assert np.array_equal(tape.caches[0], out)  # x is ones: the mask is the output
 
 
 def test_dropout_train_mode_requires_rng():
@@ -215,7 +213,7 @@ def test_batchnorm_train_moments_match_gamma_delta():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((64, 3)) * np.array([1.0, 2.0, 0.5]) + 1.0
     spec = BatchNorm(3, epsilon=1e-5)
-    p = init_layer_params(spec, rng)
+    (p,), _ = fresh_stack([spec], rng)
     p["gamma"] = np.array([1.0, 2.0, 3.0])
     p["delta"] = np.array([0.0, -1.0, 0.5])
     out, _ = stack_forward([spec], [p], x, TRAIN)
@@ -227,25 +225,16 @@ def test_batchnorm_train_moments_match_gamma_delta():
 def test_batchnorm_updates_running_stats_with_momentum():
     x = np.array([[0.0], [2.0]])
     spec = BatchNorm(1, momentum=0.9)
-    p = init_layer_params(spec, np.random.default_rng(0))
+    (p,), _ = fresh_stack([spec], np.random.default_rng(0))
     stack_forward([spec], [p], x, TRAIN)
     # batch mean 1, biased batch variance 1
     assert np.allclose(p["run_mean"], [0.9 * 0.0 + 0.1 * 1.0])
     assert np.allclose(p["run_var"], [0.9 * 1.0 + 0.1 * 1.0])
 
 
-def test_batchnorm_update_running_flag_freezes_buffers():
-    x = np.array([[0.0], [2.0]])
-    spec = BatchNorm(1)
-    p = init_layer_params(spec, np.random.default_rng(0))
-    stack_forward([spec], [p], x, TRAIN, update_running=False)
-    assert np.array_equal(p["run_mean"], [0.0])
-    assert np.array_equal(p["run_var"], [1.0])
-
-
 def test_batchnorm_inference_is_affine_in_running_stats():
     spec = BatchNorm(2, epsilon=1e-5)
-    p = init_layer_params(spec, np.random.default_rng(0))
+    (p,), _ = fresh_stack([spec], np.random.default_rng(0))
     p["run_mean"] = np.array([1.0, -1.0])
     p["run_var"] = np.array([4.0, 0.25])
     p["gamma"] = np.array([2.0, 1.0])
@@ -364,10 +353,7 @@ def steps_of_one_backward_pass(monkeypatch, grad_block, input_grad):
     with at most half its rows live is handed over compact."""
     rng = np.random.default_rng(12)
     specs = [Dense(6, 5), BatchNorm(5), Activation("relu"), Dense(5, 3, l1_coefficient=1e-3)]
-    theta = np.zeros(stack_size(specs), np.float32)
-    stats = np.zeros(stack_size(specs, buffers=True), np.float32)
-    views = zip(stack_views(specs, theta), stack_views(specs, stats, buffers=True))
-    params = [init_layer_params(spec, rng, {**t, **b}) for spec, (t, b) in zip(specs, views)]
+    params, theta = fresh_stack(specs, rng, np.float32)
     x = rng.standard_normal((7, 6)).astype(np.float32)
     x[:, 3:5] = 0.0
     dout = rng.standard_normal((7, 3)).astype(np.float32)

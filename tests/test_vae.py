@@ -20,6 +20,7 @@ from somatic_vae.layers import (
     Activation,
     BatchNorm,
     Dense,
+    Dropout,
     block_rows,
     grad_buffer,
     layer_shapes,
@@ -30,6 +31,8 @@ from somatic_vae.seeding import sub_rng
 from somatic_vae.vae import (
     VaeConfig,
     _backward_train,
+    _bind,
+    _fd_objective,
     _forward_train,
     _model_grads,
     _rmsprop_step,
@@ -297,8 +300,23 @@ def test_train_rejects_empty_training_split():
     cohort = small_cohort()
     split = SplitPlan(np.array([], dtype=int), np.arange(cohort.n_samples), 0)
     config = tiny_config(input_dim=cohort.n_loci)
-    with pytest.raises(ValueError, match="empty training split"):
+    with pytest.raises(ValueError, match="training split of 0 rows"):
         train(cohort, split, config)
+
+
+def test_train_refuses_one_row_batches_and_splits():
+    # batch norm maps every row of a one-row batch to its shift, so such a
+    # run would train silently on nothing
+    cohort = small_cohort()
+    split = holdout_split(cohort.n_samples, 0.8, seed=0)
+    with pytest.raises(ValueError, match=r"^a training split of \d+ rows in batches of 1: batch "
+                                         "norm needs at least 2 rows per batch$"):
+        train(cohort, split, tiny_config(input_dim=cohort.n_loci, batch_size=1))
+    two = generate_synthetic_cohort(SyntheticSpec(2, 30, 2, 0.05, 0.6, 6, seed=2))
+    split = holdout_split(two.n_samples, 0.5, seed=0)
+    assert len(split.train_indices) == 1
+    with pytest.raises(ValueError, match="^a training split of 1 rows in batches of 4: "):
+        train(two, split, tiny_config(input_dim=two.n_loci))
 
 
 def test_empty_validation_split_trains_and_writes_nan_validation_columns(tmp_path):
@@ -421,8 +439,10 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     assert len(steps) == sum(key not in BUFFER_KEYS for spec in model.specs
                              for key in layer_shapes(spec)) == 22
     caches = arrays_in([tape.caches for tape in fwd["tapes"].values()])
-    masks = arrays_in([tape.masks for tape in fwd["tapes"].values()])
-    assert len(masks) == 2  # one dropout layer in the encoder, one in the decoder
+    masks = [cache for name, tape in fwd["tapes"].items()
+             for spec, cache in zip(model.specs[model.stacks[name]], tape.caches)
+             if isinstance(spec, Dropout)]
+    assert len(arrays_in(masks)) == 2  # one dropout layer in the encoder, one in the decoder
     dxs = arrays_in([out for name in backward for _, out in calls[name]])
     assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
     named = {"eps": fwd["eps"], "probs": fwd["probs"], "dprobs": dprobs, "theta": model.theta,
@@ -430,8 +450,7 @@ def test_one_training_step_computes_in_float32(monkeypatch):
              **{f"step {i} {what}": a for i, (theta, grad, state) in enumerate(steps)
                 for what, a in (("theta", theta), ("grad", grad),
                                 ("accumulator", state.accumulator))},
-             **{f"cache {i}": c for i, c in enumerate(caches)},
-             **{f"mask {i}": m for i, m in enumerate(masks)},
+             **{f"cache {i}": c for i, c in enumerate(caches)},  # with the masks
              **{f"input gradient {i}": d for i, d in enumerate(dxs)}}
     assert {name: a.dtype for name, a in named.items() if a.dtype != np.float32} == {}
     breakdown = fwd["breakdown"]
@@ -680,6 +699,23 @@ def test_chunked_inference_matches_one_pass_byte_for_byte(d, latent):
 
 
 # ---------------------------------------------------------------- gradients
+
+
+def test_fd_objective_replays_the_recorded_pass():
+    # built before the pass, the objective rewinds the rng to the state the
+    # pass starts from, so each replay draws its dropout masks and noise
+    # again; a snapshot taken after the pass would replay other ones
+    config = tiny_config(dropout_rate=0.25, l1_coefficient=1e-3)
+    rng = sub_rng(0, "gradcheck")
+    built = build_vae(config, rng)
+    model = _bind(config, built.theta.astype(np.float64))
+    model.stats[...] = built.stats
+    x = (rng.random((4, config.input_dim)) < 0.3).astype(np.float64)
+    objective = _fd_objective(model, x, 0.5, rng)
+    fwd = _forward_train(model, x, 0.5, {"dropout": rng, "reparam": rng})
+    first = objective()
+    assert np.isclose(first, fwd["breakdown"].total, rtol=1e-12, atol=0.0)
+    assert objective() == first  # equal nonzero values: the same bits, padding aside
 
 
 def test_full_model_gradient_check_single_combo():
