@@ -49,7 +49,7 @@ print(f"retraining with the same seed reproduces every epoch stat: {identical}")
 banner("checkpoint roundtrip")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.ckpt"
-    sv.save_checkpoint(model, config, epoch=config.epochs, path=path)
+    sv.save_checkpoint(model, epoch=config.epochs, path=path)
     print(f"wrote {path.stat().st_size} bytes")
     loaded, loaded_config, epoch = sv.load_checkpoint(path)
     x = cohort.matrix.astype(np.float64)

@@ -1,9 +1,10 @@
 """PCA projection and k-means clustering baselines.
 
-Binary rows are treated as plain real vectors. PCA eigendecomposes the
-smaller of the d x d covariance and the n x n Gram matrix of the
-column-centered rows (Sirovich's method of snapshots when n < d); k-means
-is Lloyd's algorithm with k-means++ seeding and a fixed number of restarts.
+Binary rows are treated as plain real vectors. PCA makes one
+eigendecomposition, of the smaller of the d x d covariance and the n x n
+Gram matrix of the column-centered rows (Sirovich's method of snapshots
+when n < d, its components orthonormalized by QR); k-means is Lloyd's
+algorithm with k-means++ seeding and a fixed number of restarts.
 """
 
 from dataclasses import dataclass
@@ -30,8 +31,6 @@ class KmeansResult:
     centroids: np.ndarray
     labels: np.ndarray
     inertia: float
-    iterations: int
-    inertia_trace: tuple = ()  # per-iteration inertia of the winning restart
 
 
 def _eigh_descending(a):
@@ -45,15 +44,15 @@ def pca_fit(x, q):
     """Top-q eigenvectors of the covariance (1/(n-1) normalization).
 
     When n < d the n x n Gram matrix xc xc^T / (n-1) is decomposed instead:
-    it has the covariance's nonzero eigenvalues, and each component is
-    xc^T u / sqrt((n-1) lambda). If lambda_q is at or below 1e-10 * lambda_1
-    that quotient is unreliable, so the d x d covariance is used, whose
-    eigenvectors also span the null space.
+    it has the covariance's nonzero eigenvalues, and the components are
+    the Q factor of xc^T u[:, :q], which stays orthonormal past the rank
+    of xc, where the eigenvalues (the variances) are zero.
 
     x may be the uint8 0/1 cohort or any real matrix. The centered matrix
     xc is never built: both products are sums over chunks of x converted
     to float64 and centered one at a time, chunks of rows for the
-    covariance and blocks of loci for the Gram path.
+    covariance and blocks of loci for the Gram path. Besides the chunks,
+    no matrix larger than min(n, d)^2 or d x q is built.
 
     Sign convention: each component's largest-magnitude entry is made
     positive (first index wins ties).
@@ -68,20 +67,17 @@ def pca_fit(x, q):
     if not 1 <= q <= min(n - 1, d):
         raise ValueError(f"q={q} out of range [1, {min(n - 1, d)}]")
     mean = x.mean(axis=0, dtype=np.float64)  # exact sums on integer input
-    components = None
-    if n < d:
-        eigvals, u = _eigh_descending(_scatter(_locus_blocks(x, mean)) / (n - 1))
-        if eigvals[q - 1] > 1e-10 * eigvals[0]:
-            v = u[:, :q] / np.sqrt((n - 1) * eigvals[:q])
-            components = np.empty((q, d))
-            for loci, c in _locus_blocks(x, mean):
-                components[:, loci] = (c @ v).T
-                del c
-    if components is None:
-        eigvals, eigvecs = _eigh_descending(_scatter(_sample_chunks(x, mean)) / (n - 1))
-        if np.count_nonzero(eigvals > 1e-12 * max(eigvals[0], 1.0)) == 0:
-            raise ValueError("rank deficient below q: data has zero variance")
-        components = eigvecs[:, :q].T
+    gram = n < d
+    eigvals, eigvecs = _eigh_descending(_scatter(_centered(x, mean, gram)) / (n - 1))
+    if eigvals[0] <= 1e-12:
+        raise ValueError("rank deficient below q: data has zero variance")
+    if gram:
+        basis = np.empty((d, q))
+        for loci, c in _centered(x, mean, gram):
+            basis[loci] = c @ eigvecs[:, :q]
+            del c
+        eigvecs = np.linalg.qr(basis)[0]
+    components = eigvecs[:, :q].T
     for i in range(q):
         j = int(np.argmax(np.abs(components[i])))
         if components[i, j] < 0:
@@ -89,20 +85,13 @@ def pca_fit(x, q):
     return PcaModel(mean, np.ascontiguousarray(components), eigvals[:q].copy())
 
 
-# These two generators and every loop over them keep row_chunks' del rule.
-def _sample_chunks(x, mean):
-    """(rows, centered float64 rows of x) over chunks of samples."""
-    for rows, c in row_chunks(x, np.float64):
-        c -= mean
-        yield rows, c
-        del c
-
-
-def _locus_blocks(x, mean):
-    """(loci, centered float64 rows of x.T) over blocks of loci."""
-    for loci, c in row_chunks(x.T, np.float64):
-        c -= mean[loci, None]
-        yield loci, c
+# This generator and every loop over it keep row_chunks' del rule.
+def _centered(x, mean, by_locus):
+    """(index, centered float64 chunk) over chunks of the rows of x, or,
+    by_locus, over blocks of loci as rows of xc.T."""
+    for index, c in row_chunks(x.T if by_locus else x, np.float64):
+        c -= mean[index, None] if by_locus else mean
+        yield index, c
         del c
 
 
@@ -122,7 +111,7 @@ def pca_project(model, x):
     if x.ndim != 2 or x.shape[1] != model.mean.size:
         raise ValueError(f"projection input must have {model.mean.size} columns")
     out = np.empty((x.shape[0], model.components.shape[0]))
-    for rows, c in _sample_chunks(x, model.mean):
+    for rows, c in _centered(x, model.mean, False):
         out[rows] = c @ model.components.T
         del c
     return out
@@ -163,8 +152,6 @@ def _assign(points, sq_norms, centroids):
 def _lloyd(points, sq_norms, k, rng):
     centroids = _kmeans_pp_init(points, k, rng)
     labels, inertia = _assign(points, sq_norms, centroids)
-    trace = [inertia]
-    iterations = 0
     for _ in range(MAX_ITERS):
         for c in range(k):
             members = points[labels == c]
@@ -175,14 +162,11 @@ def _lloyd(points, sq_norms, k, rng):
                 # assigned centroid
                 dist = ((points - centroids[labels]) ** 2).sum(axis=1)
                 centroids[c] = points[int(dist.argmax())]
-        labels, new_inertia = _assign(points, sq_norms, centroids)
-        iterations += 1
-        trace.append(new_inertia)
-        if (inertia - new_inertia) / max(inertia, 1e-12) < REL_TOL:
-            inertia = new_inertia
+        last = inertia
+        labels, inertia = _assign(points, sq_norms, centroids)
+        if (last - inertia) / max(last, 1e-12) < REL_TOL:
             break
-        inertia = new_inertia
-    return KmeansResult(centroids, labels, inertia, iterations, tuple(trace))
+    return KmeansResult(centroids, labels, inertia)
 
 
 def kmeans_cluster(points, k, seed, restarts=10):

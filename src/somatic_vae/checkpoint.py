@@ -23,10 +23,10 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(model, config, epoch, path):
-    """Write the config, the epoch, model.theta and model.stats."""
+def save_checkpoint(model, epoch, path):
+    """Write model.config, the epoch, model.theta and model.stats."""
     vectors = [np.ascontiguousarray(v, dtype="<f4") for v in (model.theta, model.stats)]
-    framing.write(path, MAGIC, VERSION, {"config": asdict(config), "epoch": int(epoch)}, vectors)
+    framing.write(path, MAGIC, VERSION, {"config": asdict(model.config), "epoch": int(epoch)}, vectors)
 
 
 def _bind_vectors(meta):

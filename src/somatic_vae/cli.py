@@ -227,7 +227,7 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     write_effective_config(merged, os.path.join(args.out, "effective-config.toml"))
     emit_history(history, os.path.join(args.out, "history.tsv"))
-    save_checkpoint(model, config, config.epochs, os.path.join(args.out, "checkpoint.bin"))
+    save_checkpoint(model, config.epochs, os.path.join(args.out, "checkpoint.bin"))
     last = history[-1]
     print(
         f"trained {config.epochs} epochs; final recon {last.recon:.6g}, "
@@ -348,7 +348,7 @@ def cmd_plot_data(args):
     clusters = {}
     if args.assignments:
         with open(_require_file(args.assignments), encoding="utf-8") as fh:
-            clusters = dict(cohort_io._parse_two_columns(fh, "sample_id\tcluster", "assignment"))
+            clusters = cohort_io._read_sample_map(fh, "sample_id\tcluster", "assignment")
     labels = {}
     if args.labels:
         with open(_require_file(args.labels), encoding="utf-8") as fh:

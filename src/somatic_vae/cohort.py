@@ -121,15 +121,19 @@ def _parse_two_columns(lines, expected_header, what):
     return pairs
 
 
+def _read_sample_map(stream, header, what):
+    """Parse a two-column TSV stream into a sample_id -> value dict. A
+    sample may repeat with the same value, not with another."""
+    values = {}
+    for sample, value in _parse_two_columns(stream, header, what):
+        if values.setdefault(sample, value) != value:
+            raise ValueError(f"conflicting {what}s for sample {sample!r}")
+    return values
+
+
 def read_labels(stream):
     """Parse a label TSV stream into a sample_id -> label dict."""
-    pairs = _parse_two_columns(stream, LABEL_HEADER, "label")
-    labels = {}
-    for sample, label in pairs:
-        if sample in labels and labels[sample] != label:
-            raise ValueError(f"conflicting labels for sample {sample!r}")
-        labels[sample] = label
-    return labels
+    return _read_sample_map(stream, LABEL_HEADER, "label")
 
 
 def align_labels(labels, sample_ids):

@@ -40,7 +40,7 @@ def trained_model():
 def test_roundtrip_reproduces_every_tensor_bit_exactly(tmp_path):
     model, config, _ = trained_model()
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, epoch=2, path=path)
+    save_checkpoint(model, epoch=2, path=path)
     loaded, loaded_config, epoch = load_checkpoint(path)
     assert epoch == 2
     assert loaded_config == config
@@ -56,7 +56,7 @@ def test_roundtrip_inference_outputs_identical(tmp_path):
     x = cohort.matrix[:10].astype(np.float64)
     before = reconstruct_mu(model, x)
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, epoch=2, path=path)
+    save_checkpoint(model, epoch=2, path=path)
     loaded, _, _ = load_checkpoint(path)
     after = reconstruct_mu(loaded, x)
     assert np.array_equal(before, after)
@@ -72,7 +72,7 @@ def test_wrong_magic_rejected(tmp_path):
 def test_truncated_file_rejected(tmp_path):
     model, config, _ = trained_model()
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, epoch=1, path=path)
+    save_checkpoint(model, epoch=1, path=path)
     raw = path.read_bytes()
     (tmp_path / "cut.bin").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(CheckpointError, match="corrupt"):
@@ -95,7 +95,7 @@ def test_truncated_body_with_valid_crc_rejected(tmp_path):
 def test_flipped_byte_fails_crc(tmp_path):
     model, config, _ = trained_model()
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, epoch=1, path=path)
+    save_checkpoint(model, epoch=1, path=path)
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     (tmp_path / "flip.bin").write_bytes(bytes(raw))
@@ -116,7 +116,7 @@ def test_untrained_model_roundtrip(tmp_path):
     config = VaeConfig(input_dim=9, hidden_dims=(6, 4), latent_dim=2, epochs=1)
     model = build_vae(config, sub_rng(0, "init"))
     path = tmp_path / "fresh.bin"
-    save_checkpoint(model, config, epoch=0, path=path)
+    save_checkpoint(model, epoch=0, path=path)
     loaded, loaded_config, epoch = load_checkpoint(path)
     assert epoch == 0
     assert loaded_config.hidden_dims == (6, 4)
@@ -129,7 +129,7 @@ def test_numpy_scalars_in_config_saved_as_plain_numbers(tmp_path):
                        dropout_rate=np.float32(0.25))
     model = build_vae(config, sub_rng(0, "init"))
     path = tmp_path / "numpy.bin"
-    save_checkpoint(model, config, epoch=1, path=path)
+    save_checkpoint(model, epoch=1, path=path)
     _, loaded_config, _ = load_checkpoint(path)
     assert type(loaded_config.input_dim) is int and loaded_config.input_dim == 9
     assert type(loaded_config.dropout_rate) is float and loaded_config.dropout_rate == 0.25
@@ -139,7 +139,7 @@ def small_checkpoint(path):
     config = VaeConfig(input_dim=3, hidden_dims=(2, 2), latent_dim=1, epochs=1)
     model = build_vae(config, sub_rng(0, "init"))
     model.stats[...] = np.arange(model.stats.size)  # not the initial zeros and ones
-    save_checkpoint(model, config, epoch=7, path=path)
+    save_checkpoint(model, epoch=7, path=path)
     return model
 
 

@@ -13,6 +13,7 @@ import pytest
 import somatic_vae.vae as vae_module
 from somatic_vae.checkpoint import save_checkpoint
 from somatic_vae.cohort import (
+    Cohort,
     SyntheticSpec,
     filter_low_frequency,
     generate_synthetic_cohort,
@@ -308,8 +309,9 @@ TRAIN_FLAGS = [
 
 def test_train_writes_the_same_bytes_in_fresh_processes(tmp_path, capsys):
     # a run is a pure function of its inputs: two processes with different
-    # string hashing write the same files. One BLAS thread each, since the
-    # thread count can change the bytes (README, "Determinism")
+    # string hashing write the same files and print the same lines. One
+    # BLAS thread each, since the thread count can change the bytes
+    # (README, "Determinism")
     cohort_dir = make_small_cohort(tmp_path, capsys)
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
@@ -317,13 +319,18 @@ def test_train_writes_the_same_bytes_in_fresh_processes(tmp_path, capsys):
         run_dir = tmp_path / f"run{hash_seed}"
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "somatic_vae.cli", "train", "--cohort", cohort_dir,
-             "--out", str(run_dir), *TRAIN_FLAGS],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outputs.append([(run_dir / name).read_bytes() for name in ("history.tsv", "checkpoint.bin")])
+        printed = []
+        for argv in (["train", "--cohort", cohort_dir, "--out", str(run_dir), *TRAIN_FLAGS],
+                     ["eval-cluster", "--cohort", cohort_dir, "--pca", "4",
+                      "--out", str(run_dir / "assignments.tsv")]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "somatic_vae.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            printed.append(proc.stdout.replace(str(run_dir), "RUN"))
+        names = ("history.tsv", "checkpoint.bin", "assignments.tsv")
+        outputs.append((printed, [(run_dir / name).read_bytes() for name in names]))
     assert outputs[0] == outputs[1]
 
 
@@ -426,6 +433,21 @@ def test_eval_cluster_pca_route_and_argument_exclusivity(tmp_path, capsys):
         "--embeddings", "whatever.tsv",
     ]) == 1
     capsys.readouterr()
+
+
+def test_eval_cluster_pca_on_a_wide_cohort_of_rank_below_q(tmp_path, capsys):
+    # six all-zero rows leave 20 x 2000 centered data of rank 14 < 16; the
+    # d x d covariance this once fell back to took seconds and 92 MiB
+    matrix = (np.random.default_rng(4).random((20, 2000)) < 0.05).astype(np.uint8)
+    matrix[14:] = 0
+    ids = [f"S{i:02d}" for i in range(20)]
+    labels = {s: str(i % 2) for i, s in enumerate(ids)}
+    save_cohort(Cohort(ids, [f"L{j:04d}" for j in range(2000)], matrix, labels),
+                str(tmp_path / "cache"))
+    assert run(["eval-cluster", "--cohort", str(tmp_path / "cache"), "--pca", "16"]) == 0
+    values = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+    assert values["k"] == "2"
+    assert 0.0 <= float(values["nmi"]) <= 1.0
 
 
 def test_eval_cluster_rejects_pca_on_embeddings(tmp_path, capsys):
@@ -618,6 +640,24 @@ def test_plot_data_rejects_a_malformed_assignment_row(tmp_path, capsys):
     assert "line 1: expected header" in capsys.readouterr().err
 
 
+def test_plot_data_rejects_conflicting_assignments_naming_the_sample(tmp_path, capsys):
+    # the second row for S1 used to win silently, as a conflicting label never did
+    emb = tmp_path / "e2.tsv"
+    write_embeddings(["S1", "S2"], np.zeros((2, 2)), emb)
+    assign = tmp_path / "assign.tsv"
+    out_path = tmp_path / "scatter.tsv"
+    argv = ["plot-data", "--embeddings", str(emb), "--assignments", str(assign),
+            "--out", str(out_path)]
+    assign.write_text("sample_id\tcluster\nS1\t0\nS2\t1\nS1\t5\n", encoding="utf-8")
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: conflicting assignments for sample 'S1'\n"
+    assert not out_path.exists()
+    assign.write_text("sample_id\tcluster\nS1\t0\nS2\t1\nS1\t0\n", encoding="utf-8")
+    assert run(argv) == 0  # a repeat with the same cluster is accepted
+    capsys.readouterr()
+    assert out_path.read_text(encoding="utf-8").splitlines()[1] == "S1\t0\t0\t0\tNA"
+
+
 def test_plot_data_rejects_non_2d_embeddings(tmp_path, capsys):
     emb = tmp_path / "e3.tsv"
     write_embeddings(["a"], np.zeros((1, 3)), emb)
@@ -669,7 +709,7 @@ def tall_run(tmp_path_factory):
     cohort.labels = {s: str(int(int(c) < 3)) for s, c in cohort.labels.items()}
     save_cohort(cohort, str(root / "cache"))
     config = VaeConfig(input_dim=cohort.n_loci, hidden_dims=(1024, 256), latent_dim=64)
-    save_checkpoint(build_vae(config, sub_rng(0, "init")), config, 0, str(root / "checkpoint.bin"))
+    save_checkpoint(build_vae(config, sub_rng(0, "init")), 0, str(root / "checkpoint.bin"))
     return {"cache": str(root / "cache"), "checkpoint": str(root / "checkpoint.bin"),
             "embeddings": str(root / "emb.tsv")}
 

@@ -612,7 +612,7 @@ def test_trainable_tensors_are_views_of_theta(tmp_path):
     assert_views_of_flat_vectors(model)
     assert not np.array_equal(model.stats, fresh.stats)  # training moved the statistics
     path = tmp_path / "model.bin"
-    save_checkpoint(model, config, epoch=2, path=path)
+    save_checkpoint(model, epoch=2, path=path)
     loaded, _, _ = load_checkpoint(path)
     assert_views_of_flat_vectors(loaded)
     assert_same_vectors(loaded, model)
