@@ -63,6 +63,9 @@ def pca_fit(x, q):
     n, d = x.shape
     if n < 2:
         raise ValueError("pca_fit needs at least 2 rows")
+    row = first_non_finite_row(x) if x.dtype.kind == "f" else None  # ints are finite
+    if row is not None:
+        raise ValueError(f"pca_fit: row {row} holds a non-finite value")
     q = int(q)
     if not 1 <= q <= min(n - 1, d):
         raise ValueError(f"q={q} out of range [1, {min(n - 1, d)}]")

@@ -12,6 +12,7 @@ import argparse
 import numbers
 import os
 import sys
+from array import array
 from dataclasses import MISSING, asdict, fields
 
 import numpy as np
@@ -127,8 +128,8 @@ def write_embeddings(sample_ids, z, path):
     template = "%s" + "\t%.17g" * q + "\n"  # each value as a Python float
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sample_id" + "".join(f"\tz{j}" for j in range(q)) + "\n")
-        for sid, row in zip(sample_ids, z.tolist()):
-            fh.write(template % (sid, *row))
+        for sid, row in zip(sample_ids, z):
+            fh.write(template % (sid, *row.tolist()))
 
 
 def read_embeddings(path):
@@ -141,7 +142,7 @@ def read_embeddings(path):
             raise ValueError(f"{path}: not an embedding TSV")
         if len(header) == 1:
             raise ValueError(f"{path}: no embedding columns")
-        lines, rows = {}, []  # sample_id -> its line number, in file order
+        lines, values = {}, array("d")  # sample_id -> its line number, in file order
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line:
@@ -153,10 +154,10 @@ def read_embeddings(path):
             if first != lineno:
                 raise ValueError(
                     f"{path} line {lineno}: sample_id {parts[0]!r} repeats line {first}")
-            rows.append([float(v) for v in parts[1:]])
-    if not rows:
+            values.extend(map(float, parts[1:]))
+    if not lines:
         raise ValueError(f"{path}: no embedding rows")
-    z = np.array(rows, dtype=np.float64)
+    z = np.frombuffer(values, np.float64).reshape(len(lines), -1)
     row = metrics.first_non_finite_row(z)
     if row is not None:
         raise ValueError(f"{path} line {list(lines.values())[row]}: non-finite value")

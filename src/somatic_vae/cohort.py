@@ -8,6 +8,7 @@ matrices are comparable across runs.
 """
 
 import os
+from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -98,8 +99,9 @@ class SyntheticSpec:
             raise ValueError("enriched blocks do not fit into n_loci")
 
 
-def _parse_two_columns(lines, expected_header, what):
-    pairs = []
+def _two_columns(lines, expected_header, what):
+    """The (first, second) field pairs of a two-column TSV stream, one
+    row at a time, after its header; each error names its line."""
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -115,17 +117,16 @@ def _parse_two_columns(lines, expected_header, what):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ValueError(f"line {lineno}: malformed {what} row {line!r}")
-        pairs.append((parts[0], parts[1]))
+        yield parts[0], parts[1]
     if not header_seen:
         raise ValueError("no records")
-    return pairs
 
 
 def _read_sample_map(stream, header, what):
     """Parse a two-column TSV stream into a sample_id -> value dict. A
     sample may repeat with the same value, not with another."""
     values = {}
-    for sample, value in _parse_two_columns(stream, header, what):
+    for sample, value in _two_columns(stream, header, what):
         if values.setdefault(sample, value) != value:
             raise ValueError(f"conflicting {what}s for sample {sample!r}")
     return values
@@ -150,22 +151,19 @@ def ingest_profiles(stream, labels_stream=None):
     Samples keep first-appearance order; loci are sorted lexicographically.
     matrix[i, j] = 1 iff the pair appeared at least once.
     """
-    pairs = _parse_two_columns(stream, PROFILE_HEADER, "profile")
-    if not pairs:
+    # each id is kept once, as a dict key; each row is two integer codes
+    sample_pos, locus_pos = {}, {}
+    rows, cols = array("i"), array("i")
+    for sample, locus in _two_columns(stream, PROFILE_HEADER, "profile"):
+        rows.append(sample_pos.setdefault(sample, len(sample_pos)))
+        cols.append(locus_pos.setdefault(locus, len(locus_pos)))
+    if not rows:
         raise ValueError("no records")
-    sample_ids = []
-    sample_pos = {}
-    loci = set()
-    for sample, locus in pairs:
-        if sample not in sample_pos:
-            sample_pos[sample] = len(sample_ids)
-            sample_ids.append(sample)
-        loci.add(locus)
-    locus_ids = sorted(loci)
-    locus_pos = {locus: j for j, locus in enumerate(locus_ids)}
+    sample_ids, locus_ids = list(sample_pos), sorted(locus_pos)
+    rank = np.empty(len(locus_ids), np.intp)  # code -> column
+    rank[[locus_pos[locus] for locus in locus_ids]] = np.arange(len(locus_ids))
     matrix = np.zeros((len(sample_ids), len(locus_ids)), dtype=np.uint8)
-    for sample, locus in pairs:
-        matrix[sample_pos[sample], locus_pos[locus]] = 1
+    matrix[np.frombuffer(rows, np.intc), rank[np.frombuffer(cols, np.intc)]] = 1
     labels = None
     if labels_stream is not None:
         raw = read_labels(labels_stream)

@@ -29,6 +29,7 @@ TRAIN = "train"
 INFERENCE = "inference"
 BUFFER_KEYS = ("run_mean", "run_var")
 GRAD_BLOCK = 1 << 18  # weights per row block of a Dense layer: 1 MiB of float32, 2 of float64
+ELEMENT_BLOCK = 1 << 16  # entries per block of an elementwise temporary
 
 
 def _as_real(t):
@@ -39,14 +40,20 @@ def _as_real(t):
 
 
 def sigmoid(x):
-    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below. out holds e, then the result; 1 + e and the mask are taken
+    # ELEMENT_BLOCK entries at a time. Since e <= 1, the numerator
+    # where(x >= 0, 1, e) is max(e, x >= 0), without where's branches
     x = _as_real(x)
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
+    out = np.abs(x, order="C")
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    flat, signs = out.reshape(-1), x.reshape(-1)
+    for start in range(0, flat.size, ELEMENT_BLOCK):
+        e = flat[start:start + ELEMENT_BLOCK]
+        den = e + 1.0
+        np.maximum(e, signs[start:start + ELEMENT_BLOCK] >= 0, out=e)
+        e /= den
     return out
 
 

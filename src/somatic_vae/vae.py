@@ -437,6 +437,7 @@ def train(cohort, split, config):
             if not np.isfinite(breakdown.total):
                 raise FloatingPointError(f"epoch {epoch} batch {batch}: non-finite loss")
             _backward_train(model, xb, beta, fwd, step, buf)
+            del fwd, xb  # else this batch's tape lives on beside the next one's
             for key in sums:
                 sums[key] += float(getattr(breakdown, key)) * len(rows)
             seen += len(rows)

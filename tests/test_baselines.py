@@ -106,6 +106,26 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n, d", [(10, 4), (4, 10)])  # covariance path, Gram path
+def test_pca_rejects_non_finite_input_naming_the_first_row(monkeypatch, value, n, d):
+    sizes = eigh_sizes(monkeypatch)
+    x = np.random.default_rng(3).standard_normal((n, d))
+    x[2, 1] = x[3, 0] = value
+    with pytest.raises(ValueError, match="^pca_fit: row 2 holds a non-finite value$"):
+        pca_fit(x, 2)
+    assert sizes == []  # refused before any decomposition
+
+
+def test_pca_does_not_scan_integer_input_for_non_finite_values(monkeypatch):
+    def scan(x):
+        raise AssertionError("integer input scanned")
+
+    monkeypatch.setattr(baselines_module, "first_non_finite_row", scan)
+    x = (np.random.default_rng(4).random((12, 6)) < 0.4).astype(np.uint8)
+    assert pca_fit(x, 2).components.shape == (2, 6)
+
+
 @pytest.mark.parametrize("n, d, q, binary", [
     (12, 40, 5, False), (30, 200, 10, False), (30, 200, 10, True),
 ])

@@ -210,6 +210,22 @@ def test_read_embeddings_rejects_a_repeated_sample_naming_both_lines(tmp_path):
     assert str(err.value) == f"{path} line 4: sample_id 'a' repeats line 2"
 
 
+def test_read_embeddings_holds_no_python_float_per_value(tmp_path):
+    # a list of 64 Python floats per row, 4000 rows, peaked at 10.7 MiB;
+    # one flat buffer of float64 peaks at 2.7 MiB, 2 of them the result
+    path = tmp_path / "emb.tsv"
+    z = np.random.default_rng(0).standard_normal((4000, 64))
+    write_embeddings([f"S{i}" for i in range(4000)], z, path)
+    tracemalloc.start()
+    try:
+        ids, got = read_embeddings(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 4000 and np.array_equal(got, z)
+    assert peak < 5 * 2**20
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -311,16 +327,24 @@ def test_train_writes_the_same_bytes_in_fresh_processes(tmp_path, capsys):
     # a run is a pure function of its inputs: two processes with different
     # string hashing write the same files and print the same lines. One
     # BLAS thread each, since the thread count can change the bytes
-    # (README, "Determinism")
-    cohort_dir = make_small_cohort(tmp_path, capsys)
+    # (README, "Determinism"). Each process ingests the profiles itself,
+    # since ingest codes its ids through dicts
+    make_small_cohort(tmp_path, capsys)
+    raw = tmp_path / "raw"
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for hash_seed in ("1", "2"):
         run_dir = tmp_path / f"run{hash_seed}"
+        cohort_dir = str(run_dir / "cache")
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         printed = []
-        for argv in (["train", "--cohort", cohort_dir, "--out", str(run_dir), *TRAIN_FLAGS],
+        for argv in (["preprocess", "--profiles", str(raw / "profiles.tsv"),
+                      "--labels", str(raw / "labels.tsv"), "--min-count", "3",
+                      "--out", cohort_dir],
+                     ["train", "--cohort", cohort_dir, "--out", str(run_dir), *TRAIN_FLAGS],
+                     ["embed", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                      "--cohort", cohort_dir, "--out", str(run_dir / "embeddings.tsv")],
                      ["eval-cluster", "--cohort", cohort_dir, "--pca", "4",
                       "--out", str(run_dir / "assignments.tsv")]):
             proc = subprocess.run(
@@ -329,7 +353,8 @@ def test_train_writes_the_same_bytes_in_fresh_processes(tmp_path, capsys):
             )
             assert proc.returncode == 0, proc.stderr[-2000:]
             printed.append(proc.stdout.replace(str(run_dir), "RUN"))
-        names = ("history.tsv", "checkpoint.bin", "assignments.tsv")
+        names = ("cache/cohort.bin", "cache/labels.tsv", "history.tsv", "checkpoint.bin",
+                 "embeddings.tsv", "assignments.tsv")
         outputs.append((printed, [(run_dir / name).read_bytes() for name in names]))
     assert outputs[0] == outputs[1]
 

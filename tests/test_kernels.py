@@ -362,6 +362,23 @@ def test_sigmoid_matches_its_reference_at_every_vector_length(length):
         assert_same_bytes(sigmoid(x[None, :]), ref_sigmoid(x[None, :]), "sigmoid of one row")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_over_several_blocks_matches_its_reference(dtype):
+    # three full ELEMENT_BLOCKs and a ragged one, infinities and NaN
+    # included, in C and Fortran order
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((97, 2027)) * 8).astype(dtype)
+    assert 3 * layers_module.ELEMENT_BLOCK < x.size < 4 * layers_module.ELEMENT_BLOCK
+    x.reshape(-1)[rng.choice(x.size, 60, replace=False)] = np.resize(EDGES + (np.inf, -np.inf), 60)
+    x[5, 7] = np.nan
+    want = ref_sigmoid(x)
+    for order in (x, np.asfortranarray(x)):
+        got = sigmoid(order)
+        assert np.isnan(got[5, 7])
+        got[5, 7] = want[5, 7] = 0.0
+        assert_same_bytes(got, want, f"{dtype.__name__} sigmoid over blocks")
+
+
 @pytest.mark.parametrize("slope", [0.0, -0.0, 1e-300, 0.3, 1.0 - 2**-53, 1.0])
 @pytest.mark.parametrize("length", [1, 3, 8, 17, 67, 1024])
 def test_leaky_relu_matches_its_reference_at_every_accepted_slope(slope, length):

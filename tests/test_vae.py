@@ -1,5 +1,7 @@
 """Model assembly, encoding/decoding, reparameterization, training loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,25 @@ def test_train_is_bit_deterministic():
     model_b, hist_b = train(cohort, split, config)
     assert hist_a == hist_b
     assert_same_vectors(model_a, model_b)
+
+
+def test_train_holds_one_minibatch_tape_at_a_time(monkeypatch):
+    # the next pass starts only after the last one's tape (whose sigmoid
+    # cache is its probs) is gone
+    real, probs = vae_module._forward_train, []
+
+    def spy(*args):
+        if probs:
+            assert probs[-1]() is None, f"pass {len(probs) - 1}'s probs outlive it"
+        fwd = real(*args)
+        probs.append(weakref.ref(fwd["probs"]))
+        return fwd
+
+    monkeypatch.setattr(vae_module, "_forward_train", spy)
+    cohort = small_cohort()
+    split = holdout_split(cohort.n_samples, 0.8, seed=0)
+    train(cohort, split, tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=8))
+    assert len(probs) == 8  # 32 training rows: 4 batches per epoch
 
 
 def test_train_rejects_empty_training_split():
