@@ -63,9 +63,8 @@ print(f"train output mean  {out_train.mean():.4f} (dropout active, batch stats)"
 print(f"infer output mean  {out_infer.mean():.4f} (deterministic, running stats)")
 again, _ = stack_forward(specs, params, x, INFERENCE)
 print(f"inference is bit-reproducible: {np.array_equal(out_infer, again)}")
-# a dropout layer's cache is its mask, which stores 1/keep_rate for
-# survivors, so count nonzeros for the fraction
-kept = (tape.caches[3] > 0).mean()
+# a dropout layer's cache is its bool keep mask
+kept = tape.caches[3].mean()
 print(f"dropout kept {kept:.2%} of units (rate 0.25 -> expect ~75%)")
 
 banner("analytic backward pass")

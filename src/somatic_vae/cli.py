@@ -41,12 +41,9 @@ def parse_config_file(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path} line {lineno}: expected key = value")
             key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if not key or not text:
+            key, text = key.strip(), text.strip()
+            if not key or not text:  # no "=" leaves text empty
                 raise ValueError(f"{path} line {lineno}: expected key = value")
             if key in values:
                 raise ValueError(f"{path} line {lineno}: duplicate key {key!r}")
@@ -134,8 +131,9 @@ def write_embeddings(sample_ids, z, path):
 
 def read_embeddings(path):
     """(sample ids, n x q float64 matrix) of an embedding TSV; a repeated
-    sample_id or a non-finite value is an error that names its line, and
-    so is a file with no rows or no latent columns."""
+    sample_id, a value that is not a number or a non-finite value is an
+    error that names its line, and so is a file with no rows or no latent
+    columns."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[0] != "sample_id" or header[1:] != [f"z{j}" for j in range(len(header) - 1)]:
@@ -154,7 +152,10 @@ def read_embeddings(path):
             if first != lineno:
                 raise ValueError(
                     f"{path} line {lineno}: sample_id {parts[0]!r} repeats line {first}")
-            values.extend(map(float, parts[1:]))
+            try:
+                values.extend(map(float, parts[1:]))
+            except ValueError as err:  # a value that is not a number
+                raise ValueError(f"{path} line {lineno}: {err}") from None
     if not lines:
         raise ValueError(f"{path}: no embedding rows")
     z = np.frombuffer(values, np.float64).reshape(len(lines), -1)
@@ -331,9 +332,7 @@ def cmd_sweep_latent(args):
             _, history = train(data, plan, config)
             scores.append(history[-1].val_micro_f1)
         mean = float(np.mean(scores))
-        lines.append(
-            f"{size}\t{mean:.17g}\t" + "\t".join(f"{s:.17g}" for s in scores)
-        )
+        lines.append(f"{size}\t{mean:.17g}\t" + "\t".join(f"{s:.17g}" for s in scores))
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:

@@ -2,11 +2,11 @@
 
 Tensors are 2-D floating C-order numpy arrays (rows = batch): float32
 for training and inference, float64 or extended precision for gradient
-checks, and every kernel keeps its input's dtype. Matrix
-products delegate to numpy's BLAS matmul, whose reduction over the inner
-dimension is a fixed tree for a given build, so repeated calls are
-bit-deterministic. Each layer follows the (out, cache) convention and
-a train-mode stack records the caches on a Tape for the backward pass.
+checks, and every kernel keeps its input's dtype. Matrix products
+delegate to numpy's BLAS matmul, whose reduction over the inner dimension
+is a fixed tree for a given build, so repeated calls are bit-deterministic.
+Each layer follows the (out, cache) convention and a train-mode stack
+records on a Tape only what the backward pass reads (see Tape).
 The elementwise kernels update in place only arrays they allocated in
 the same call, in their input's dtype, never an input or a cache.
 
@@ -86,11 +86,16 @@ class Activation:
 class Dropout:
     rate: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate!r}")
+
 
 @dataclass
 class Tape:
-    """Per-layer caches from one train-mode stack_forward call, a Dropout
-    layer's being its mask (None for each layer in inference mode)."""
+    """Per-layer caches of one train-mode stack_forward call (None in inference
+    mode): Dense x; batch norm (x - mean, 1 / sqrt(var + eps)); ReLU and leaky
+    ReLU the bool mask x > 0; sigmoid its output; Dropout its bool keep mask, None at rate 0."""
 
     mode: str
     caches: list
@@ -233,20 +238,20 @@ def _batchnorm_forward(x, p, spec, mode):
     out = xmu * xmu
     var = out.mean(axis=0)  # biased, ddof=0
     inv = 1.0 / np.sqrt(var + spec.epsilon)
-    xhat = xmu * inv
     m = spec.momentum
     # in place: the buffers may be views of a model's stats vector
     p["run_mean"][...] = m * p["run_mean"] + (1.0 - m) * mean
     p["run_var"][...] = m * p["run_var"] + (1.0 - m) * var
-    np.multiply(p["gamma"], xhat, out=out)
+    np.multiply(xmu, inv, out=out)  # xhat, recomputed by the backward pass
+    out *= p["gamma"]
     out += p["delta"]
-    return out, (xmu, inv, xhat)
+    return out, (xmu, inv)
 
 
 def _batchnorm_backward(dout, cache, p, step, buf):
     # full backprop through the batch statistics
     # dx = dxhat * inv + dvar * 2 * xmu / n + dmean / n, built in dxhat
-    xmu, inv, xhat = cache
+    xmu, inv = cache
     n = dout.shape[0]
     dxhat = dout * p["gamma"]
     tmp = dxhat * xmu
@@ -259,7 +264,8 @@ def _batchnorm_backward(dout, cache, p, step, buf):
     dxhat += dmean / n
     # the parameter gradients, after the last read of gamma
     g = buf[: len(inv)]
-    np.multiply(dout, xhat, out=tmp)
+    np.multiply(xmu, inv, out=tmp)  # xhat
+    tmp *= dout
     tmp.sum(axis=0, out=g)
     step("gamma", slice(None), g)
     dout.sum(axis=0, out=g)
@@ -269,11 +275,11 @@ def _batchnorm_backward(dout, cache, p, step, buf):
 
 def _activation_forward(x, spec):
     if spec.kind == "relu":
-        return np.maximum(x, 0.0), x
+        return np.maximum(x, 0.0), x > 0.0
     if spec.kind == "leaky_relu":
         # where(x > 0, x, slope * x) for 0 <= slope <= 1
         out = x * spec.slope
-        return np.maximum(x, out, out=out), x
+        return np.maximum(x, out, out=out), x > 0.0
     if spec.kind == "sigmoid":
         out = sigmoid(x)
         return out, out
@@ -282,11 +288,11 @@ def _activation_forward(x, spec):
 
 def _activation_backward(dout, cache, spec):
     if spec.kind == "relu":
-        return dout * (cache > 0.0)
+        return dout * cache  # the mask x > 0
     if spec.kind == "leaky_relu":
-        # the factor where(cache > 0, 1, slope), looked up by the mask
+        # the factor where(x > 0, 1, slope), looked up by the mask
         factors = np.array([spec.slope, 1.0], dout.dtype)
-        return dout * factors[(cache > 0.0).view(np.int8)]
+        return dout * factors[cache.view(np.int8)]
     # sigmoid: dout * cache * (1 - cache)
     dx = dout * cache
     dx *= 1.0 - cache
@@ -320,13 +326,11 @@ def stack_forward(specs, params, x, mode, rng=None):
             if mode == TRAIN and spec.rate > 0.0:
                 if rng is None:
                     raise ValueError(f"layer {i} (Dropout) needs an rng in train mode")
-                # inverted dropout: survivors pre-scaled, inference is identity.
-                # The uniforms are float64 whatever the activation's dtype,
-                # so the stream does not depend on it; the mask takes that dtype
-                cache = rng.random(out.shape)
-                np.divide(cache >= spec.rate, 1.0 - spec.rate, out=cache)
-                cache = cache.astype(out.dtype, copy=False)
+                # inverted dropout, identity in inference. The uniforms are float64
+                # whatever the activation's dtype, so the stream does not depend on it
+                cache = rng.random(out.shape) >= spec.rate
                 out = out * cache
+                out *= out.dtype.type(1.0 / (1.0 - spec.rate))
         else:
             raise ValueError(f"unknown layer spec {spec!r}")
         if not np.isfinite(out).all():
@@ -338,7 +342,8 @@ def stack_forward(specs, params, x, mode, rng=None):
 def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
     """Reverse-mode gradients through a recorded train-mode pass; returns
     the input gradient. With input_grad=False it is not wanted: a Dense
-    layer 0 skips its dout @ W.T, and None is returned.
+    layer 0 skips its dout @ W.T, and None is returned. Batch norm recomputes
+    xhat from its cache; Dropout multiplies by its mask, then by 1 / (1 - rate).
 
     Each parameter gradient leaves the pass through step, called as
     step(i, key, rows, grad, live=None) for each span of layer i's
@@ -370,8 +375,9 @@ def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
             dx = _batchnorm_backward(dx, cache, p, functools.partial(step, i), buf)
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
-        elif cache is not None:  # Dropout: its mask
+        elif cache is not None:  # Dropout: its keep mask
             dx = dx * cache
+            dx *= dx.dtype.type(1.0 / (1.0 - spec.rate))
     return dx if input_grad else None
 
 

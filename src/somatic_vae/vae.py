@@ -179,8 +179,6 @@ def _architecture(config):
         BatchNorm(h2),
         Activation("leaky_relu", slope=float(config.leaky_slope)),
     ]
-    mu = [Dense(h2, q, l1)]
-    lv = [Dense(h2, q, l1)]
     dec = [
         Dense(q, h2, l1),
         BatchNorm(h2),
@@ -192,7 +190,7 @@ def _architecture(config):
         Dense(h1, d, l1),
         Activation("sigmoid"),
     ]
-    return {"enc": enc, "mu": mu, "lv": lv, "dec": dec}
+    return {"enc": enc, "mu": [Dense(h2, q, l1)], "lv": [Dense(h2, q, l1)], "dec": dec}
 
 
 def _bind(config, theta=None):
@@ -240,9 +238,7 @@ def encode_batch(model, x):
     """Run the encoder and both heads; returns the latent Gaussian."""
     x = _check_binary(x, model.theta.dtype)
     if x.shape[1] != model.config.input_dim:
-        raise ValueError(
-            f"input has {x.shape[1]} columns, model expects {model.config.input_dim}"
-        )
+        raise ValueError(f"input has {x.shape[1]} columns, model expects {model.config.input_dim}")
     mu, lv, _ = _encode(model, x, INFERENCE)
     return LatentDistribution(mu, lv)
 
@@ -331,8 +327,7 @@ def _backward_train(model, x, beta, fwd, step, buf):
         return stack_backward(model.specs[s], model.params[s], tapes[name], dout,
                               lambda i, *span: step(s.start + i, *span), buf, input_grad)
 
-    dprobs = reconstruction_grad(model.config.loss_kind, fwd["probs"], x)
-    dz = backward("dec", dprobs)
+    dz = backward("dec", reconstruction_grad(model.config.loss_kind, fwd["probs"], x))
     dmu_kl, dlv_kl = kl_grads(mu, lv)
     dmu = dz + beta * dmu_kl
     dlv = dz * eps * 0.5 * np.exp(0.5 * lv) + beta * dlv_kl

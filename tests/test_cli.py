@@ -202,6 +202,15 @@ def test_read_embeddings_rejects_a_non_finite_value_naming_its_line(tmp_path, va
     assert str(err.value) == f"{path} line 4: non-finite value"
 
 
+@pytest.mark.parametrize("value", ["abc", "", "0x10"])
+def test_read_embeddings_rejects_a_value_that_is_not_a_number_naming_its_line(tmp_path, value):
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"sample_id\tz0\tz1\na\t0.5\t1\n\nb\t2\t{value}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_embeddings(path)
+    assert str(err.value) == f"{path} line 4: could not convert string to float: {value!r}"
+
+
 def test_read_embeddings_rejects_a_repeated_sample_naming_both_lines(tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_text("sample_id\tz0\na\t0.5\nb\t1\na\t0.5\n", encoding="utf-8")

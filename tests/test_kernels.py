@@ -121,6 +121,22 @@ def ref_stack(specs, params, x, mode, rng=None, masks=None):
     return x, caches
 
 
+def tape_form(specs, caches):
+    """The reference caches in the form a Tape keeps them: a ReLU, leaky
+    ReLU or Dropout layer's as the bool mask cache > 0, batch norm's
+    without xhat."""
+    def form(spec, cache):
+        if cache is None or isinstance(spec, Dense):
+            return cache
+        if isinstance(spec, BatchNorm):
+            return cache[:2]
+        if isinstance(spec, Dropout) or spec.kind != "sigmoid":
+            return cache > 0
+        return cache
+
+    return [form(spec, cache) for spec, cache in zip(specs, caches)]
+
+
 def ref_stack_backward(specs, params, caches, dout):
     grads = [None] * len(specs)
     for i in range(len(specs) - 1, -1, -1):
@@ -202,7 +218,7 @@ def check_stack(specs, params, x, dout, seed, dtype=np.float64):
     out, tape = stack_forward(specs, params, x, TRAIN, rng=np.random.default_rng(seed))
     want, caches = ref_stack(specs, ref_params, x, TRAIN, rng=np.random.default_rng(seed))
     assert_same_bytes(out, want, "train output")
-    assert_trees_same_bytes(tape.caches, caches, "caches")
+    assert_trees_same_bytes(tape.caches, tape_form(specs, caches), "caches")
     assert_trees_same_bytes(params, ref_params, "running statistics")
 
     grad = np.zeros(stack_size(specs), dtype)
@@ -409,7 +425,9 @@ def test_extended_precision_replay_matches_its_reference():
     _, tape = stack_forward(specs, copy.deepcopy(params), x.astype(np.float64), TRAIN, rng=rng)
     rng.bit_generator.state = start
     out, _ = stack_forward(specs, copy.deepcopy(params), x, TRAIN, rng=rng)
-    want, _ = ref_stack(specs, copy.deepcopy(params), x, TRAIN, masks=tape.caches)
+    # the float64 mask of the recorded pass, from its bool keep mask
+    masks = [c / (1.0 - s.rate) if isinstance(s, Dropout) else c for s, c in zip(specs, tape.caches)]
+    want, _ = ref_stack(specs, copy.deepcopy(params), x, TRAIN, masks=masks)
     assert out.dtype == FD_DTYPE
     assert_same_bytes(out, want, "extended-precision output")
     assert_same_bytes(sigmoid(x), ref_sigmoid(x), "extended-precision sigmoid")

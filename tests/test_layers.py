@@ -200,7 +200,15 @@ def test_dropout_train_mode_scales_survivors():
     assert set(values.tolist()) <= {0.0, 1.0 / 0.6}
     # survivor fraction concentrates near 1 - rate
     assert abs((out > 0).mean() - 0.6) < 0.05
-    assert np.array_equal(tape.caches[0], out)  # x is ones: the mask is the output
+    # x is ones: the bool keep mask, scaled, is the output
+    assert tape.caches[0].dtype == np.bool_
+    assert (tape.caches[0] / 0.6).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+def test_dropout_rate_outside_zero_to_one_is_refused(rate):
+    with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+        Dropout(rate)
 
 
 def test_dropout_train_mode_requires_rng():

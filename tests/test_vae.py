@@ -1,5 +1,6 @@
 """Model assembly, encoding/decoding, reparameterization, training loop."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -317,6 +318,25 @@ def test_train_holds_one_minibatch_tape_at_a_time(monkeypatch):
     assert len(probs) == 8  # 32 training rows: 4 batches per epoch
 
 
+def test_a_training_pass_holds_only_what_its_backward_pass_reads():
+    # tall's shapes: a tape that kept each activation's input, a float
+    # dropout mask and batch norm's xhat held 12.3 MiB past the input; the
+    # bool masks and (xmu, inv) hold 7.0 MiB
+    config = VaeConfig(input_dim=800, hidden_dims=(1024, 256), latent_dim=64,
+                       dropout_rate=0.2, l1_coefficient=1e-5, batch_size=256)
+    model = build_vae(config, sub_rng(0, "init"))
+    x = (np.random.default_rng(0).random((256, 800)) < 0.05).astype(np.float32)
+    rngs = {"dropout": sub_rng(0, "dropout"), "reparam": sub_rng(0, "reparam")}
+    tracemalloc.start()
+    try:
+        fwd = _forward_train(model, x, 1e-4, rngs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fwd["probs"].shape == x.shape
+    assert held < 9 * 2**20
+
+
 def test_train_rejects_empty_training_split():
     cohort = small_cohort()
     split = SplitPlan(np.array([], dtype=int), np.arange(cohort.n_samples), 0)
@@ -459,11 +479,17 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     steps = [args for args, _ in calls["rmsprop_update"]]
     assert len(steps) == sum(key not in BUFFER_KEYS for spec in model.specs
                              for key in layer_shapes(spec)) == 22
-    caches = arrays_in([tape.caches for tape in fwd["tapes"].values()])
-    masks = [cache for name, tape in fwd["tapes"].items()
-             for spec, cache in zip(model.specs[model.stacks[name]], tape.caches)
-             if isinstance(spec, Dropout)]
-    assert len(arrays_in(masks)) == 2  # one dropout layer in the encoder, one in the decoder
+    layers = [(spec, cache) for name, tape in fwd["tapes"].items()
+              for spec, cache in zip(model.specs[model.stacks[name]], tape.caches)]
+    # a ReLU, leaky ReLU or Dropout layer caches a bool mask, every other layer float32
+    masked = [isinstance(spec, Dropout) or isinstance(spec, Activation) and spec.kind != "sigmoid"
+              for spec, _ in layers]
+    caches = arrays_in([cache for (_, cache), mask in zip(layers, masked) if not mask])
+    masks = arrays_in([cache for (_, cache), mask in zip(layers, masked) if mask])
+    # four activations, one dropout layer in the encoder and one in the decoder
+    assert len(masks) == 6
+    assert len(arrays_in([cache for spec, cache in layers if isinstance(spec, Dropout)])) == 2
+    assert {i: m.dtype for i, m in enumerate(masks) if m.dtype != np.bool_} == {}
     dxs = arrays_in([out for name in backward for _, out in calls[name]])
     assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
     named = {"eps": fwd["eps"], "probs": fwd["probs"], "dprobs": dprobs, "theta": model.theta,
@@ -471,7 +497,7 @@ def test_one_training_step_computes_in_float32(monkeypatch):
              **{f"step {i} {what}": a for i, (theta, grad, state) in enumerate(steps)
                 for what, a in (("theta", theta), ("grad", grad),
                                 ("accumulator", state.accumulator))},
-             **{f"cache {i}": c for i, c in enumerate(caches)},  # with the masks
+             **{f"cache {i}": c for i, c in enumerate(caches)},
              **{f"input gradient {i}": d for i, d in enumerate(dxs)}}
     assert {name: a.dtype for name, a in named.items() if a.dtype != np.float32} == {}
     breakdown = fwd["breakdown"]
