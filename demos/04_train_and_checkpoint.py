@@ -51,7 +51,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.ckpt"
     sv.save_checkpoint(model, epoch=config.epochs, path=path)
     print(f"wrote {path.stat().st_size} bytes")
-    loaded, loaded_config, epoch = sv.load_checkpoint(path)
+    loaded, epoch = sv.load_checkpoint(path)
     x = cohort.matrix.astype(np.float64)
     same = np.array_equal(sv.reconstruct_mu(model, x), sv.reconstruct_mu(loaded, x))
     print(f"reloaded at epoch {epoch}, inference outputs bit-identical: {same}")

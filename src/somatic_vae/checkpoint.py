@@ -32,11 +32,11 @@ def save_checkpoint(model, epoch, path):
 def _bind_vectors(meta):
     config = VaeConfig.from_dict(meta["config"])
     model = _bind(config)
-    return (model, config, int(meta["epoch"])), (model.theta, model.stats), "the config needs"
+    return (model, int(meta["epoch"])), (model.theta, model.stats), "the config needs"
 
 
 def load_checkpoint(path):
-    """Returns (model, config, epoch). The payload after the JSON block
+    """Returns (model, epoch). The payload after the JSON block
     must be exactly the two vectors that the stored config's architecture
     needs; they are read straight into the model."""
     return framing.read(path, MAGIC, VERSION, "checkpoint", CheckpointError, _bind_vectors)

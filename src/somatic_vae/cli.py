@@ -2,10 +2,10 @@
 
 Subcommands: synth, preprocess, train, embed, eval-recon, eval-cluster,
 probe, sweep-latent, plot-data. Training options come from a flat
-``key = value`` config file, and every key is also exposed as a
-``--key value`` flag (flags win). The resolved configuration is echoed
-to the run directory so a run can be reproduced by feeding the echo
-back. Exit codes: 0 success, 1 runtime or input failure, 2 usage error.
+``key = value`` config file or ``--key value`` flags (flags win); the
+resolved configuration is echoed to the run directory, to reproduce the
+run when fed back. Every TSV goes through cohort.read_tsv and write_tsv.
+Exit codes: 0 success, 1 runtime or input failure, 2 usage error.
 """
 
 import argparse
@@ -13,14 +13,14 @@ import numbers
 import os
 import sys
 from array import array
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, astuple, fields
 
 import numpy as np
 
 from . import baselines, cohort as cohort_io, metrics
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .losses import BetaSchedule
-from .vae import VaeConfig, encode_batch, reconstruction_scores, row_chunks, train
+from .vae import EpochStats, VaeConfig, encode_batch, reconstruction_scores, row_chunks, train
 
 # training option -> default, whose type parses it: VaeConfig's fields but
 # input_dim, its beta schedule's (kind as beta_kind), and the holdout
@@ -113,47 +113,45 @@ def emit_history(history, path):
     """History TSV: one row per epoch, 17 significant digits for reals."""
     if not history:
         raise ValueError("history is empty")
-    columns = ["epoch", "recon", "kl", "l1", "beta", "total", "val_micro_f1", "val_cosine"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(columns) + "\n")
-        for row in history:
-            fh.write("\t".join(_fmt(getattr(row, c)) for c in columns) + "\n")
+    header = "\t".join(f.name for f in fields(EpochStats))
+    cohort_io.write_tsv(path, header, (tuple(map(_fmt, astuple(row))) for row in history))
 
 
 def write_embeddings(sample_ids, z, path):
     q = z.shape[1]
-    template = "%s" + "\t%.17g" * q + "\n"  # each value as a Python float
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_id" + "".join(f"\tz{j}" for j in range(q)) + "\n")
-        for sid, row in zip(sample_ids, z):
-            fh.write(template % (sid, *row.tolist()))
+    cohort_io.write_tsv(path, "sample_id" + "".join(f"\tz{j}" for j in range(q)),
+                        ((sid, *row.tolist()) for sid, row in zip(sample_ids, z)),
+                        "%s" + "\t%.17g" * q)  # each value as a Python float
+
+
+def _as_written(text):
+    # float() also takes whitespace, "_" and non-ASCII digits; %.17g writes none
+    return text.isascii() and not (" " in text or "_" in text or "\v" in text or "\f" in text)
 
 
 def read_embeddings(path):
     """(sample ids, n x q float64 matrix) of an embedding TSV; a repeated
-    sample_id, a value that is not a number or a non-finite value is an
-    error that names its line, and so is a file with no rows or no latent
-    columns."""
+    sample_id, a value that is not a number as write_embeddings writes it
+    or a non-finite value is an error that names its line, and so is a
+    file with no rows or no latent columns."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
+        rows = cohort_io.read_tsv(fh, None, "embedding")
+        header = next(rows)[1]
         if header[0] != "sample_id" or header[1:] != [f"z{j}" for j in range(len(header) - 1)]:
             raise ValueError(f"{path}: not an embedding TSV")
         if len(header) == 1:
             raise ValueError(f"{path}: no embedding columns")
         lines, values = {}, array("d")  # sample_id -> its line number, in file order
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(header):
-                raise ValueError(f"{path} line {lineno}: wrong column count")
-            first = lines.setdefault(parts[0], lineno)
+        for lineno, fields in rows:
+            first = lines.setdefault(fields[0], lineno)
             if first != lineno:
-                raise ValueError(
-                    f"{path} line {lineno}: sample_id {parts[0]!r} repeats line {first}")
+                raise ValueError(f"{path} line {lineno}: sample_id {fields[0]!r} repeats line {first}")
+            numbers = fields[1:]  # a slice costs less than a starred unpacking
             try:
-                values.extend(map(float, parts[1:]))
+                if not _as_written("".join(numbers)):
+                    bad = next(v for v in numbers if not _as_written(v))
+                    raise ValueError(f"could not convert string to float: {bad!r}")
+                values.fromlist(list(map(float, numbers)))  # faster than extend(map(...))
             except ValueError as err:  # a value that is not a number
                 raise ValueError(f"{path} line {lineno}: {err}") from None
     if not lines:
@@ -239,7 +237,7 @@ def cmd_train(args):
 
 
 def cmd_embed(args):
-    model, _, _ = load_checkpoint(_require_file(args.checkpoint))
+    model, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
     mu = np.empty((data.n_samples, model.config.latent_dim), model.theta.dtype)
     for rows, chunk in row_chunks(data.matrix, model.theta.dtype):
@@ -251,7 +249,7 @@ def cmd_embed(args):
 
 
 def cmd_eval_recon(args):
-    model, _, _ = load_checkpoint(_require_file(args.checkpoint))
+    model, _ = load_checkpoint(_require_file(args.checkpoint))
     data = cohort_io.load_cohort(_require_file(args.cohort))
     f1, cos = reconstruction_scores(model, data.matrix)
     print(f"micro_f1\t{f1:.17g}")
@@ -260,8 +258,6 @@ def cmd_eval_recon(args):
 
 
 def cmd_eval_cluster(args):
-    if (args.embeddings is None) == (args.cohort is None):
-        raise ValueError("pass exactly one of --embeddings or --cohort with --pca")
     data = None
     if args.embeddings is not None:
         if args.pca is not None:
@@ -281,16 +277,12 @@ def cmd_eval_cluster(args):
     print(f"k\t{k}")
     print(f"nmi\t{score:.17g}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("sample_id\tcluster\n")
-            for sid, c in zip(sample_ids, result.labels):
-                fh.write(f"{sid}\t{int(c)}\n")
+        cohort_io.write_tsv(args.out, cohort_io.ASSIGNMENT_HEADER,
+                            zip(sample_ids, result.labels.tolist()))
     return 0
 
 
 def cmd_probe(args):
-    if (args.embeddings is None) == (args.cohort is None):
-        raise ValueError("pass exactly one of --embeddings or --cohort")
     data = None
     if args.embeddings is not None:
         sample_ids, features = read_embeddings(_require_file(args.embeddings))
@@ -323,21 +315,16 @@ def cmd_sweep_latent(args):
     if not sizes:
         raise ValueError("no latent sizes given")
     plans = cohort_io.kfold_split(data.n_samples, args.folds, merged["seed"])
-    lines = ["latent_dim\tmean_val_micro_f1\t" + "\t".join(f"fold{i}" for i in range(len(plans)))]
+    header = "latent_dim\tmean_val_micro_f1" + "".join(f"\tfold{i}" for i in range(len(plans)))
+    template = "%s" + "\t%.17g" * (1 + len(plans))
+    rows = []
     for size in sizes:
-        local = dict(merged, latent_dim=size)
-        config = build_vae_config(local, data.n_loci)
-        scores = []
-        for plan in plans:
-            _, history = train(data, plan, config)
-            scores.append(history[-1].val_micro_f1)
-        mean = float(np.mean(scores))
-        lines.append(f"{size}\t{mean:.17g}\t" + "\t".join(f"{s:.17g}" for s in scores))
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
+        config = build_vae_config(dict(merged, latent_dim=size), data.n_loci)
+        scores = [train(data, plan, config)[1][-1].val_micro_f1 for plan in plans]
+        rows.append((size, float(np.mean(scores)), *scores))
+    print("\n".join([header] + [template % r for r in rows]))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table)
+        cohort_io.write_tsv(args.out, header, rows, template)
     return 0
 
 
@@ -348,18 +335,15 @@ def cmd_plot_data(args):
     clusters = {}
     if args.assignments:
         with open(_require_file(args.assignments), encoding="utf-8") as fh:
-            clusters = cohort_io._read_sample_map(fh, "sample_id\tcluster", "assignment")
+            clusters = cohort_io.read_sample_map(fh, cohort_io.ASSIGNMENT_HEADER, "assignment")
     labels = {}
     if args.labels:
         with open(_require_file(args.labels), encoding="utf-8") as fh:
             labels = cohort_io.read_labels(fh)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_id\tx\ty\tcluster\tlabel\n")
-        for sid, (x, y) in zip(sample_ids, points):
-            fh.write(
-                f"{sid}\t{x:.17g}\t{y:.17g}\t"
-                f"{clusters.get(sid, 'NA')}\t{labels.get(sid, 'NA')}\n"
-            )
+    cohort_io.write_tsv(args.out, "sample_id\tx\ty\tcluster\tlabel",
+                        ((sid, x, y, clusters.get(sid, "NA"), labels.get(sid, "NA"))
+                         for sid, (x, y) in zip(sample_ids, points.tolist())),
+                        "%s\t%.17g\t%.17g\t%s\t%s")
     print(f"wrote scatter data for {len(sample_ids)} samples to {args.out}")
     return 0
 
@@ -413,8 +397,9 @@ def build_parser():
     p.set_defaults(func=cmd_eval_recon)
 
     p = sub.add_parser("eval-cluster", help="k-means + NMI on embeddings or PCA projections")
-    p.add_argument("--embeddings")
-    p.add_argument("--cohort")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--embeddings")
+    source.add_argument("--cohort")
     p.add_argument("--pca", type=int, help="project the cohort to this many components")
     p.add_argument("--labels")
     p.add_argument("--k", type=int)
@@ -424,8 +409,9 @@ def build_parser():
     p.set_defaults(func=cmd_eval_cluster)
 
     p = sub.add_parser("probe", help="logistic probe on embeddings or the raw matrix")
-    p.add_argument("--embeddings")
-    p.add_argument("--cohort")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--embeddings")
+    source.add_argument("--cohort")
     p.add_argument("--labels")
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)

@@ -4,11 +4,14 @@ A cohort is a dense binary sample x locus matrix plus identifiers and
 optional categorical labels. Profiles arrive as sparse TSV pair lists
 (`sample_id<TAB>locus_id`, one mutation per line) and are binarized:
 duplicate pairs are idempotent. Loci are kept in lexicographic order so
-matrices are comparable across runs.
+matrices are comparable across runs. read_tsv and write_tsv read and
+write every TSV file of the package, cli.py's too.
 """
 
 import os
 from array import array
+from collections import defaultdict
+from itertools import count
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -20,6 +23,7 @@ from .vae import _check_field_types
 
 PROFILE_HEADER = "sample_id\tlocus_id"
 LABEL_HEADER = "sample_id\tlabel"
+ASSIGNMENT_HEADER = "sample_id\tcluster"
 CACHE_FILE = "cohort.bin"
 CACHE_MAGIC = b"FLATCOH\x00"
 CACHE_VERSION = 1
@@ -70,7 +74,6 @@ class Cohort:
 class SplitPlan:
     train_indices: np.ndarray
     val_indices: np.ndarray
-    seed: int
 
 
 @dataclass
@@ -99,34 +102,51 @@ class SyntheticSpec:
             raise ValueError("enriched blocks do not fit into n_loci")
 
 
-def _two_columns(lines, expected_header, what):
-    """The (first, second) field pairs of a two-column TSV stream, one
-    row at a time, after its header; each error names its line."""
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not header_seen:
-            if line != expected_header:
-                raise ValueError(
-                    f"line {lineno}: expected header {expected_header!r}, got {line!r}"
-                )
-            header_seen = True
-            continue
-        if line == "":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ValueError(f"line {lineno}: malformed {what} row {line!r}")
-        yield parts[0], parts[1]
-    if not header_seen:
-        raise ValueError("no records")
+def read_tsv(stream, header, what):
+    """(line number, fields) of each row of a TSV stream after its header
+    line, which must equal header (with None, (1, the header's fields) comes
+    first, for the caller to check). Blank lines are skipped; a row with an
+    empty field or another field count than the header's is refused. Each
+    error names its line, and its file when the stream has a name."""
+    at = f"{stream.name} line" if hasattr(stream, "name") else "line"
+    lines = enumerate(stream, start=1)
+    first = next(lines, None)
+    if first is None:
+        raise ValueError(f"{at} 1: no records")
+    line = first[1].rstrip("\r\n")
+    names = line.split("\t")
+    if header is None:
+        yield 1, names
+    elif line != header:
+        raise ValueError(f"{at} 1: expected header {header!r}, got {line!r}")
+    width = len(names)
+    for lineno, raw in lines:
+        fields = raw.rstrip("\r\n").split("\t")
+        if len(fields) != width or "" in fields:  # one test on the common path
+            if fields == [""]:
+                continue  # a blank line
+            line = "\t".join(fields)
+            if len(fields) != width:
+                raise ValueError(f"{at} {lineno}: malformed {what} row {line!r}")
+            raise ValueError(f"{at} {lineno}: empty {names[fields.index('')]} in {what} row {line!r}")
+        yield lineno, fields
 
 
-def _read_sample_map(stream, header, what):
+def write_tsv(path, header, rows, template=None):
+    """Write the header line, then each row (a tuple) by the %-template, "%s"
+    per field by default, in UTF-8 with "\\n" line ends."""
+    line = (template or "\t".join(["%s"] * (header.count("\t") + 1))) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(line % row)
+
+
+def read_sample_map(stream, header, what):
     """Parse a two-column TSV stream into a sample_id -> value dict. A
     sample may repeat with the same value, not with another."""
     values = {}
-    for sample, value in _two_columns(stream, header, what):
+    for _, (sample, value) in read_tsv(stream, header, what):
         if values.setdefault(sample, value) != value:
             raise ValueError(f"conflicting {what}s for sample {sample!r}")
     return values
@@ -134,7 +154,7 @@ def _read_sample_map(stream, header, what):
 
 def read_labels(stream):
     """Parse a label TSV stream into a sample_id -> label dict."""
-    return _read_sample_map(stream, LABEL_HEADER, "label")
+    return read_sample_map(stream, LABEL_HEADER, "label")
 
 
 def align_labels(labels, sample_ids):
@@ -151,12 +171,12 @@ def ingest_profiles(stream, labels_stream=None):
     Samples keep first-appearance order; loci are sorted lexicographically.
     matrix[i, j] = 1 iff the pair appeared at least once.
     """
-    # each id is kept once, as a dict key; each row is two integer codes
-    sample_pos, locus_pos = {}, {}
+    # each id once, as a key coding its order of appearance; each row as two int codes
+    sample_pos, locus_pos = defaultdict(count().__next__), defaultdict(count().__next__)
     rows, cols = array("i"), array("i")
-    for sample, locus in _two_columns(stream, PROFILE_HEADER, "profile"):
-        rows.append(sample_pos.setdefault(sample, len(sample_pos)))
-        cols.append(locus_pos.setdefault(locus, len(locus_pos)))
+    for _, (sample, locus) in read_tsv(stream, PROFILE_HEADER, "profile"):
+        rows.append(sample_pos[sample])
+        cols.append(locus_pos[locus])
     if not rows:
         raise ValueError("no records")
     sample_ids, locus_ids = list(sample_pos), sorted(locus_pos)
@@ -208,7 +228,7 @@ def holdout_split(n, train_fraction=0.8, seed=0):
     n_train = int(np.floor(f * n + 0.5))
     n_train = min(max(n_train, 1), n - 1)
     perm = sub_rng(seed, "split/holdout").permutation(n)
-    return SplitPlan(np.sort(perm[:n_train]), np.sort(perm[n_train:]), int(seed))
+    return SplitPlan(np.sort(perm[:n_train]), np.sort(perm[n_train:]))
 
 
 def kfold_split(n, k=5, seed=0):
@@ -230,7 +250,7 @@ def kfold_split(n, k=5, seed=0):
         size = base + (1 if fold < extra else 0)
         val = perm[start : start + size]
         train = np.concatenate([perm[:start], perm[start + size :]])
-        plans.append(SplitPlan(np.sort(train), np.sort(val), int(seed)))
+        plans.append(SplitPlan(np.sort(train), np.sort(val)))
         start += size
     return plans
 
@@ -264,19 +284,12 @@ def generate_synthetic_cohort(spec):
 
 def write_profile_tsv(cohort, path):
     """Emit the sparse pair representation (one line per 1-cell)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PROFILE_HEADER + "\n")
-        for i, sample in enumerate(cohort.sample_ids):
-            for j in np.flatnonzero(cohort.matrix[i]):
-                fh.write(f"{sample}\t{cohort.locus_ids[j]}\n")
+    write_tsv(path, PROFILE_HEADER, ((s, cohort.locus_ids[j]) for i, s in enumerate(cohort.sample_ids)
+                                     for j in np.flatnonzero(cohort.matrix[i])))
 
 
 def write_label_tsv(labels, sample_order, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(LABEL_HEADER + "\n")
-        for sample in sample_order:
-            if sample in labels:
-                fh.write(f"{sample}\t{labels[sample]}\n")
+    write_tsv(path, LABEL_HEADER, ((s, labels[s]) for s in sample_order if s in labels))
 
 
 def save_cohort(cohort, cache_dir):

@@ -404,7 +404,7 @@ def test_criterion_09_determinism_and_persistence(tmp_path, capsys):
 
     ckpt = tmp_path / "model.ckpt"
     sv.save_checkpoint(model_a, cfg.epochs, ckpt)
-    loaded, _, _ = sv.load_checkpoint(ckpt)
+    loaded, _ = sv.load_checkpoint(ckpt)
     bit_identical = np.array_equal(model_a.theta, loaded.theta) and np.array_equal(
         model_a.stats, loaded.stats
     )

@@ -41,9 +41,9 @@ def test_roundtrip_reproduces_every_tensor_bit_exactly(tmp_path):
     model, config, _ = trained_model()
     path = tmp_path / "model.bin"
     save_checkpoint(model, epoch=2, path=path)
-    loaded, loaded_config, epoch = load_checkpoint(path)
+    loaded, epoch = load_checkpoint(path)
     assert epoch == 2
-    assert loaded_config == config
+    assert loaded.config == config
     assert np.array_equal(loaded.theta, model.theta)
     assert np.array_equal(loaded.stats, model.stats)
     for p, q in zip(model.params, loaded.params):
@@ -57,7 +57,7 @@ def test_roundtrip_inference_outputs_identical(tmp_path):
     before = reconstruct_mu(model, x)
     path = tmp_path / "model.bin"
     save_checkpoint(model, epoch=2, path=path)
-    loaded, _, _ = load_checkpoint(path)
+    loaded, _ = load_checkpoint(path)
     after = reconstruct_mu(loaded, x)
     assert np.array_equal(before, after)
 
@@ -117,9 +117,9 @@ def test_untrained_model_roundtrip(tmp_path):
     model = build_vae(config, sub_rng(0, "init"))
     path = tmp_path / "fresh.bin"
     save_checkpoint(model, epoch=0, path=path)
-    loaded, loaded_config, epoch = load_checkpoint(path)
+    loaded, epoch = load_checkpoint(path)
     assert epoch == 0
-    assert loaded_config.hidden_dims == (6, 4)
+    assert loaded.config.hidden_dims == (6, 4)
     assert np.array_equal(loaded.theta, model.theta)
     assert np.array_equal(loaded.stats, model.stats)
 
@@ -130,7 +130,7 @@ def test_numpy_scalars_in_config_saved_as_plain_numbers(tmp_path):
     model = build_vae(config, sub_rng(0, "init"))
     path = tmp_path / "numpy.bin"
     save_checkpoint(model, epoch=1, path=path)
-    _, loaded_config, _ = load_checkpoint(path)
+    loaded_config = load_checkpoint(path)[0].config
     assert type(loaded_config.input_dim) is int and loaded_config.input_dim == 9
     assert type(loaded_config.dropout_rate) is float and loaded_config.dropout_rate == 0.25
 

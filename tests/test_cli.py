@@ -13,11 +13,15 @@ import pytest
 import somatic_vae.vae as vae_module
 from somatic_vae.checkpoint import save_checkpoint
 from somatic_vae.cohort import (
+    ASSIGNMENT_HEADER,
     Cohort,
     SyntheticSpec,
     filter_low_frequency,
     generate_synthetic_cohort,
+    ingest_profiles,
     load_cohort,
+    read_labels,
+    read_sample_map,
     save_cohort,
     write_label_tsv,
 )
@@ -202,13 +206,16 @@ def test_read_embeddings_rejects_a_non_finite_value_naming_its_line(tmp_path, va
     assert str(err.value) == f"{path} line 4: non-finite value"
 
 
-@pytest.mark.parametrize("value", ["abc", "", "0x10"])
+# float() takes "1_5", " 2.5", "2.5 " and "١٢", which write_embeddings never writes
+@pytest.mark.parametrize("value", ["abc", "", "0x10", "1_5", " 2.5", "2.5 ", "\u0661\u0662"])
 def test_read_embeddings_rejects_a_value_that_is_not_a_number_naming_its_line(tmp_path, value):
     path = tmp_path / "emb.tsv"
     path.write_text(f"sample_id\tz0\tz1\na\t0.5\t1\n\nb\t2\t{value}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
         read_embeddings(path)
-    assert str(err.value) == f"{path} line 4: could not convert string to float: {value!r}"
+    problem = (f"could not convert string to float: {value!r}" if value
+               else "empty z1 in embedding row 'b\\t2\\t'")
+    assert str(err.value) == f"{path} line 4: {problem}"
 
 
 def test_read_embeddings_rejects_a_repeated_sample_naming_both_lines(tmp_path):
@@ -235,6 +242,51 @@ def test_read_embeddings_holds_no_python_float_per_value(tmp_path):
     assert peak < 5 * 2**20
 
 
+def read_from(reader):
+    """A reader of one TSV format as a function of its path."""
+    def read(path):
+        with open(path, encoding="utf-8") as fh:
+            return reader(fh)
+    return read
+
+
+# format -> (its reader, the word its errors use, its header, a valid row)
+TSV_FORMATS = {
+    "profiles": (read_from(ingest_profiles), "profile", "sample_id\tlocus_id", "s1\tgA"),
+    "labels": (read_from(read_labels), "label", "sample_id\tlabel", "s1\tlumA"),
+    "assignments": (read_from(lambda fh: read_sample_map(fh, ASSIGNMENT_HEADER, "assignment")),
+                    "assignment", "sample_id\tcluster", "s1\t0"),
+    "embeddings": (read_embeddings, "embedding", "sample_id\tz0", "s1\t0.5"),
+}
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("kind", sorted(TSV_FORMATS))
+def test_every_tsv_reader_refuses_an_empty_field_naming_it(tmp_path, kind, column):
+    # an embedding row "\t1.5" used to be read as the sample ''
+    read, what, header, row = TSV_FORMATS[kind]
+    fields = row.split("\t")
+    fields[column] = ""
+    bad = "\t".join(fields)
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(f"{header}\n{row}\n{bad}\n", encoding="utf-8")
+    name = header.split("\t")[column]
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path} line 3: empty {name} in {what} row {bad!r}"
+
+
+@pytest.mark.parametrize("bad", ["s3 gA", "s3\tgA\textra"])
+@pytest.mark.parametrize("kind", sorted(TSV_FORMATS))
+def test_every_tsv_reader_names_the_file_and_line_of_a_malformed_row(tmp_path, kind, bad):
+    read, what, header, row = TSV_FORMATS[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(f"{header}\n{row}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == f"{path} line 4: malformed {what} row {bad!r}"
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -251,6 +303,16 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_missing_required_argument_exits_two(capsys):
     assert run(["train", "--cohort", "somewhere"]) == 2  # --out missing
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval-cluster", "probe"])
+def test_embeddings_and_cohort_are_one_required_choice(command, capsys):
+    # either mistake used to exit 1, as a runtime failure
+    assert run([command, "--embeddings", "e.tsv", "--cohort", "cache"]) == 2
+    assert "argument --cohort: not allowed with argument --embeddings" in capsys.readouterr().err
+    assert run([command]) == 2
+    err = capsys.readouterr().err
+    assert "one of the arguments --embeddings --cohort is required" in err
 
 
 def test_missing_input_file_exits_one_with_path(tmp_path, capsys):
@@ -461,12 +523,12 @@ def test_eval_cluster_pca_route_and_argument_exclusivity(tmp_path, capsys):
     out = capsys.readouterr().out
     values = dict(line.split("\t") for line in out.splitlines())
     assert 0.0 <= float(values["nmi"]) <= 1.0
-    # both sources at once is a usage-level contradiction -> runtime failure
+    # both sources at once is a usage error
     assert run([
         "eval-cluster", "--cohort", cohort_dir, "--pca", "4",
         "--embeddings", "whatever.tsv",
-    ]) == 1
-    capsys.readouterr()
+    ]) == 2
+    assert "argument --embeddings: not allowed with argument --cohort" in capsys.readouterr().err
 
 
 def test_eval_cluster_pca_on_a_wide_cohort_of_rank_below_q(tmp_path, capsys):
@@ -667,7 +729,7 @@ def test_plot_data_rejects_a_malformed_assignment_row(tmp_path, capsys):
     argv = ["plot-data", "--embeddings", str(emb), "--assignments", str(assign),
             "--out", str(out_path)]
     assert run(argv) == 1
-    assert capsys.readouterr().err == "error: line 3: malformed assignment row 'S2 1'\n"
+    assert capsys.readouterr().err == f"error: {assign} line 3: malformed assignment row 'S2 1'\n"
     assert not out_path.exists()
     assign.write_text("sample\tcluster\nS1\t0\n", encoding="utf-8")  # wrong header
     assert run(argv) == 1

@@ -339,7 +339,7 @@ def test_a_training_pass_holds_only_what_its_backward_pass_reads():
 
 def test_train_rejects_empty_training_split():
     cohort = small_cohort()
-    split = SplitPlan(np.array([], dtype=int), np.arange(cohort.n_samples), 0)
+    split = SplitPlan(np.array([], dtype=int), np.arange(cohort.n_samples))
     config = tiny_config(input_dim=cohort.n_loci)
     with pytest.raises(ValueError, match="training split of 0 rows"):
         train(cohort, split, config)
@@ -362,7 +362,7 @@ def test_train_refuses_one_row_batches_and_splits():
 
 def test_empty_validation_split_trains_and_writes_nan_validation_columns(tmp_path):
     cohort = small_cohort()
-    split = SplitPlan(np.arange(cohort.n_samples), np.array([], dtype=int), 0)
+    split = SplitPlan(np.arange(cohort.n_samples), np.array([], dtype=int))
     config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=16)
     _, history = train(cohort, split, config)
     emit_history(history, tmp_path / "history.tsv")
@@ -406,8 +406,8 @@ def test_train_divergence_aborts_with_epoch_batch_context():
 def test_train_parameter_trajectory_ignores_validation_rows():
     cohort = small_cohort(n=30)
     train_idx = np.arange(20)
-    split_a = SplitPlan(train_idx, np.arange(20, 25), 0)
-    split_b = SplitPlan(train_idx, np.arange(25, 30), 0)
+    split_a = SplitPlan(train_idx, np.arange(20, 25))
+    split_b = SplitPlan(train_idx, np.arange(25, 30))
     config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=8)
     model_a, hist_a = train(cohort, split_a, config)
     model_b, hist_b = train(cohort, split_b, config)
@@ -422,7 +422,7 @@ def test_train_parameter_trajectory_ignores_validation_rows():
 def test_single_row_final_batch_joins_the_previous_one(monkeypatch):
     # 449 = 14 * 32 + 1: a 1-row batch would give batch norm zero variance
     cohort = small_cohort(n=469, d=30, seed=3)
-    split = SplitPlan(np.arange(449), np.arange(449, 469), 0)
+    split = SplitPlan(np.arange(449), np.arange(449, 469))
     config = tiny_config(input_dim=cohort.n_loci, epochs=2, batch_size=32)
     sizes = []
 
@@ -660,7 +660,7 @@ def test_trainable_tensors_are_views_of_theta(tmp_path):
     assert not np.array_equal(model.stats, fresh.stats)  # training moved the statistics
     path = tmp_path / "model.bin"
     save_checkpoint(model, epoch=2, path=path)
-    loaded, _, _ = load_checkpoint(path)
+    loaded, _ = load_checkpoint(path)
     assert_views_of_flat_vectors(loaded)
     assert_same_vectors(loaded, model)
 
