@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 runtime or input failure, 2 usage error.
 """
 
 import argparse
-import numbers
 import os
 import sys
 from array import array
@@ -18,7 +17,7 @@ from dataclasses import MISSING, asdict, astuple, fields
 import numpy as np
 
 from . import baselines, cohort as cohort_io, metrics
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .losses import BetaSchedule
 from .vae import EpochStats, VaeConfig, encode_batch, reconstruction_scores, row_chunks, train
 
@@ -102,19 +101,13 @@ def build_vae_config(merged, input_dim):
     return config
 
 
-def _fmt(value):
-    # any real, Python or numpy (np.float32 is not a float), but not an int
-    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def emit_history(history, path):
     """History TSV: one row per epoch, 17 significant digits for reals."""
     if not history:
         raise ValueError("history is empty")
-    header = "\t".join(f.name for f in fields(EpochStats))
-    cohort_io.write_tsv(path, header, (tuple(map(_fmt, astuple(row))) for row in history))
+    names = [f.name for f in fields(EpochStats)]
+    cohort_io.write_tsv(path, "\t".join(names), map(astuple, history),
+                        "%d" + "\t%.17g" * (len(names) - 1))
 
 
 def write_embeddings(sample_ids, z, path):
@@ -446,7 +439,7 @@ def run(argv):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, CheckpointError, FloatingPointError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:  # CheckpointError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -177,8 +177,8 @@ def ingest_profiles(stream, labels_stream=None):
     for _, (sample, locus) in read_tsv(stream, PROFILE_HEADER, "profile"):
         rows.append(sample_pos[sample])
         cols.append(locus_pos[locus])
-    if not rows:
-        raise ValueError("no records")
+    if not rows:  # a header and then no rows, or only blank lines
+        raise ValueError(f"{getattr(stream, 'name', 'profile stream')}: no records")
     sample_ids, locus_ids = list(sample_pos), sorted(locus_pos)
     rank = np.empty(len(locus_ids), np.intp)  # code -> column
     rank[[locus_pos[locus] for locus in locus_ids]] = np.arange(len(locus_ids))

@@ -52,7 +52,7 @@ from .losses import (
     reconstruction_loss,
     total_loss,
 )
-from .metrics import mean_cosine_similarity, micro_f1
+from .metrics import _as_bool, mean_cosine_similarity, micro_f1
 from .optim import RmspropState, init_rmsprop, rmsprop_update
 from .seeding import sub_rng
 
@@ -229,8 +229,7 @@ def _check_binary(x, dtype):
     x = np.asarray(x, dtype=dtype)
     if x.ndim != 2:
         raise ValueError("expected a 2-D batch")
-    if x.size and not np.isin(x, (0.0, 1.0)).all():
-        raise ValueError("encoder input entries must be 0 or 1")
+    _as_bool(x, "encoder input")
     return x
 
 
@@ -305,14 +304,15 @@ def _forward_train(model, x, beta, rngs):
     everything the backward pass needs."""
     mu, lv, tapes = _encode(model, x, TRAIN, rngs["dropout"])
     eps = rngs["reparam"].standard_normal(mu.shape).astype(mu.dtype, copy=False)
-    z = mu + np.exp(0.5 * lv) * eps
+    std = np.exp(0.5 * lv)
+    z = mu + std * eps
     probs, tapes["dec"] = model.forward("dec", z, TRAIN, rng=rngs["dropout"])
     recon = reconstruction_loss(model.config.loss_kind, probs, x)
     kl = kl_divergence(mu, lv)
     # per stack, then over stacks: one flat float32 sum rounds history.tsv differently
     l1 = sum(stack_l1_penalty(model.specs[s], model.params[s]) for s in model.stacks.values())
     breakdown = total_loss(recon, kl, l1, beta)
-    return {"breakdown": breakdown, "probs": probs, "mu": mu, "lv": lv, "eps": eps,
+    return {"breakdown": breakdown, "probs": probs, "mu": mu, "lv": lv, "eps": eps, "std": std,
             "tapes": tapes}  # tapes by stack name
 
 
@@ -320,7 +320,7 @@ def _backward_train(model, x, beta, fwd, step, buf):
     """Backpropagates the total loss, each gradient span written into buf
     and handed to step with its layer's index in model.specs."""
     tapes = fwd["tapes"]
-    mu, lv, eps = fwd["mu"], fwd["lv"], fwd["eps"]
+    mu, lv, eps, std = fwd["mu"], fwd["lv"], fwd["eps"], fwd["std"]
 
     def backward(name, dout, input_grad=True):
         s = model.stacks[name]
@@ -330,7 +330,7 @@ def _backward_train(model, x, beta, fwd, step, buf):
     dz = backward("dec", reconstruction_grad(model.config.loss_kind, fwd["probs"], x))
     dmu_kl, dlv_kl = kl_grads(mu, lv)
     dmu = dz + beta * dmu_kl
-    dlv = dz * eps * 0.5 * np.exp(0.5 * lv) + beta * dlv_kl
+    dlv = dz * eps * 0.5 * std + beta * dlv_kl
     dh = backward("mu", dmu) + backward("lv", dlv)
     backward("enc", dh, input_grad=False)
 

@@ -150,14 +150,22 @@ def test_emit_history_17_digit_reals_roundtrip(tmp_path):
 
 
 def test_emit_history_writes_numpy_reals_with_17_digits(tmp_path):
-    # np.float32 is not a Python float; every real keeps 17 digits, ints none
-    history = [EpochStats(np.int64(3), np.float32(0.1), 2 / 7, np.float64(1e-5), 0.0,
-                          np.float32(1.5), np.float32(np.nan), 0.25)]
+    # the whole file, byte for byte: np.float32 is not a Python float, and
+    # every real keeps 17 digits (nan, inf and -0.0 included), an int
+    # epoch none, whether Python or numpy
+    history = [
+        EpochStats(np.int64(3), np.float32(0.1), 2 / 7, np.float64(1e-5), 0.0,
+                   np.float32(1.5), np.float32(np.nan), 0.25),
+        EpochStats(4, 1 / 3, np.float64(np.nan), np.float32(-0.0), -0.0,
+                   float("inf"), np.float32(-np.inf), np.float64(2.5e-300)),
+    ]
     path = tmp_path / "history.tsv"
     emit_history(history, path)
-    row = path.read_text(encoding="utf-8").splitlines()[1]
-    assert row == "\t".join(["3", "0.10000000149011612", "0.2857142857142857",
-                             "1.0000000000000001e-05", "0", "1.5", "nan", "0.25"])
+    assert path.read_bytes() == (
+        b"epoch\trecon\tkl\tl1\tbeta\ttotal\tval_micro_f1\tval_cosine\n"
+        b"3\t0.10000000149011612\t0.2857142857142857\t1.0000000000000001e-05\t0\t1.5\tnan\t0.25\n"
+        b"4\t0.33333333333333331\tnan\t-0\t-0\tinf\t-inf\t2.5e-300\n"
+    )
 
 
 def test_emit_history_rejects_empty():
@@ -673,6 +681,20 @@ def test_preprocess_that_keeps_no_locus_exits_one_and_writes_no_cache(tmp_path, 
         "(the most frequent is mutated in 2 samples); no cache written\n"
     )
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("empty.tsv", "", " line 1"),
+    ("hdr.tsv", "sample_id\tlocus_id\n", ""),
+    ("blank.tsv", "sample_id\tlocus_id\n\n\n", ""),
+], ids=["empty", "header-only", "blank-lines"])
+def test_preprocess_of_a_profile_file_with_no_rows_exits_one_naming_it(tmp_path, capsys,
+                                                                       name, text, where):
+    profiles = tmp_path / name
+    profiles.write_text(text, encoding="utf-8")
+    argv = ["preprocess", "--profiles", str(profiles), "--out", str(tmp_path / "cache")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {profiles}{where}: no records\n"
 
 
 def test_eval_cluster_with_zero_restarts_exits_one(tmp_path, capsys):

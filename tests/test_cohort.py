@@ -64,9 +64,19 @@ def test_ingest_rejects_malformed_row_with_line_number():
         ingest_profiles(stream)
 
 
+def named_stream(text, name):
+    stream = io.StringIO(text)
+    stream.name = name
+    return stream
+
+
 def test_ingest_rejects_empty_stream():
-    with pytest.raises(ValueError, match="no records"):
-        ingest_profiles(io.StringIO(""))
+    with pytest.raises(ValueError, match="^empty.tsv line 1: no records$"):
+        ingest_profiles(named_stream("", "empty.tsv"))
+    # a header, then no rows or only blank lines: the file is named too
+    for text in ("sample_id\tlocus_id\n", "sample_id\tlocus_id\n\n\n"):
+        with pytest.raises(ValueError, match="^hdr.tsv: no records$"):
+            ingest_profiles(named_stream(text, "hdr.tsv"))
     with pytest.raises(ValueError, match="no records"):
         ingest_profiles(io.StringIO("sample_id\tlocus_id\n"))
 

@@ -198,6 +198,23 @@ def test_encode_rejects_non_binary_and_wrong_width():
         encode_batch(model, np.zeros((2, 9)))
 
 
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan, np.inf])
+def test_encode_refuses_an_entry_other_than_zero_or_one(value):
+    model, _ = tiny_model()
+    x = np.zeros((3, 12))
+    x[1, 4] = value
+    with pytest.raises(ValueError, match="^encoder input entries must be 0 or 1$"):
+        encode_batch(model, x)
+
+
+@pytest.mark.parametrize("value, rows", [(0.0, 2), (-0.0, 2), (1.0, 2), (1.0, 0)])
+def test_encode_accepts_zero_minus_zero_one_and_an_empty_batch(value, rows):
+    model, _ = tiny_model()
+    dist = encode_batch(model, np.full((rows, 12), value))
+    assert dist.mu.shape == (rows, 3)
+    assert np.isfinite(dist.mu).all()
+
+
 def training_latents(model, x, noise):
     """(mu, z) of one training pass whose reparameterization noise comes
     from noise; z is the input the decoder's first Dense layer recorded."""
@@ -492,8 +509,8 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     assert {i: m.dtype for i, m in enumerate(masks) if m.dtype != np.bool_} == {}
     dxs = arrays_in([out for name in backward for _, out in calls[name]])
     assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
-    named = {"eps": fwd["eps"], "probs": fwd["probs"], "dprobs": dprobs, "theta": model.theta,
-             "stats": model.stats,
+    named = {"eps": fwd["eps"], "std": fwd["std"], "probs": fwd["probs"], "dprobs": dprobs,
+             "theta": model.theta, "stats": model.stats,
              **{f"step {i} {what}": a for i, (theta, grad, state) in enumerate(steps)
                 for what, a in (("theta", theta), ("grad", grad),
                                 ("accumulator", state.accumulator))},
