@@ -64,7 +64,7 @@ print(f"infer output mean  {out_infer.mean():.4f} (deterministic, running stats)
 again, _ = stack_forward(specs, params, x, INFERENCE)
 print(f"inference is bit-reproducible: {np.array_equal(out_infer, again)}")
 # a dropout layer's cache is its bool keep mask
-kept = tape.caches[3].mean()
+kept = tape[3].mean()
 print(f"dropout kept {kept:.2%} of units (rate 0.25 -> expect ~75%)")
 
 banner("analytic backward pass")

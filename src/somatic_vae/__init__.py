@@ -59,7 +59,7 @@ from .metrics import (
     micro_f1,
     nmi,
 )
-from .optim import RmspropState, init_rmsprop, rmsprop_update
+from .optim import rmsprop_update
 from .seeding import indexed_rng, sub_rng
 from .vae import (
     EpochStats,

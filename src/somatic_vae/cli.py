@@ -156,15 +156,9 @@ def read_embeddings(path):
     return list(lines), z
 
 
-def _require_file(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such file: {path}")
-    return path
-
-
 def _load_labels_for(sample_ids, labels_path=None, cohort=None):
     if labels_path is not None:
-        with open(_require_file(labels_path), encoding="utf-8") as fh:
+        with open(labels_path, encoding="utf-8") as fh:
             mapping = cohort_io.read_labels(fh)
     elif cohort is not None and cohort.labels is not None:
         mapping = cohort.labels
@@ -190,9 +184,9 @@ def cmd_synth(args):
 
 
 def cmd_preprocess(args):
-    with open(_require_file(args.profiles), encoding="utf-8") as fh:
+    with open(args.profiles, encoding="utf-8") as fh:
         if args.labels:
-            with open(_require_file(args.labels), encoding="utf-8") as lf:
+            with open(args.labels, encoding="utf-8") as lf:
                 parsed = cohort_io.ingest_profiles(fh, lf)
         else:
             parsed = cohort_io.ingest_profiles(fh)
@@ -212,7 +206,7 @@ def cmd_preprocess(args):
 
 
 def cmd_train(args):
-    data = cohort_io.load_cohort(_require_file(args.cohort))
+    data = cohort_io.load_cohort(args.cohort)
     merged = resolve_run_config(args)
     config = build_vae_config(merged, data.n_loci)
     split = cohort_io.holdout_split(data.n_samples, merged["train_fraction"], config.seed)
@@ -230,8 +224,8 @@ def cmd_train(args):
 
 
 def cmd_embed(args):
-    model, _ = load_checkpoint(_require_file(args.checkpoint))
-    data = cohort_io.load_cohort(_require_file(args.cohort))
+    model, _ = load_checkpoint(args.checkpoint)
+    data = cohort_io.load_cohort(args.cohort)
     mu = np.empty((data.n_samples, model.config.latent_dim), model.theta.dtype)
     for rows, chunk in row_chunks(data.matrix, model.theta.dtype):
         mu[rows] = encode_batch(model, chunk).mu
@@ -242,8 +236,8 @@ def cmd_embed(args):
 
 
 def cmd_eval_recon(args):
-    model, _ = load_checkpoint(_require_file(args.checkpoint))
-    data = cohort_io.load_cohort(_require_file(args.cohort))
+    model, _ = load_checkpoint(args.checkpoint)
+    data = cohort_io.load_cohort(args.cohort)
     f1, cos = reconstruction_scores(model, data.matrix)
     print(f"micro_f1\t{f1:.17g}")
     print(f"mean_cosine\t{cos:.17g}")
@@ -255,11 +249,11 @@ def cmd_eval_cluster(args):
     if args.embeddings is not None:
         if args.pca is not None:
             raise ValueError("--pca projects a cohort: pass it with --cohort, not --embeddings")
-        sample_ids, points = read_embeddings(_require_file(args.embeddings))
+        sample_ids, points = read_embeddings(args.embeddings)
     else:
         if args.pca is None:
             raise ValueError("--cohort requires --pca Q")
-        data = cohort_io.load_cohort(_require_file(args.cohort))
+        data = cohort_io.load_cohort(args.cohort)
         sample_ids = data.sample_ids
         pca = baselines.pca_fit(data.matrix, args.pca)  # uint8, read in chunks
         points = baselines.pca_project(pca, data.matrix)
@@ -278,9 +272,9 @@ def cmd_eval_cluster(args):
 def cmd_probe(args):
     data = None
     if args.embeddings is not None:
-        sample_ids, features = read_embeddings(_require_file(args.embeddings))
+        sample_ids, features = read_embeddings(args.embeddings)
     else:
-        data = cohort_io.load_cohort(_require_file(args.cohort))
+        data = cohort_io.load_cohort(args.cohort)
         sample_ids = data.sample_ids
         features = data.matrix  # uint8: the probe works on its nonzeros
     raw = _load_labels_for(sample_ids, args.labels, data)
@@ -302,7 +296,7 @@ def cmd_probe(args):
 
 
 def cmd_sweep_latent(args):
-    data = cohort_io.load_cohort(_require_file(args.cohort))
+    data = cohort_io.load_cohort(args.cohort)
     merged = resolve_run_config(args)
     sizes = [int(s) for s in args.sizes.split(",") if s != ""]
     if not sizes:
@@ -322,16 +316,16 @@ def cmd_sweep_latent(args):
 
 
 def cmd_plot_data(args):
-    sample_ids, points = read_embeddings(_require_file(args.embeddings))
+    sample_ids, points = read_embeddings(args.embeddings)
     if points.shape[1] != 2:
         raise ValueError(f"plot-data needs 2-D embeddings, got {points.shape[1]} columns")
     clusters = {}
     if args.assignments:
-        with open(_require_file(args.assignments), encoding="utf-8") as fh:
+        with open(args.assignments, encoding="utf-8") as fh:
             clusters = cohort_io.read_sample_map(fh, cohort_io.ASSIGNMENT_HEADER, "assignment")
     labels = {}
     if args.labels:
-        with open(_require_file(args.labels), encoding="utf-8") as fh:
+        with open(args.labels, encoding="utf-8") as fh:
             labels = cohort_io.read_labels(fh)
     cohort_io.write_tsv(args.out, "sample_id\tx\ty\tcluster\tlabel",
                         ((sid, x, y, clusters.get(sid, "NA"), labels.get(sid, "NA"))

@@ -91,6 +91,8 @@ class SyntheticSpec:
         for name in ("n_samples", "n_loci", "n_clusters", "enriched_loci_per_cluster"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.seed < 0:  # default_rng's own refusal does not name the option
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("background_rate", "enriched_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")

@@ -6,7 +6,8 @@ checks, and every kernel keeps its input's dtype. Matrix products
 delegate to numpy's BLAS matmul, whose reduction over the inner dimension
 is a fixed tree for a given build, so repeated calls are bit-deterministic.
 Each layer follows the (out, cache) convention and a train-mode stack
-records on a Tape only what the backward pass reads (see Tape).
+records on its tape, a list of per-layer caches, only what the backward
+pass reads (see stack_forward).
 The elementwise kernels update in place only arrays they allocated in
 the same call, in their input's dtype, never an input or a cache.
 
@@ -89,16 +90,6 @@ class Dropout:
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.rate!r}")
-
-
-@dataclass
-class Tape:
-    """Per-layer caches of one train-mode stack_forward call (None in inference
-    mode): Dense x; batch norm (x - mean, 1 / sqrt(var + eps)); ReLU and leaky
-    ReLU the bool mask x > 0; sigmoid its output; Dropout its bool keep mask, None at rate 0."""
-
-    mode: str
-    caches: list
 
 
 def layer_shapes(spec):
@@ -300,16 +291,19 @@ def _activation_backward(dout, cache, spec):
 
 
 def stack_forward(specs, params, x, mode, rng=None):
-    """Run the layer stack; returns (output, Tape).
+    """Run the layer stack; returns (output, tape).
 
     mode is "train" or "inference". In train mode batch norm updates its
     running statistics and Dropout draws its mask from the required rng,
-    so rewinding rng replays the pass.
+    so rewinding rng replays the pass. The tape is None in inference mode;
+    in train mode it is the list of per-layer caches: Dense x; batch norm
+    (x - mean, 1 / sqrt(var + eps)); ReLU and leaky ReLU the bool mask
+    x > 0; sigmoid its output; Dropout its bool keep mask, None at rate 0.
     """
     if mode not in (TRAIN, INFERENCE):
         raise ValueError(f"unknown mode {mode!r}")
     x = _as_real(x)
-    caches = []
+    caches = [] if mode == TRAIN else None
     out = x
     for i, (spec, p) in enumerate(zip(specs, params)):
         # release the previous layer's cache: in inference mode nothing keeps it
@@ -335,8 +329,9 @@ def stack_forward(specs, params, x, mode, rng=None):
             raise ValueError(f"unknown layer spec {spec!r}")
         if not np.isfinite(out).all():
             raise FloatingPointError(f"non-finite output at layer {i} ({type(spec).__name__})")
-        caches.append(cache if mode == TRAIN else None)
-    return out, Tape(mode, caches)
+        if caches is not None:
+            caches.append(cache)
+    return out, caches
 
 
 def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
@@ -361,13 +356,13 @@ def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
     boolean mask over the block's rows: grad then holds the live rows'
     gradients only, and every other row's gradient is zero.
     """
-    if tape.mode != TRAIN:
+    if tape is None:
         raise ValueError("stack_backward requires a train-mode tape")
-    if len(tape.caches) != len(specs):
+    if len(tape) != len(specs):
         raise ValueError("tape does not match the layer stack")
     dx = _as_real(dout)
     for i in range(len(specs) - 1, -1, -1):
-        spec, p, cache = specs[i], params[i], tape.caches[i]
+        spec, p, cache = specs[i], params[i], tape[i]
         if isinstance(spec, Dense):
             dx = _dense_backward(dx, cache, p, spec, i > 0 or input_grad,
                                  functools.partial(step, i), buf)

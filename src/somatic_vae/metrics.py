@@ -203,6 +203,9 @@ def fit_probe(x, y, l2=1e-3, lr=0.1, iters=500):
         raise ValueError(f"probe lr must be positive, got {lr}")
     if not l2 >= 0:
         raise ValueError(f"probe l2 must be non-negative, got {l2}")
+    for name, value in (("lr", lr), ("l2", l2)):
+        if value == np.inf:  # the checks above refuse nan and -inf
+            raise ValueError(f"probe {name} must be finite, got {value}")
     shape, times, times_t = _products(x)
     y = np.asarray(y, dtype=np.float64).ravel()
     if shape[0] != y.size:
@@ -222,6 +225,8 @@ def fit_probe(x, y, l2=1e-3, lr=0.1, iters=500):
         gb = float(err.mean())
         w -= lr * gw
         b -= lr * gb
+    if not (np.isfinite(w).all() and np.isfinite(b)):
+        raise FloatingPointError(f"probe fit diverged to non-finite weights at lr {lr}, l2 {l2}")
     return ProbeModel(w, b, float(l2))
 
 

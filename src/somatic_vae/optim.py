@@ -6,7 +6,9 @@ theta <- theta - lr * g / (sqrt(s) + eps)
 The update runs over a parameter array and its gradient, one span of a
 model at a time (training steps each gradient span inside the backward
 pass: a bias, a row block of weights, a batch-norm tensor), in blocks
-small enough that the operands of every step stay in cache. It computes
+small enough that the operands of every step stay in cache. The caller
+holds the accumulator, an array shaped as theta and zero before the first
+step; the two block-sized work buffers are allocated per call. It computes
 in the arrays' dtype: float32 for a model. Each entry's update depends
 on that entry alone, so stepping a model span by span gives the same
 bytes as one call over the whole vector.
@@ -18,28 +20,14 @@ x - y is +0 when x == y). The rows form of the update (live=) uses that
 to touch only the rows of a span whose gradient is not known to be zero.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BLOCK = 1 << 15  # entries per block: 128 KiB of float32 per operand
 
 
-@dataclass
-class RmspropState:
-    accumulator: np.ndarray  # one running mean of g^2 per entry of theta
-    scratch: tuple  # two work buffers of min(BLOCK, theta.size) entries
-
-
-def init_rmsprop(theta):
-    n = min(BLOCK, theta.size)
-    return RmspropState(
-        np.zeros_like(theta), (np.empty(n, theta.dtype), np.empty(n, theta.dtype))
-    )
-
-
-def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8, live=None):
-    """Apply one update to theta and the accumulator in place.
+def rmsprop_update(theta, grad, acc, lr=1e-3, rho=0.9, eps=1e-8, live=None):
+    """Apply one update to theta and acc, its accumulator (one running
+    mean of g^2 per entry, zeros before the first step), in place.
 
     Every entry sees the same operations, in the same order and with the
     same rounding, as the whole-array expressions in the module docstring.
@@ -50,7 +38,6 @@ def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8, live=None):
     and the whole span's accumulator is decayed, which gives the bytes of
     the whole update with a zero gradient in the other rows.
     """
-    acc = state.accumulator
     want = theta.shape if live is None else (np.count_nonzero(live),) + theta.shape[1:]
     if acc.shape != theta.shape or grad.shape != want or \
             (live is not None and live.shape != theta.shape[:1]):
@@ -58,22 +45,22 @@ def rmsprop_update(theta, grad, state, lr=1e-3, rho=0.9, eps=1e-8, live=None):
         raise ValueError(f"shape mismatch: theta {theta.shape}, grad {grad.shape}, "
                          f"accumulator {acc.shape}{rows}")
     if live is None:
-        _update(theta, grad, acc, state.scratch, lr, rho, eps)
+        _update(theta, grad, acc, lr, rho, eps)
         return
     index = np.flatnonzero(live)
     theta_live, acc_live = theta[index], acc[index]
     acc *= rho  # all that a zero gradient does
-    _update(theta_live, grad, acc_live, state.scratch, lr, rho, eps)
+    _update(theta_live, grad, acc_live, lr, rho, eps)
     theta[index] = theta_live
     acc[index] = acc_live
 
 
-def _update(theta, grad, accumulator, scratch, lr, rho, eps):
+def _update(theta, grad, accumulator, lr, rho, eps):
     # the update of flat views of the arrays, BLOCK entries at a time; a
     # flat copy of theta or the accumulator would not take the update
     theta, accumulator = (a.reshape(-1, copy=False) for a in (theta, accumulator))
     grad = grad.reshape(-1)
-    sq_buf, step_buf = scratch
+    sq_buf, step_buf = (np.empty(min(BLOCK, theta.size), theta.dtype) for _ in range(2))
     for start in range(0, theta.size, BLOCK):
         stop = min(start + BLOCK, theta.size)
         g = grad[start:stop]

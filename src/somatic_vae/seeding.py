@@ -14,6 +14,8 @@ import numpy as np
 def _stream(seed, name, *words):
     if not isinstance(name, str) or not name:
         raise ValueError("stream name must be a non-empty string")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     tag = zlib.crc32(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, *words]))
 

@@ -14,7 +14,8 @@ the batch-norm running statistics are views of model.stats. Both are
 laid out layer by layer, and layer i of model.specs is the step hook's
 i and the gradient check's layer{i}. Training steps RMSprop inside the
 backward pass on each gradient span as soon as it is written
-(layers.stack_backward). Training and inference compute in float32;
+(layers.stack_backward), over the same rows of one accumulator vector
+laid out as theta. Training and inference compute in float32;
 the random draws (initial weights, dropout uniforms, reparameterization
 noise) stay float64 and are rounded, so the streams do not depend on
 the model's dtype. The gradient check runs the same code on a float64
@@ -53,7 +54,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import _as_bool, mean_cosine_similarity, micro_f1
-from .optim import RmspropState, init_rmsprop, rmsprop_update
+from .optim import rmsprop_update
 from .seeding import sub_rng
 
 CHUNK_ROWS = 512  # most rows a streamed pass converts to float at once
@@ -122,7 +123,7 @@ class VaeConfig:
 
 def _check_field_types(config):
     """Every int field (and hidden_dims entry) must hold an integral number
-    and every float field a real one; a bool is neither."""
+    and every float field a finite real one; a bool is neither."""
     for f in fields(config):
         kind = {int: numbers.Integral, tuple: numbers.Integral, float: numbers.Real}.get(f.type)
         values = getattr(config, f.name)
@@ -131,6 +132,8 @@ def _check_field_types(config):
                 name = f"{f.name} entry" if f.type is tuple else f.name
                 noun = "an integer" if kind is numbers.Integral else "a real number"
                 raise ValueError(f"{name} must be {noun}, got {value!r}")
+            if kind is numbers.Real and not abs(value) < np.inf:  # nan compares false
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -225,17 +228,13 @@ def count_parameters(model):
     return model.theta.size
 
 
-def _check_binary(x, dtype):
-    x = np.asarray(x, dtype=dtype)
+def encode_batch(model, x):
+    """Run the encoder and both heads on a 2-D batch of 0/1 entries;
+    returns the latent Gaussian."""
+    x = np.asarray(x, dtype=model.theta.dtype)
     if x.ndim != 2:
         raise ValueError("expected a 2-D batch")
     _as_bool(x, "encoder input")
-    return x
-
-
-def encode_batch(model, x):
-    """Run the encoder and both heads; returns the latent Gaussian."""
-    x = _check_binary(x, model.theta.dtype)
     if x.shape[1] != model.config.input_dim:
         raise ValueError(f"input has {x.shape[1]} columns, model expects {model.config.input_dim}")
     mu, lv, _ = _encode(model, x, INFERENCE)
@@ -335,16 +334,16 @@ def _backward_train(model, x, beta, fwd, step, buf):
     backward("enc", dh, input_grad=False)
 
 
-def _rmsprop_step(model, state, config):
+def _rmsprop_step(model, accumulator, config):
     """A step hook that steps RMSprop over the rows of the parameter
-    tensor and of state's accumulator that each gradient span covers,
-    looking rmsprop_update up at each call."""
+    tensor and of accumulator (a vector laid out as theta, zeros before
+    the first step) that each gradient span covers, looking
+    rmsprop_update up at each call."""
     hyper = {"lr": config.learning_rate, "rho": config.rho, "eps": config.epsilon}
-    acc = stack_views(model.specs, state.accumulator)
+    acc = stack_views(model.specs, accumulator)
 
     def step(i, key, rows, grad, live=None):
-        rmsprop_update(model.params[i][key][rows], grad,
-                       RmspropState(acc[i][key][rows], state.scratch), live=live, **hyper)
+        rmsprop_update(model.params[i][key][rows], grad, acc[i][key][rows], live=live, **hyper)
 
     return step
 
@@ -407,7 +406,7 @@ def train(cohort, split, config):
         "reparam": sub_rng(config.seed, "reparam"),
     }
     model = build_vae(config, sub_rng(config.seed, "init"))
-    step = _rmsprop_step(model, init_rmsprop(model.theta), config)
+    step = _rmsprop_step(model, np.zeros_like(model.theta), config)
     buf = grad_buffer(model.specs, model.theta.dtype)
     shuffle_rng = sub_rng(config.seed, "shuffle")
 

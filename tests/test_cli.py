@@ -323,10 +323,59 @@ def test_embeddings_and_cohort_are_one_required_choice(command, capsys):
     assert "one of the arguments --embeddings --cohort is required" in err
 
 
-def test_missing_input_file_exits_one_with_path(tmp_path, capsys):
-    code = run(["train", "--cohort", str(tmp_path / "ghost"), "--out", str(tmp_path / "run")])
-    assert code == 1
-    assert "ghost" in capsys.readouterr().err
+def input_files(tmp_path, capsys):
+    """Every kind of file a subcommand reads, for the small cohort; the
+    embeddings are 2-D, as plot-data needs."""
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    data = load_cohort(cohort_dir)
+    checkpoint = tmp_path / "model.bin"
+    config = VaeConfig(input_dim=data.n_loci, hidden_dims=(8, 4), latent_dim=2)
+    save_checkpoint(build_vae(config, sub_rng(0, "init")), 0, checkpoint)
+    emb, assign = tmp_path / "emb.tsv", tmp_path / "assign.tsv"
+    write_embeddings(data.sample_ids, np.random.default_rng(0).random((data.n_samples, 2)), emb)
+    assign.write_text("".join([ASSIGNMENT_HEADER + "\n"] + [f"{sid}\t0\n" for sid in data.sample_ids]),
+                      encoding="utf-8")
+    return {"profiles": tmp_path / "raw" / "profiles.tsv", "labels": tmp_path / "raw" / "labels.tsv",
+            "cohort": cohort_dir, "checkpoint": checkpoint, "embeddings": emb,
+            "assignments": assign}
+
+
+MISSING_INPUTS = [  # (argv, the input made missing)
+    (["preprocess", "--profiles", "--labels", "--min-count", "3", "--out", "OUT"], "profiles"),
+    (["preprocess", "--profiles", "--labels", "--min-count", "3", "--out", "OUT"], "labels"),
+    (["train", "--cohort", "--out", "OUT"], "cohort"),
+    (["sweep-latent", "--cohort", "--sizes", "2", "--out", "OUT"], "cohort"),
+    (["embed", "--checkpoint", "--cohort", "--out", "OUT"], "checkpoint"),
+    (["embed", "--checkpoint", "--cohort", "--out", "OUT"], "cohort"),
+    (["eval-recon", "--checkpoint", "--cohort"], "checkpoint"),
+    (["eval-recon", "--checkpoint", "--cohort"], "cohort"),
+    (["eval-cluster", "--embeddings", "--labels", "--out", "OUT"], "embeddings"),
+    (["eval-cluster", "--cohort", "--pca", "2", "--labels", "--out", "OUT"], "cohort"),
+    (["eval-cluster", "--embeddings", "--labels", "--out", "OUT"], "labels"),
+    (["probe", "--embeddings", "--labels"], "embeddings"),
+    (["probe", "--cohort", "--labels"], "cohort"),
+    (["probe", "--embeddings", "--labels"], "labels"),
+    (["plot-data", "--embeddings", "--assignments", "--labels", "--out", "OUT"], "embeddings"),
+    (["plot-data", "--embeddings", "--assignments", "--labels", "--out", "OUT"], "assignments"),
+    (["plot-data", "--embeddings", "--assignments", "--labels", "--out", "OUT"], "labels"),
+]
+
+
+@pytest.mark.parametrize("argv, missing", MISSING_INPUTS,
+                         ids=[f"{argv[0]}-{missing}" for argv, missing in MISSING_INPUTS])
+def test_missing_input_file_exits_one_with_path(tmp_path, capsys, argv, missing):
+    files = input_files(tmp_path, capsys)
+    ghost, out = tmp_path / "ghost", tmp_path / "out"
+    files[missing] = ghost
+    full = []
+    for word in argv:
+        full.append(word)
+        if word.startswith("--") and word[2:] in files:
+            full.append(str(files[word[2:]]))
+    full = [str(out) if word == "OUT" else word for word in full]
+    assert run(full) == 1
+    assert str(ghost) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_config_value_exits_one_naming_field(tmp_path, capsys):
@@ -342,12 +391,42 @@ def test_invalid_config_value_exits_one_naming_field(tmp_path, capsys):
 
 def test_leaky_slope_outside_zero_one_exits_one_before_training(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
-    for value in ("nan", "1.5", "-2"):
+    for value, problem in (("nan", "finite, got nan"), ("1.5", "in [0, 1]"), ("-2", "in [0, 1]")):
         run_dir = tmp_path / f"run{value}"
         code = run(["train", "--cohort", cohort_dir, "--out", str(run_dir), "--leaky-slope", value])
         assert code == 1
-        assert "leaky_slope must be in [0, 1]" in capsys.readouterr().err
+        assert f"leaky_slope must be {problem}" in capsys.readouterr().err
         assert not (run_dir / "checkpoint.bin").exists()
+
+
+def test_non_finite_epsilon_exits_one_naming_it_and_writes_no_run(tmp_path, capsys):
+    # it used to train, exit 0 and save a checkpoint whose theta was the initial draw
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    run_dir = tmp_path / "run"
+    assert run(["train", "--cohort", cohort_dir, "--out", str(run_dir), "--epsilon", "inf"]) == 1
+    assert capsys.readouterr().err == "error: epsilon must be finite, got inf\n"
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("synth", ["--n-samples", "20", "--n-loci", "30", "--n-clusters", "2",
+               "--background-rate", "0.1", "--enriched-rate", "0.5",
+               "--enriched-loci-per-cluster", "5"]),
+    ("train", ["--cohort", "COHORT"]),
+    ("sweep-latent", ["--cohort", "COHORT", "--sizes", "2"]),
+    ("eval-cluster", ["--cohort", "COHORT", "--pca", "2"]),
+    ("probe", ["--cohort", "COHORT"]),
+], ids=["synth", "train", "sweep-latent", "eval-cluster", "probe"])
+def test_negative_seed_exits_one_naming_it(tmp_path, capsys, command, extra):
+    # numpy's own message, "expected non-negative integer", named no option
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    out = tmp_path / "out"
+    argv = [command] + [cohort_dir if word == "COHORT" else word for word in extra] + ["--seed", "-3"]
+    if command in ("synth", "train"):
+        argv += ["--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+    assert not out.exists()
 
 
 def test_batch_size_one_exits_one_before_training(tmp_path, capsys):
@@ -646,6 +725,20 @@ def test_probe_with_zero_iters_exits_one(tmp_path, capsys):
     cohort_dir = make_small_cohort(tmp_path, capsys)
     assert run(["probe", "--cohort", cohort_dir, "--iters", "0"]) == 1
     assert capsys.readouterr().err == "error: probe iters must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "inf", "probe lr must be finite, got inf"),
+    ("--l2", "inf", "probe l2 must be finite, got inf"),
+    ("--lr", "1e308", "probe fit diverged to non-finite weights at lr 1e+308, l2 0.001"),
+], ids=["lr-inf", "l2-inf", "lr-1e308"])
+def test_probe_with_a_non_finite_setting_or_fit_exits_one_naming_it(tmp_path, capsys, flag,
+                                                                     value, message):
+    # each used to print f1 0 and exit 0
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["probe", "--cohort", cohort_dir, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_cluster_on_a_corrupt_cohort_cache_exits_one(tmp_path, capsys):

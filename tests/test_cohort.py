@@ -332,6 +332,10 @@ def test_synthetic_spec_invariants_enforced():
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("enriched_loci_per_cluster", True, "enriched_loci_per_cluster must be an integer, got True"),
     ("n_samples", 20.5, "n_samples must be an integer, got 20.5"),
+    ("background_rate", float("nan"), "background_rate must be finite, got nan"),
+    ("enriched_rate", float("inf"), "enriched_rate must be finite, got inf"),
+    ("background_rate", float("-inf"), "background_rate must be finite, got -inf"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),  # numpy's refusal names no field
 ])
 def test_synthetic_spec_rejects_a_wrong_type_naming_the_field(field, value, message):
     spec = SyntheticSpec(20, 30, 2, 0.1, 0.5, 5, seed=0)

@@ -122,7 +122,7 @@ def ref_stack(specs, params, x, mode, rng=None, masks=None):
 
 
 def tape_form(specs, caches):
-    """The reference caches in the form a Tape keeps them: a ReLU, leaky
+    """The reference caches in the form a train-mode tape keeps them: a ReLU, leaky
     ReLU or Dropout layer's as the bool mask cache > 0, batch norm's
     without xhat."""
     def form(spec, cache):
@@ -218,7 +218,7 @@ def check_stack(specs, params, x, dout, seed, dtype=np.float64):
     out, tape = stack_forward(specs, params, x, TRAIN, rng=np.random.default_rng(seed))
     want, caches = ref_stack(specs, ref_params, x, TRAIN, rng=np.random.default_rng(seed))
     assert_same_bytes(out, want, "train output")
-    assert_trees_same_bytes(tape.caches, tape_form(specs, caches), "caches")
+    assert_trees_same_bytes(tape, tape_form(specs, caches), "caches")
     assert_trees_same_bytes(params, ref_params, "running statistics")
 
     grad = np.zeros(stack_size(specs), dtype)
@@ -426,7 +426,7 @@ def test_extended_precision_replay_matches_its_reference():
     rng.bit_generator.state = start
     out, _ = stack_forward(specs, copy.deepcopy(params), x, TRAIN, rng=rng)
     # the float64 mask of the recorded pass, from its bool keep mask
-    masks = [c / (1.0 - s.rate) if isinstance(s, Dropout) else c for s, c in zip(specs, tape.caches)]
+    masks = [c / (1.0 - s.rate) if isinstance(s, Dropout) else c for s, c in zip(specs, tape)]
     want, _ = ref_stack(specs, copy.deepcopy(params), x, TRAIN, masks=masks)
     assert out.dtype == FD_DTYPE
     assert_same_bytes(out, want, "extended-precision output")
@@ -461,9 +461,9 @@ def test_a_second_forward_call_leaves_the_first_calls_results_unchanged(mode):
     specs, params = vae_like_stack(rng)
     for stack in (specs, specs[:8]):  # the whole stack; the encoder and its mu head
         out, tape = stack_forward(stack, params, edge_batch(rng, 16, 40) * 1e-2, mode, rng=rng)
-        snapshot = copy.deepcopy((out, tape.caches))
+        snapshot = copy.deepcopy((out, tape))
         stack_forward(stack, params, edge_batch(rng, 16, 40) * 1e-2, mode, rng=rng)
-        assert_trees_same_bytes((out, tape.caches), snapshot, "first call's results")
+        assert_trees_same_bytes((out, tape), snapshot, "first call's results")
 
 
 def test_stack_backward_twice_on_one_tape_writes_the_same_bytes():
@@ -472,14 +472,14 @@ def test_stack_backward_twice_on_one_tape_writes_the_same_bytes():
     x = edge_batch(rng, 16, 40) * 1e-2
     _, tape = stack_forward(specs, params, x, TRAIN, rng=rng)
     dout = rng.standard_normal((16, 40))
-    snapshot = copy.deepcopy((tape.caches, dout))
+    snapshot = copy.deepcopy((tape, dout))
     results = []
     for _ in range(2):
         grad = np.zeros(stack_size(specs))
         dx = collected_backward(specs, params, tape, dout, stack_views(specs, grad))
         results.append((grad.tobytes(), dx.tobytes()))
     assert results[0] == results[1]
-    assert_trees_same_bytes((tape.caches, dout), snapshot, "tape and upstream gradient")
+    assert_trees_same_bytes((tape, dout), snapshot, "tape and upstream gradient")
 
 
 def test_decode_batch_clips_like_its_reference():

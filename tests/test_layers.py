@@ -183,7 +183,7 @@ def test_dropout_rate_zero_is_identity_in_train_mode():
     x = np.random.default_rng(3).random((4, 5))
     out, tape = stack_forward([Dropout(0.0)], [{}], x, TRAIN)
     assert np.array_equal(out, x)
-    assert tape.caches == [None]
+    assert tape == [None]
 
 
 def test_dropout_inference_is_identity_at_any_rate():
@@ -201,8 +201,8 @@ def test_dropout_train_mode_scales_survivors():
     # survivor fraction concentrates near 1 - rate
     assert abs((out > 0).mean() - 0.6) < 0.05
     # x is ones: the bool keep mask, scaled, is the output
-    assert tape.caches[0].dtype == np.bool_
-    assert (tape.caches[0] / 0.6).tobytes() == out.tobytes()
+    assert tape[0].dtype == np.bool_
+    assert (tape[0] / 0.6).tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
@@ -435,7 +435,7 @@ def test_only_the_data_layer_hands_live_rows_to_the_hook(monkeypatch):
     x = rng.random((5, 6))
     x[:, 1:] = 0.0
     out, tape = stack_forward(specs, params, x, TRAIN)
-    assert not tape.caches[2][:, 1:].any()
+    assert not tape[2][:, 1:].any()
     for input_grad, want in ((True, []), (False, [0, 0])):
         lives = []
         collected_backward(specs, params, tape, rng.standard_normal(out.shape), grads, input_grad,

@@ -333,13 +333,24 @@ def test_probe_rejects_non_finite_features_naming_the_row(value):
     ({"iters": 0}, "probe iters must be at least 1, got 0"),
     ({"lr": 0.0}, "probe lr must be positive, got 0.0"),
     ({"l2": -1e-3}, "probe l2 must be non-negative, got -0.001"),
-], ids=["iters", "lr", "l2"])
+    ({"lr": np.inf}, "probe lr must be finite, got inf"),
+    ({"l2": np.inf}, "probe l2 must be finite, got inf"),
+], ids=["iters", "lr", "l2", "lr-inf", "l2-inf"])
 def test_probe_rejects_degenerate_settings(setting, message):
     # iters=0 used to return the zero model, which predicts every sample
     # positive
     x, y = separable_data()
     with pytest.raises(ValueError, match=f"^{message}$"):
         fit_probe(x, y, **setting)
+
+
+def test_probe_refuses_a_fit_that_diverges():
+    # a finite lr too large for the step used to give NaN weights, and then
+    # all-0 predictions
+    x, y = separable_data()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=r"^probe fit diverged to non-finite weights at lr 1e\+308, l2 0.001$"):
+        fit_probe(x, y, lr=1e308)
 
 
 def test_probe_l2_regularization_path_shrinks_weights():

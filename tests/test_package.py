@@ -5,12 +5,12 @@ import somatic_vae
 PUBLIC = [
     "BetaSchedule", "CheckpointError", "ClassificationReport", "Cohort", "EpochStats",
     "GradReport", "KmeansResult", "LatentDistribution", "PcaModel", "ProbeModel",
-    "RmspropState", "SplitPlan", "SyntheticSpec", "VaeConfig", "VaeLossBreakdown",
+    "SplitPlan", "SyntheticSpec", "VaeConfig", "VaeLossBreakdown",
     "VaeModel", "beta_at_epoch", "build_vae", "classification_report", "compare_grads",
     "count_parameters", "decode_batch", "encode_batch", "eval_probe",
     "filter_low_frequency", "finite_difference_grads", "fit_probe",
     "generate_synthetic_cohort", "holdout_split", "indexed_rng", "ingest_profiles",
-    "init_rmsprop", "kfold_split", "kl_divergence", "kl_grads", "kmeans_cluster",
+    "kfold_split", "kl_divergence", "kl_grads", "kmeans_cluster",
     "load_checkpoint", "load_cohort", "mean_cosine_similarity", "micro_f1", "nmi",
     "pca_fit", "pca_project", "read_labels", "reconstruct_mu", "reconstruction_grad",
     "reconstruction_loss", "rmsprop_update", "save_checkpoint", "save_cohort", "sub_rng",

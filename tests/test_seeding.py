@@ -33,6 +33,13 @@ def test_invalid_stream_name_rejected():
                 make(name)
 
 
+def test_negative_seed_rejected_naming_the_option():
+    # numpy's own refusal, "expected non-negative integer", names no option
+    for make in (lambda: sub_rng(-1, "shuffle"), lambda: indexed_rng(-1, "kmeans", 0)):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            make()
+
+
 def test_indexed_rng_lane_is_the_index_plus_one():
     tag = zlib.crc32(b"kmeans")
     for index in (0, 1, 9):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from somatic_vae.layers import (
     layer_shapes,
 )
 from somatic_vae.losses import BetaSchedule
-from somatic_vae.optim import init_rmsprop, rmsprop_update
+from somatic_vae.optim import rmsprop_update
 from somatic_vae.seeding import sub_rng
 from somatic_vae.vae import (
     VaeConfig,
@@ -147,13 +148,27 @@ def test_build_rejects_invalid_config_naming_the_field():
         tiny_config(dropout_rate=1.0).validate()
     with pytest.raises(ValueError, match="loss_kind"):
         tiny_config(loss_kind="mse").validate()
-    for slope in (float("nan"), -0.1, 1.5):
+    for slope in (-0.1, 1.5):  # nan: test_validate_refuses_a_non_finite_real_naming_the_field
         with pytest.raises(ValueError, match=r"^leaky_slope must be in \[0, 1\]$"):
             tiny_config(leaky_slope=slope).validate()
     with pytest.raises(ValueError, match="rho"):
         tiny_config(rho=1.5).validate()
     with pytest.raises(ValueError, match="batch_size"):
         tiny_config(batch_size=0).validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", [f.name for kind in (VaeConfig, BetaSchedule)
+                                  for f in fields(kind) if f.type is float])
+def test_validate_refuses_a_non_finite_real_naming_the_field(name, value):
+    # an inf epsilon used to train without moving theta, a nan learning
+    # rate or beta_max to fail later at a layer or the loss
+    if name in {f.name for f in fields(BetaSchedule)}:
+        config = tiny_config(beta_schedule=BetaSchedule(**{name: value}))
+    else:
+        config = tiny_config(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        config.validate()
 
 
 def test_build_is_deterministic_in_rng():
@@ -219,7 +234,7 @@ def training_latents(model, x, noise):
     """(mu, z) of one training pass whose reparameterization noise comes
     from noise; z is the input the decoder's first Dense layer recorded."""
     fwd = _forward_train(model, x, 0.0, {"reparam": noise, "dropout": sub_rng(0, "dropout")})
-    return fwd["mu"], fwd["tapes"]["dec"].caches[0]
+    return fwd["mu"], fwd["tapes"]["dec"][0]
 
 
 def fix_heads(model, mu, logvar):
@@ -497,7 +512,7 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     assert len(steps) == sum(key not in BUFFER_KEYS for spec in model.specs
                              for key in layer_shapes(spec)) == 22
     layers = [(spec, cache) for name, tape in fwd["tapes"].items()
-              for spec, cache in zip(model.specs[model.stacks[name]], tape.caches)]
+              for spec, cache in zip(model.specs[model.stacks[name]], tape)]
     # a ReLU, leaky ReLU or Dropout layer caches a bool mask, every other layer float32
     masked = [isinstance(spec, Dropout) or isinstance(spec, Activation) and spec.kind != "sigmoid"
               for spec, _ in layers]
@@ -511,9 +526,8 @@ def test_one_training_step_computes_in_float32(monkeypatch):
     assert len(dxs) == 15  # 16 backward kernel calls; the first Dense layer returns None
     named = {"eps": fwd["eps"], "std": fwd["std"], "probs": fwd["probs"], "dprobs": dprobs,
              "theta": model.theta, "stats": model.stats,
-             **{f"step {i} {what}": a for i, (theta, grad, state) in enumerate(steps)
-                for what, a in (("theta", theta), ("grad", grad),
-                                ("accumulator", state.accumulator))},
+             **{f"step {i} {what}": a for i, (theta, grad, acc) in enumerate(steps)
+                for what, a in (("theta", theta), ("grad", grad), ("accumulator", acc))},
              **{f"cache {i}": c for i, c in enumerate(caches)},
              **{f"input gradient {i}": d for i, d in enumerate(dxs)}}
     assert {name: a.dtype for name, a in named.items() if a.dtype != np.float32} == {}
@@ -530,8 +544,8 @@ def assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort, mo
     grad_block, default = layers_module.GRAD_BLOCK, DEFAULT_GRAD_BLOCK
     fused, flat = (build_vae(config, sub_rng(0, "init")) for _ in range(2))
     initial = fused.theta.copy()
-    fused_state, flat_state = init_rmsprop(fused.theta), init_rmsprop(flat.theta)
-    step = _rmsprop_step(fused, fused_state, config)
+    fused_acc, flat_acc = np.zeros_like(fused.theta), np.zeros_like(flat.theta)
+    step = _rmsprop_step(fused, fused_acc, config)
     buf = grad_buffer(fused.specs, np.float32)
     rngs = [{"dropout": sub_rng(0, "dropout"), "reparam": sub_rng(0, "reparam")} for _ in range(2)]
     for batch in range(4):
@@ -541,10 +555,10 @@ def assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort, mo
         _backward_train(fused, xb, 0.5, fwd, step, buf)
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", default)
         fwd = _forward_train(flat, xb, 0.5, rngs[1])
-        rmsprop_update(flat.theta, _model_grads(flat, xb, 0.5, fwd), flat_state,
+        rmsprop_update(flat.theta, _model_grads(flat, xb, 0.5, fwd), flat_acc,
                        lr=config.learning_rate, rho=config.rho, eps=config.epsilon)
         assert fused.theta.tobytes() == flat.theta.tobytes()
-        assert fused_state.accumulator.tobytes() == flat_state.accumulator.tobytes()
+        assert fused_acc.tobytes() == flat_acc.tobytes()
         assert fused.stats.tobytes() == flat.stats.tobytes()
     assert (fused.theta != initial).mean() > moved
 
@@ -589,12 +603,12 @@ def test_live_row_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypat
     steps = []  # (offset in theta, size, live rows or None) of each weight step of layer 0
     real = vae_module.rmsprop_update
 
-    def recording(theta, grad, state, live=None, **hyper):
+    def recording(theta, grad, acc, live=None, **hyper):
         # theta is a span of the model's vector, theta.base
         offset = (theta.ctypes.data - theta.base.ctypes.data) // theta.itemsize
         if offset < layer_0:  # a block of the first layer's weights
             steps.append((offset, theta.size, None if live is None else int(live.sum())))
-        real(theta, grad, state, live=live, **hyper)
+        real(theta, grad, acc, live=live, **hyper)
 
     monkeypatch.setattr(vae_module, "rmsprop_update", recording)
     # rows of loci that no minibatch mutates keep their weights
