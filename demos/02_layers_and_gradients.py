@@ -18,7 +18,6 @@ from somatic_vae.layers import (
     Dense,
     Dropout,
     collect_grads,
-    grad_buffer,
     init_layer_params,
     stack_backward,
     stack_forward,
@@ -71,8 +70,7 @@ banner("analytic backward pass")
 upstream = np.ones_like(out_train) / out_train.size
 # each gradient span leaves the pass through a step hook; this one copies
 # it into the flat vector (training's hook steps RMSprop instead)
-dx = stack_backward(specs, params, tape, upstream, collect_grads(grads),
-                    grad_buffer(specs, np.float64))
+dx = stack_backward(specs, params, tape, upstream, collect_grads(grads))
 print(f"d(input) shape {dx.shape}; {grad.size} parameter gradients in one flat vector")
 for i, g in enumerate(grads):
     keys = {k: tuple(v.shape) for k, v in g.items()}
@@ -102,8 +100,7 @@ xs = sv.sub_rng(4, "demo-small-x").standard_normal((5, 6))
 w2 = sv.sub_rng(5, "demo-small-w").standard_normal((5, 3))
 out_small, tape_small = stack_forward(small, small_params, xs, TRAIN)
 honest = np.zeros_like(theta)
-stack_backward(small, small_params, tape_small, w2, collect_grads(stack_views(small, honest)),
-               grad_buffer(small, np.float64))
+stack_backward(small, small_params, tape_small, w2, collect_grads(stack_views(small, honest)))
 
 
 def objective():

@@ -298,9 +298,12 @@ def cmd_probe(args):
 def cmd_sweep_latent(args):
     data = cohort_io.load_cohort(args.cohort)
     merged = resolve_run_config(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s != ""]
-    if not sizes:
-        raise ValueError("no latent sizes given")
+    sizes = []
+    for k, entry in enumerate(args.sizes.split(","), 1):
+        if not entry or int(entry) in sizes:
+            raise ValueError(f"--sizes {args.sizes!r}: entry {k} ({entry!r}) is "
+                             + ("a repeat" if entry else "empty"))
+        sizes.append(int(entry))
     plans = cohort_io.kfold_split(data.n_samples, args.folds, merged["seed"])
     header = "latent_dim\tmean_val_micro_f1" + "".join(f"\tfold{i}" for i in range(len(plans)))
     template = "%s" + "\t%.17g" * (1 + len(plans))

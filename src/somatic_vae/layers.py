@@ -14,7 +14,8 @@ the same call, in their input's dtype, never an input or a cache.
 A stack's trainable tensors are views into consecutive slices of one flat
 vector, one dict of views per layer (stack_views). The backward pass
 hands each parameter gradient, span by span, to a step hook
-(stack_backward): training's steps the optimizer, collect_grads copies
+(stack_backward), each span the array its kernel computed, at most one
+row block long: training's hook steps the optimizer, collect_grads copies
 each span into a flat vector.
 Batch-norm running statistics are buffers, viewed the same way from a
 second vector (buffers=True).
@@ -31,6 +32,8 @@ INFERENCE = "inference"
 BUFFER_KEYS = ("run_mean", "run_var")
 GRAD_BLOCK = 1 << 18  # weights per row block of a Dense layer: 1 MiB of float32, 2 of float64
 ELEMENT_BLOCK = 1 << 16  # entries per block of an elementwise temporary
+BN_EPSILON = 1e-5  # added to the batch variance under the square root
+BN_MOMENTUM = 0.9  # weight of the old running statistic in each update
 
 
 def _as_real(t):
@@ -68,8 +71,6 @@ class Dense:
 @dataclass
 class BatchNorm:
     dim: int
-    epsilon: float = 1e-5
-    momentum: float = 0.9
 
 
 @dataclass
@@ -119,18 +120,9 @@ def stack_views(specs, vec, buffers=False):
 
 def block_rows(spec):
     """Rows of a Dense layer's weights drawn, or of its weight gradient
-    written, at once: as many as fit in GRAD_BLOCK entries, at least one,
+    computed, at once: as many as fit in GRAD_BLOCK entries, at least one,
     at most all."""
     return min(spec.in_dim, max(1, GRAD_BLOCK // spec.out_dim))
-
-
-def grad_buffer(specs, dtype):
-    """An unfilled buffer for stack_backward as long as the largest span
-    of specs: a Dense layer's bias or row block of weights, a batch-norm
-    tensor."""
-    sizes = [block_rows(s) * s.out_dim if isinstance(s, Dense) else s.dim
-             for s in specs if isinstance(s, (Dense, BatchNorm))]
-    return np.empty(max(sizes, default=0), dtype)
 
 
 def collect_grads(views):
@@ -183,17 +175,15 @@ def _dense_forward(x, p):
     return out, x
 
 
-def _dense_backward(dout, cache, p, spec, input_grad, step, buf):
+def _dense_backward(dout, cache, p, spec, input_grad, step):
     # the input gradient first: step may update the weights it reads
     x, w = cache, p["w"]
     dx = dout @ w.T if input_grad else None
-    gb = buf[: spec.out_dim]
-    dout.sum(axis=0, out=gb)
-    step("b", slice(None), gb)
+    step("b", slice(None), dout.sum(axis=0))
     rows = block_rows(spec)
     # on the data layer without an L1 term, a row whose input column is
     # zero over the batch has a zero gradient: a block with at most half
-    # its rows live writes only those, and the step is told which they are
+    # its rows live computes only those, and the step is told which they are
     live = x.any(axis=0) if spec.l1_coefficient == 0.0 and not input_grad else None
     for start in range(0, spec.in_dim, rows):
         span = slice(start, min(start + rows, spec.in_dim))
@@ -201,8 +191,7 @@ def _dense_backward(dout, cache, p, spec, input_grad, step, buf):
         if live is not None and 2 * np.count_nonzero(live[span]) <= xs.shape[1]:
             mask = live[span]
             xs = xs[:, mask]
-        block = buf[: xs.shape[1] * spec.out_dim].reshape(-1, spec.out_dim)
-        np.matmul(xs.T, dout, out=block)
+        block = xs.T @ dout
         _add_l1_term(block, w[span], spec.l1_coefficient)
         step("w", span, block, mask)
     return dx
@@ -216,9 +205,9 @@ def _add_l1_term(gw, w, l1_coefficient):
         gw += term
 
 
-def _batchnorm_forward(x, p, spec, mode):
+def _batchnorm_forward(x, p, mode):
     if mode == INFERENCE:
-        inv = 1.0 / np.sqrt(p["run_var"] + spec.epsilon)
+        inv = 1.0 / np.sqrt(p["run_var"] + BN_EPSILON)
         out = x - p["run_mean"]
         out *= inv  # xhat
         out *= p["gamma"]
@@ -228,8 +217,8 @@ def _batchnorm_forward(x, p, spec, mode):
     xmu = x - mean
     out = xmu * xmu
     var = out.mean(axis=0)  # biased, ddof=0
-    inv = 1.0 / np.sqrt(var + spec.epsilon)
-    m = spec.momentum
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
+    m = BN_MOMENTUM
     # in place: the buffers may be views of a model's stats vector
     p["run_mean"][...] = m * p["run_mean"] + (1.0 - m) * mean
     p["run_var"][...] = m * p["run_var"] + (1.0 - m) * var
@@ -239,7 +228,7 @@ def _batchnorm_forward(x, p, spec, mode):
     return out, (xmu, inv)
 
 
-def _batchnorm_backward(dout, cache, p, step, buf):
+def _batchnorm_backward(dout, cache, p, step):
     # full backprop through the batch statistics
     # dx = dxhat * inv + dvar * 2 * xmu / n + dmean / n, built in dxhat
     xmu, inv = cache
@@ -254,13 +243,10 @@ def _batchnorm_backward(dout, cache, p, step, buf):
     dxhat += tmp
     dxhat += dmean / n
     # the parameter gradients, after the last read of gamma
-    g = buf[: len(inv)]
     np.multiply(xmu, inv, out=tmp)  # xhat
     tmp *= dout
-    tmp.sum(axis=0, out=g)
-    step("gamma", slice(None), g)
-    dout.sum(axis=0, out=g)
-    step("delta", slice(None), g)
+    step("gamma", slice(None), tmp.sum(axis=0))
+    step("delta", slice(None), dout.sum(axis=0))
     return dxhat
 
 
@@ -313,7 +299,7 @@ def stack_forward(specs, params, x, mode, rng=None):
                 raise ValueError(f"layer {i} (Dense) expects {spec.in_dim} columns, got {out.shape[1]}")
             out, cache = _dense_forward(out, p)
         elif isinstance(spec, BatchNorm):
-            out, cache = _batchnorm_forward(out, p, spec, mode)
+            out, cache = _batchnorm_forward(out, p, mode)
         elif isinstance(spec, Activation):
             out, cache = _activation_forward(out, spec)
         elif isinstance(spec, Dropout):
@@ -334,7 +320,7 @@ def stack_forward(specs, params, x, mode, rng=None):
     return out, caches
 
 
-def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
+def stack_backward(specs, params, tape, dout, step, input_grad=True):
     """Reverse-mode gradients through a recorded train-mode pass; returns
     the input gradient. With input_grad=False it is not wanted: a Dense
     layer 0 skips its dout @ W.T, and None is returned. Batch norm recomputes
@@ -342,19 +328,18 @@ def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
 
     Each parameter gradient leaves the pass through step, called as
     step(i, key, rows, grad, live=None) for each span of layer i's
-    tensor key, as soon as its gradient grad is written at the head of
-    buf (from grad_buffer): rows slices the tensor's first axis,
+    tensor key, as soon as its kernel has computed grad, a fresh array of
+    at most one row block: rows slices the tensor's first axis,
     slice(None) for a whole tensor. The spans come in this order: a Dense
     layer's bias, then each row block of its weights, after the layer's
     input gradient; a batch-norm layer's gamma, then delta, after its
     input gradient. No later read in the pass touches those parameters or
-    that gradient, so step may update the one and the next span may
-    overwrite the other. Dense weight gradients include the L1
-    subgradient term. On a data layer (a Dense layer 0 with
-    input_grad=False) with no L1 term, a weight block whose input columns
-    are zero over the batch for at least half its rows comes with live, a
-    boolean mask over the block's rows: grad then holds the live rows'
-    gradients only, and every other row's gradient is zero.
+    that gradient, so step may update or overwrite both. Dense weight
+    gradients include the L1 subgradient term. On a data layer (a Dense
+    layer 0 with input_grad=False) with no L1 term, a weight block whose
+    input columns are zero over the batch for at least half its rows
+    comes with live, a boolean mask over the block's rows: grad then holds
+    the live rows' gradients only, and every other row's gradient is zero.
     """
     if tape is None:
         raise ValueError("stack_backward requires a train-mode tape")
@@ -365,9 +350,9 @@ def stack_backward(specs, params, tape, dout, step, buf, input_grad=True):
         spec, p, cache = specs[i], params[i], tape[i]
         if isinstance(spec, Dense):
             dx = _dense_backward(dx, cache, p, spec, i > 0 or input_grad,
-                                 functools.partial(step, i), buf)
+                                 functools.partial(step, i))
         elif isinstance(spec, BatchNorm):
-            dx = _batchnorm_backward(dx, cache, p, functools.partial(step, i), buf)
+            dx = _batchnorm_backward(dx, cache, p, functools.partial(step, i))
         elif isinstance(spec, Activation):
             dx = _activation_backward(dx, cache, spec)
         elif cache is not None:  # Dropout: its keep mask

@@ -13,7 +13,7 @@ Every trainable tensor is a view into one float32 vector, model.theta;
 the batch-norm running statistics are views of model.stats. Both are
 laid out layer by layer, and layer i of model.specs is the step hook's
 i and the gradient check's layer{i}. Training steps RMSprop inside the
-backward pass on each gradient span as soon as it is written
+backward pass on each gradient span as soon as it is computed
 (layers.stack_backward), over the same rows of one accumulator vector
 laid out as theta. Training and inference compute in float32;
 the random draws (initial weights, dropout uniforms, reparameterization
@@ -35,7 +35,6 @@ from .layers import (
     Dense,
     Dropout,
     collect_grads,
-    grad_buffer,
     init_layer_params,
     stack_backward,
     stack_forward,
@@ -315,16 +314,16 @@ def _forward_train(model, x, beta, rngs):
             "tapes": tapes}  # tapes by stack name
 
 
-def _backward_train(model, x, beta, fwd, step, buf):
-    """Backpropagates the total loss, each gradient span written into buf
-    and handed to step with its layer's index in model.specs."""
+def _backward_train(model, x, beta, fwd, step):
+    """Backpropagates the total loss, each gradient span handed to step
+    with its layer's index in model.specs."""
     tapes = fwd["tapes"]
     mu, lv, eps, std = fwd["mu"], fwd["lv"], fwd["eps"], fwd["std"]
 
     def backward(name, dout, input_grad=True):
         s = model.stacks[name]
         return stack_backward(model.specs[s], model.params[s], tapes[name], dout,
-                              lambda i, *span: step(s.start + i, *span), buf, input_grad)
+                              lambda i, *span: step(s.start + i, *span), input_grad)
 
     dz = backward("dec", reconstruction_grad(model.config.loss_kind, fwd["probs"], x))
     dmu_kl, dlv_kl = kl_grads(mu, lv)
@@ -351,8 +350,7 @@ def _rmsprop_step(model, accumulator, config):
 def _model_grads(model, x, beta, fwd):
     """The gradient of fwd's training pass, as a vector laid out as theta."""
     grad = np.zeros_like(model.theta)
-    _backward_train(model, x, beta, fwd, collect_grads(stack_views(model.specs, grad)),
-                    grad_buffer(model.specs, grad.dtype))
+    _backward_train(model, x, beta, fwd, collect_grads(stack_views(model.specs, grad)))
     return grad
 
 
@@ -385,7 +383,7 @@ def train(cohort, split, config):
     rows on its own, forward in train mode, then backward with the
     RMSprop step of each span of a layer's parameters (a bias, a block of
     weights, a batch-norm tensor) taken as soon as its gradient is
-    written; then validation micro-F1 and mean cosine similarity on
+    computed; then validation micro-F1 and mean cosine similarity on
     deterministic mu reconstructions (reconstruction_scores). History
     loss components are per-sample means over the epoch's batches.
     """
@@ -407,7 +405,6 @@ def train(cohort, split, config):
     }
     model = build_vae(config, sub_rng(config.seed, "init"))
     step = _rmsprop_step(model, np.zeros_like(model.theta), config)
-    buf = grad_buffer(model.specs, model.theta.dtype)
     shuffle_rng = sub_rng(config.seed, "shuffle")
 
     history = []
@@ -430,7 +427,7 @@ def train(cohort, split, config):
             breakdown = fwd["breakdown"]
             if not np.isfinite(breakdown.total):
                 raise FloatingPointError(f"epoch {epoch} batch {batch}: non-finite loss")
-            _backward_train(model, xb, beta, fwd, step, buf)
+            _backward_train(model, xb, beta, fwd, step)
             del fwd, xb  # else this batch's tape lives on beside the next one's
             for key in sums:
                 sums[key] += float(getattr(breakdown, key)) * len(rows)

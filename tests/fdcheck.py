@@ -16,7 +16,6 @@ from somatic_vae.layers import (
     BUFFER_KEYS,
     TRAIN,
     collect_grads,
-    grad_buffer,
     init_layer_params,
     stack_backward,
     stack_forward,
@@ -38,9 +37,9 @@ def fresh_stack(specs, rng, dtype=np.float64):
 
 def collected_backward(specs, params, tape, dout, grads, input_grad=True, spy=None):
     """stack_backward with every gradient span written into grads
-    (stack_views' dicts of a flat vector) by collect_grads, through a
-    buffer of dout's dtype; spy(i, key, rows, grad, live), when given,
-    sees each span first. Returns the input gradient."""
+    (stack_views' dicts of a flat vector) by collect_grads;
+    spy(i, key, rows, grad, live), when given, sees each span first.
+    Returns the input gradient."""
     collect = collect_grads(grads)
 
     def step(i, key, rows, grad, live=None):
@@ -48,8 +47,7 @@ def collected_backward(specs, params, tape, dout, grads, input_grad=True, spy=No
             spy(i, key, rows, grad, live)
         collect(i, key, rows, grad, live)
 
-    buf = grad_buffer(specs, np.asarray(dout).dtype)
-    return stack_backward(specs, params, tape, dout, step, buf, input_grad)
+    return stack_backward(specs, params, tape, dout, step, input_grad)
 
 
 def grad_check(specs, params, x, weights, tolerance=1e-5, fd_step=1e-5, rng=None):

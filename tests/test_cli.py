@@ -815,6 +815,24 @@ def test_sweep_latent_emits_fold_table(tmp_path, capsys):
         assert float(parts[1]) == pytest.approx(np.mean(scores))
 
 
+@pytest.mark.parametrize("sizes, problem", [
+    ("2,2", "entry 2 ('2') is a repeat"),  # trained twice and wrote two rows of 2
+    ("2,,3", "entry 2 ('') is empty"),  # the gap was dropped
+], ids=["repeated", "empty"])
+def test_sweep_latent_refuses_a_bad_size_entry_naming_it_before_training(tmp_path, capsys,
+                                                                          monkeypatch, sizes,
+                                                                          problem):
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    trained = []
+    monkeypatch.setattr("somatic_vae.cli.train", lambda *args: trained.append(args))
+    table_path = tmp_path / "sweep.tsv"
+    argv = ["sweep-latent", "--cohort", cohort_dir, "--sizes", sizes, "--out", str(table_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: --sizes {sizes!r}: {problem}\n"
+    assert trained == []
+    assert not table_path.exists()
+
+
 def test_plot_data_scatter_output(tmp_path, capsys):
     emb = tmp_path / "e2.tsv"
     write_embeddings(["a", "b", "c"], np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), emb)

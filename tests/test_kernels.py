@@ -26,6 +26,8 @@ from fdcheck import collected_backward, fresh_stack
 import somatic_vae.layers as layers_module
 from somatic_vae.gradcheck import FD_DTYPE
 from somatic_vae.layers import (
+    BN_EPSILON,
+    BN_MOMENTUM,
     INFERENCE,
     TRAIN,
     Activation,
@@ -59,15 +61,15 @@ def ref_forward(spec, p, x, mode, mask):
         return x @ p["w"] + p["b"], x
     if isinstance(spec, BatchNorm):
         if mode == INFERENCE:
-            inv = 1.0 / np.sqrt(p["run_var"] + spec.epsilon)
+            inv = 1.0 / np.sqrt(p["run_var"] + BN_EPSILON)
             xhat = (x - p["run_mean"]) * inv
             return p["gamma"] * xhat + p["delta"], None
         mean = x.mean(axis=0)
         xmu = x - mean
         var = (xmu * xmu).mean(axis=0)
-        inv = 1.0 / np.sqrt(var + spec.epsilon)
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat = xmu * inv
-        m = spec.momentum
+        m = BN_MOMENTUM
         p["run_mean"][...] = m * p["run_mean"] + (1.0 - m) * mean
         p["run_var"][...] = m * p["run_var"] + (1.0 - m) * var
         return p["gamma"] * xhat + p["delta"], (xmu, inv, xhat)

@@ -26,7 +26,6 @@ from somatic_vae.layers import (
     Dense,
     Dropout,
     block_rows,
-    grad_buffer,
     layer_shapes,
 )
 from somatic_vae.losses import BetaSchedule
@@ -546,13 +545,12 @@ def assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort, mo
     initial = fused.theta.copy()
     fused_acc, flat_acc = np.zeros_like(fused.theta), np.zeros_like(flat.theta)
     step = _rmsprop_step(fused, fused_acc, config)
-    buf = grad_buffer(fused.specs, np.float32)
     rngs = [{"dropout": sub_rng(0, "dropout"), "reparam": sub_rng(0, "reparam")} for _ in range(2)]
     for batch in range(4):
         xb = cohort.matrix[10 * batch : 10 * (batch + 1)].astype(np.float32)
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
         fwd = _forward_train(fused, xb, 0.5, rngs[0])
-        _backward_train(fused, xb, 0.5, fwd, step, buf)
+        _backward_train(fused, xb, 0.5, fwd, step)
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", default)
         fwd = _forward_train(flat, xb, 0.5, rngs[1])
         rmsprop_update(flat.theta, _model_grads(flat, xb, 0.5, fwd), flat_acc,
@@ -620,27 +618,38 @@ def test_live_row_steps_in_the_backward_pass_equal_one_step_over_theta(monkeypat
     assert {size for _, size, _ in steps} == {28, 14}  # 7 blocks of 4 rows, one of 2
 
 
-def test_training_hands_every_backward_pass_one_buffer_smaller_than_theta(monkeypatch):
+def test_training_hands_the_hook_at_most_one_block_of_one_tensor_apart_from_theta(monkeypatch):
+    # each span is the array its kernel computed: never a view of theta or
+    # of the accumulator, and never more than one row block of one tensor
     cohort = small_cohort()
     split = holdout_split(cohort.n_samples, 0.8, seed=0)
-    config = tiny_config(input_dim=cohort.n_loci, epochs=1, batch_size=16, l1_coefficient=1e-3)
-    real = vae_module.stack_backward
+    real = vae_module._rmsprop_step
     # at 28 entries the first Dense layer and the last are split into blocks
-    for grad_block in (layers_module.GRAD_BLOCK, 28):
+    for grad_block, l1 in ((layers_module.GRAD_BLOCK, 1e-3), (28, 1e-3), (28, 0.0)):
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
-        bufs = []
+        config = tiny_config(input_dim=cohort.n_loci, epochs=1, batch_size=16, l1_coefficient=l1)
+        spans = []
 
-        def recording(specs, params, tape, dout, step, buf, input_grad=True):
-            bufs.append(buf)
-            return real(specs, params, tape, dout, step, buf, input_grad)
+        def checking(model, accumulator, config):
+            step = real(model, accumulator, config)
 
-        monkeypatch.setattr(vae_module, "stack_backward", recording)
-        model, _ = train(cohort, split, config)
-        want = grad_buffer(model.specs, np.float32)
-        assert len(bufs) == 4 * 2  # four stacks, two minibatches of 32 training rows
-        assert all(buf is bufs[0] for buf in bufs)
-        assert (bufs[0].dtype, bufs[0].size) == (want.dtype, want.size)
-        assert bufs[0].size < model.theta.size
+            def spy(i, key, rows, grad, live=None):
+                spec, covered = model.specs[i], model.params[i][key][rows]
+                most = block_rows(spec) * spec.out_dim if key == "w" else covered.size
+                assert grad.size == (covered if live is None else covered[live]).size <= most
+                assert not np.shares_memory(grad, model.theta)
+                assert not np.shares_memory(grad, accumulator)
+                spans.append((i, key))
+                step(i, key, rows, grad, live)
+
+            return spy
+
+        monkeypatch.setattr(vae_module, "_rmsprop_step", checking)
+        train(cohort, split, config)
+        # two minibatches of 32 training rows; at 28 entries the first
+        # layer's 30 rows take 10 blocks of 3
+        blocks = max(spans.count(span) for span in set(spans)) // 2
+        assert blocks == (1 if grad_block > 28 else 10)
 
 
 def test_build_vae_draws_the_same_weights_as_one_draw_per_layer():
@@ -822,7 +831,7 @@ def test_step_hook_layer_index_is_the_gradient_check_name(monkeypatch):
         assert stride == 1 and grad.size == (stop - start) * tensor[0].size
         seen.setdefault(f"layer{i}.{key}", []).append((start, stop, len(tensor)))
 
-    _backward_train(model, xb, 0.5, fwd, spy, grad_buffer(model.specs, np.float32))
+    _backward_train(model, xb, 0.5, fwd, spy)
     zeros = np.zeros(model.theta.size)
     assert seen.keys() == compare_grads(model.specs, zeros, zeros, 0.0).per_param.keys()
     assert max(len(spans) for spans in seen.values()) > 1
