@@ -12,6 +12,7 @@ import tempfile
 import numpy as np
 
 import somatic_vae as sv
+from somatic_vae.cohort import align_labels
 
 
 def banner(title):
@@ -48,7 +49,7 @@ print(f"locus mutation counts: min {counts.min()}, median "
       f"{np.median(counts):.0f}, max {counts.max()}")
 
 banner("synthetic rates match the generating spec")
-label_ids = filtered.label_array().astype(int)
+label_ids = align_labels(filtered.labels, filtered.sample_ids).astype(int)
 background = synth.matrix.mean()
 print(f"overall mutation rate {background:.4f} "
       f"(background {spec.background_rate}, plus enriched blocks)")

@@ -1,8 +1,7 @@
 """Train a small VAE, inspect its history, and round-trip a checkpoint.
 
 Demonstrates the full training loop on a synthetic cohort, seed-for-seed
-reproducibility, the binary checkpoint format, and the full-model
-gradient check that validates the handwritten backpropagation.
+reproducibility, and the binary checkpoint format.
 """
 
 import tempfile
@@ -55,12 +54,3 @@ with tempfile.TemporaryDirectory() as tmp:
     x = cohort.matrix.astype(np.float64)
     same = np.array_equal(sv.reconstruct_mu(model, x), sv.reconstruct_mu(loaded, x))
     print(f"reloaded at epoch {epoch}, inference outputs bit-identical: {same}")
-
-banner("full-model gradient check")
-tiny = sv.VaeConfig(
-    input_dim=12, hidden_dims=(8, 6), latent_dim=3,
-    dropout_rate=0.25, l1_coefficient=1e-4, loss_kind="soft_f1",
-    beta_schedule=sv.BetaSchedule("linear_warmup", 1e-4, 25),
-    learning_rate=1e-3, batch_size=4, epochs=1, seed=0,
-)
-print(sv.vae_grad_check(tiny, beta=0.5, tolerance=1e-5))

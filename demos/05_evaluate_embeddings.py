@@ -9,6 +9,7 @@ a small latent-width sweep.
 import numpy as np
 
 import somatic_vae as sv
+from somatic_vae.cohort import align_labels
 
 
 def banner(title):
@@ -22,7 +23,7 @@ spec = sv.SyntheticSpec(
 )
 cohort, _ = sv.filter_low_frequency(sv.generate_synthetic_cohort(spec), min_count=5)
 x = cohort.matrix.astype(np.float64)
-labels = cohort.label_array()
+labels = align_labels(cohort.labels, cohort.sample_ids)
 print(f"{cohort.n_samples} samples x {cohort.n_loci} loci, 4 planted clusters")
 
 

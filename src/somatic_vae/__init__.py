@@ -7,7 +7,6 @@ The package is organized as:
 - :mod:`somatic_vae.losses` - reconstruction losses, KL term, beta schedule
 - :mod:`somatic_vae.optim` - RMSprop, blocked in-place steps over spans of the parameters
 - :mod:`somatic_vae.vae` - model assembly, training loop, encoding
-- :mod:`somatic_vae.gradcheck` - finite-difference gradient verification
 - :mod:`somatic_vae.framing` - the CRC-checked container of both binary files
 - :mod:`somatic_vae.checkpoint` - binary checkpoint format
 - :mod:`somatic_vae.baselines` - PCA and k-means
@@ -38,7 +37,6 @@ from .cohort import (
     write_profile_tsv,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .gradcheck import GradReport, compare_grads, finite_difference_grads
 from .losses import (
     BetaSchedule,
     VaeLossBreakdown,
@@ -72,7 +70,6 @@ from .vae import (
     encode_batch,
     reconstruct_mu,
     train,
-    vae_grad_check,
 )
 
 __version__ = "0.1.0"

@@ -300,9 +300,12 @@ def cmd_sweep_latent(args):
     merged = resolve_run_config(args)
     sizes = []
     for k, entry in enumerate(args.sizes.split(","), 1):
-        if not entry or int(entry) in sizes:
-            raise ValueError(f"--sizes {args.sizes!r}: entry {k} ({entry!r}) is "
-                             + ("a repeat" if entry else "empty"))
+        try:
+            problem = "a repeat" if int(entry) in sizes else None
+        except ValueError:
+            problem = "not an integer" if entry else "empty"
+        if problem:
+            raise ValueError(f"--sizes {args.sizes!r}: entry {k} ({entry!r}) is {problem}")
         sizes.append(int(entry))
     plans = cohort_io.kfold_split(data.n_samples, args.folds, merged["seed"])
     header = "latent_dim\tmean_val_micro_f1" + "".join(f"\tfold{i}" for i in range(len(plans)))

@@ -44,12 +44,6 @@ class Cohort:
     def n_loci(self):
         return len(self.locus_ids)
 
-    def label_array(self):
-        """Labels aligned with sample order. Raises if any sample is unlabeled."""
-        if self.labels is None:
-            raise ValueError("cohort has no labels")
-        return align_labels(self.labels, self.sample_ids)
-
     def validate(self):
         if len(set(self.sample_ids)) != len(self.sample_ids):
             raise ValueError("duplicate sample_ids")

@@ -15,8 +15,7 @@ A stack's trainable tensors are views into consecutive slices of one flat
 vector, one dict of views per layer (stack_views). The backward pass
 hands each parameter gradient, span by span, to a step hook
 (stack_backward), each span the array its kernel computed, at most one
-row block long: training's hook steps the optimizer, collect_grads copies
-each span into a flat vector.
+row block long: training's hook steps the optimizer.
 Batch-norm running statistics are buffers, viewed the same way from a
 second vector (buffers=True).
 """
@@ -123,22 +122,6 @@ def block_rows(spec):
     computed, at once: as many as fit in GRAD_BLOCK entries, at least one,
     at most all."""
     return min(spec.in_dim, max(1, GRAD_BLOCK // spec.out_dim))
-
-
-def collect_grads(views):
-    """A step hook for stack_backward that writes each span into views
-    (stack_views' dicts of a flat vector), zeros in the rows a block
-    leaves out."""
-
-    def step(i, key, rows, grad, live=None):
-        target = views[i][key][rows]
-        if live is None:
-            target[...] = grad
-        else:
-            target[...] = 0.0
-            target[live] = grad
-
-    return step
 
 
 def stack_size(specs, buffers=False):

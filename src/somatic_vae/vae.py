@@ -12,14 +12,13 @@ following the configured schedule; the whole run is a pure function of
 Every trainable tensor is a view into one float32 vector, model.theta;
 the batch-norm running statistics are views of model.stats. Both are
 laid out layer by layer, and layer i of model.specs is the step hook's
-i and the gradient check's layer{i}. Training steps RMSprop inside the
-backward pass on each gradient span as soon as it is computed
-(layers.stack_backward), over the same rows of one accumulator vector
-laid out as theta. Training and inference compute in float32;
+i and the gradient check's layer{i} (tests/fdcheck.py). Training steps
+RMSprop inside the backward pass on each gradient span as soon as it is
+computed (layers.stack_backward), over the same rows of one accumulator
+vector laid out as theta. Training and inference compute in float32;
 the random draws (initial weights, dropout uniforms, reparameterization
 noise) stay float64 and are rounded, so the streams do not depend on
-the model's dtype. The gradient check runs the same code on a float64
-copy, collecting the spans into one vector (layers.collect_grads).
+the model's dtype.
 """
 
 import numbers
@@ -34,7 +33,6 @@ from .layers import (
     BatchNorm,
     Dense,
     Dropout,
-    collect_grads,
     init_layer_params,
     stack_backward,
     stack_forward,
@@ -42,7 +40,6 @@ from .layers import (
     stack_size,
     stack_views,
 )
-from .gradcheck import FD_DTYPE, compare_grads, finite_difference_grads
 from .losses import (
     BetaSchedule,
     beta_at_epoch,
@@ -91,8 +88,9 @@ class VaeConfig:
         return config
 
     def validate(self):
-        _check_field_types(self)
-        _check_field_types(self.beta_schedule)
+        for config in (self, self.beta_schedule):
+            _check_field_types(config)
+            _check_float32(config)
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         if len(self.hidden_dims) != 2 or any(h < 1 for h in self.hidden_dims):
@@ -133,6 +131,18 @@ def _check_field_types(config):
                 raise ValueError(f"{name} must be {noun}, got {value!r}")
             if kind is numbers.Real and not abs(value) < np.inf:  # nan compares false
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def _check_float32(config):
+    """Training computes in float32: no float field may overflow it, nor
+    round to 0 in it unless it is 0."""
+    for f in fields(config):
+        if f.type is float:
+            value = getattr(config, f.name)
+            with np.errstate(over="ignore"):
+                single = np.float32(value)
+            if np.isinf(single) or (single == 0.0 and value != 0.0):
+                raise ValueError(f"{f.name} is {single} in float32, got {value!r}")
 
 
 @dataclass
@@ -347,33 +357,6 @@ def _rmsprop_step(model, accumulator, config):
     return step
 
 
-def _model_grads(model, x, beta, fwd):
-    """The gradient of fwd's training pass, as a vector laid out as theta."""
-    grad = np.zeros_like(model.theta)
-    _backward_train(model, x, beta, fwd, collect_grads(stack_views(model.specs, grad)))
-    return grad
-
-
-def _fd_objective(model, x, beta, rng):
-    """Total loss of the next training pass with rng as both streams,
-    replayed at FD_DTYPE on a copy of model.theta taken at each call, so
-    it sees every in-place perturbation of model.theta. Each call rewinds
-    rng to its state now and draws the pass's masks and noise again,
-    ending where the pass did: build the objective before the pass."""
-    start = rng.bit_generator.state
-    x_fd = x.astype(FD_DTYPE)
-    wide = _bind(model.config, np.empty(model.theta.size, FD_DTYPE))
-    # replays update these; a train-mode loss never reads them
-    wide.stats[...] = model.stats
-
-    def objective():
-        wide.theta[...] = model.theta
-        rng.bit_generator.state = start
-        return _forward_train(wide, x_fd, beta, {"dropout": rng, "reparam": rng})["breakdown"].total
-
-    return objective
-
-
 def train(cohort, split, config):
     """Train on the split's training rows; returns (model, history).
 
@@ -442,35 +425,3 @@ def train(cohort, split, config):
         ))
     return model, history
 
-
-def _grads_to_check(config, beta):
-    """(model, analytic, numeric): a model built from config and re-bound
-    onto float64 copies of its vectors, the analytic gradients of one
-    training pass on a drawn binary batch of four rows, as a vector laid
-    out as theta, and the central differences of that pass's loss, each
-    replay drawing the pass's dropout masks and noise again."""
-    config.validate()
-    rng = sub_rng(config.seed, "gradcheck")
-    built = build_vae(config, rng)
-    # the check is of the derivative, not of float32 rounding
-    model = _bind(config, built.theta.astype(np.float64))
-    model.stats[...] = built.stats
-    x = (rng.random((4, config.input_dim)) < 0.3).astype(np.float64)
-
-    objective = _fd_objective(model, x, beta, rng)  # before the pass draws
-    fwd = _forward_train(model, x, beta, {"dropout": rng, "reparam": rng})
-    analytic = _model_grads(model, x, beta, fwd)
-    numeric = finite_difference_grads(objective, model.theta)
-    return model, analytic, numeric
-
-
-def vae_grad_check(config, beta, tolerance=1e-5):
-    """Full-model finite-difference check of the training gradients.
-
-    Builds a model from config, draws one binary batch of four rows, then
-    compares the analytic gradients of one training pass's recon + beta *
-    KL + L1, computed in float64, against central differences (step 1e-5)
-    of that pass's loss for every parameter.
-    """
-    model, analytic, numeric = _grads_to_check(config, beta)
-    return compare_grads(model.specs, analytic, numeric, tolerance)

@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 import pytest
+from fdcheck import compare_grads, vae_grads
 
 import somatic_vae as sv
 from somatic_vae.cli import emit_history
-from somatic_vae.gradcheck import compare_grads
+from somatic_vae.cohort import align_labels
 from somatic_vae.layers import stack_views
-from somatic_vae.vae import _grads_to_check
 
 CANONICAL = sv.SyntheticSpec(
     n_samples=600, n_loci=2000, n_clusters=6,
@@ -81,10 +81,9 @@ def _tiny_config(loss_kind):
 
 
 def _grad_reports_with_fault(config, beta):
-    """Clean and 1%-corrupted gradient comparisons sharing one FD run of
-    the float64 model that vae_grad_check checks."""
-    model, analytic, numeric = _grads_to_check(config, beta)
-    specs = model.specs
+    """Clean and 1%-corrupted gradient comparisons sharing one vae_grads
+    run."""
+    specs, analytic, numeric = vae_grads(config, beta)
     clean = compare_grads(specs, analytic, numeric, 1e-5)
     faulted = analytic.copy()
     stack_views(specs, faulted)[0]["w"][...] *= 1.01
@@ -98,7 +97,7 @@ def test_criterion_01_gradient_fidelity(capsys):
     worst = 0.0
     for kind in ("soft_f1", "bce"):
         for beta in (0.0, 0.5, 1.0):
-            rep = sv.vae_grad_check(_tiny_config(kind), beta=beta, tolerance=1e-5)
+            rep = compare_grads(*vae_grads(_tiny_config(kind), beta), 1e-5)
             ok &= rep.passed
             worst = max(worst, rep.max_rel_error)
     clean, dirty = _grad_reports_with_fault(_tiny_config("soft_f1"), 0.5)
@@ -326,7 +325,7 @@ def test_criterion_06_rule_without_models():
 def test_criterion_06_vae_vs_pca_clustering(cohort, deep_runs, capsys):
     t0 = time.time()
     x = cohort.matrix.astype(np.float64)
-    labels = cohort.label_array()
+    labels = align_labels(cohort.labels, cohort.sample_ids)
     pca = sv.pca_fit(x, 16)
     z_pca = sv.pca_project(pca, x)
     ok = True
@@ -369,7 +368,8 @@ def test_criterion_07_latent_width_sweep(cohort, capsys):
 
 def test_criterion_08_probe_parity(cohort, deep_runs, capsys):
     x = cohort.matrix.astype(np.float64)
-    y = (cohort.label_array().astype(np.int64) <= 2).astype(np.int64)
+    labels = align_labels(cohort.labels, cohort.sample_ids).astype(np.int64)
+    y = (labels <= 2).astype(np.int64)
     ok = True
     parts = []
     for seed in SEEDS:

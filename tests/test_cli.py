@@ -408,6 +408,27 @@ def test_non_finite_epsilon_exits_one_naming_it_and_writes_no_run(tmp_path, caps
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("flag, value, problem", [
+    ("--epsilon", "1e308", "epsilon is inf in float32, got 1e+308"),
+    ("--learning-rate", "1e-320", "learning_rate is 0.0 in float32, got 1e-320"),
+    ("--learning-rate", "1e-46", "learning_rate is 0.0 in float32, got 1e-46"),
+    ("--l1-coefficient", "1e300", "l1_coefficient is inf in float32, got 1e+300"),
+    ("--beta-max", "1e-300", "beta_max is 0.0 in float32, got 1e-300"),
+], ids=["epsilon-1e308", "learning-rate-1e-320", "learning-rate-1e-46", "l1-1e300", "beta-1e-300"])
+def test_train_refuses_a_real_float32_cannot_hold_naming_it_before_training(
+        tmp_path, capsys, monkeypatch, flag, value, problem):
+    # the first three used to train, exit 0 and save the initial theta;
+    # the l1 coefficient failed at batch 0, naming no option
+    cohort_dir = make_small_cohort(tmp_path, capsys)
+    trained = []
+    monkeypatch.setattr("somatic_vae.cli.train", lambda *args: trained.append(args))
+    run_dir = tmp_path / "run"
+    assert run(["train", "--cohort", cohort_dir, "--out", str(run_dir), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert trained == []
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("synth", ["--n-samples", "20", "--n-loci", "30", "--n-clusters", "2",
                "--background-rate", "0.1", "--enriched-rate", "0.5",
@@ -818,7 +839,9 @@ def test_sweep_latent_emits_fold_table(tmp_path, capsys):
 @pytest.mark.parametrize("sizes, problem", [
     ("2,2", "entry 2 ('2') is a repeat"),  # trained twice and wrote two rows of 2
     ("2,,3", "entry 2 ('') is empty"),  # the gap was dropped
-], ids=["repeated", "empty"])
+    ("a", "entry 1 ('a') is not an integer"),  # these two named neither option nor entry
+    ("2,2.5", "entry 2 ('2.5') is not an integer"),
+], ids=["repeated", "empty", "word", "real"])
 def test_sweep_latent_refuses_a_bad_size_entry_naming_it_before_training(tmp_path, capsys,
                                                                           monkeypatch, sizes,
                                                                           problem):

@@ -12,6 +12,7 @@ import pytest
 from somatic_vae.cohort import (
     Cohort,
     SyntheticSpec,
+    align_labels,
     filter_low_frequency,
     generate_synthetic_cohort,
     holdout_split,
@@ -316,7 +317,7 @@ def test_synthetic_raw_kmeans_recovers_structure():
     spec = SyntheticSpec(600, 2000, 6, 0.01, 0.35, 40, seed=7)
     cohort = generate_synthetic_cohort(spec)
     result = kmeans_cluster(cohort.matrix.astype(np.float64), 6, seed=0)
-    assert nmi(cohort.label_array(), result.labels) > 0.5
+    assert nmi(align_labels(cohort.labels, cohort.sample_ids), result.labels) > 0.5
 
 
 def test_synthetic_spec_invariants_enforced():
@@ -518,7 +519,7 @@ def test_cohort_cache_missing_file_rejected(tmp_path):
         load_cohort(tmp_path / "nowhere")
 
 
-def test_label_array_requires_full_coverage():
-    cohort = build_cohort(np.eye(2, dtype=np.uint8), labels={"s0": "a"})
-    with pytest.raises(ValueError, match="no label"):
-        cohort.label_array()
+def test_align_labels_requires_full_coverage():
+    assert align_labels({"s1": "b", "s0": "a"}, ["s0", "s1"]).tolist() == ["a", "b"]
+    with pytest.raises(ValueError, match=r"^1 samples have no label \(first: s1\)$"):
+        align_labels({"s0": "a"}, ["s0", "s1"])

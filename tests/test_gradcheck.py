@@ -1,15 +1,25 @@
 """Finite-difference machinery: numeric grads, comparison, fault detection."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from fdcheck import collected_backward, fresh_stack, grad_check
+from fdcheck import (
+    GradReport,
+    collect_grads,
+    compare_grads,
+    finite_difference_grads,
+    fresh_stack,
+    grad_check,
+)
 
-from somatic_vae.gradcheck import GradReport, compare_grads, finite_difference_grads
 from somatic_vae.layers import (
     Activation,
     BatchNorm,
     Dense,
     Dropout,
+    stack_backward,
     stack_forward,
     stack_size,
     stack_views,
@@ -99,6 +109,19 @@ def test_grad_check_all_zero_case():
         grad_check(specs, params, np.zeros((2, 3)), np.ones((3, 2)))
 
 
+def test_grad_check_refuses_a_replay_that_diverges():
+    # the dropout mask comes from a fresh generator at each pass, which
+    # rewinding cannot reach: the replay draws another mask
+    rng = np.random.default_rng(12)
+    specs = [Dense(4, 6), Dropout(0.5), Dense(6, 2)]
+    params, _ = fresh_stack(specs, rng)
+    seeds = itertools.count()
+    fresh = SimpleNamespace(bit_generator=SimpleNamespace(state=None),
+                            random=lambda shape: np.random.default_rng(next(seeds)).random(shape))
+    with pytest.raises(RuntimeError, match="replay diverged"):
+        grad_check(specs, params, rng.random((5, 4)), rng.standard_normal((5, 2)), rng=fresh)
+
+
 def test_grad_check_detects_injected_fault():
     # scale one analytic gradient by 1.01 and require the check to name it;
     # each evaluation rewinds the rng to replay the recorded dropout mask
@@ -113,7 +136,7 @@ def test_grad_check_detects_injected_fault():
     assert not tape[2].all()  # the mask drops some units
     grad = np.zeros_like(theta)
     grads = stack_views(specs, grad)
-    collected_backward(specs, params, tape, weights, grads)
+    stack_backward(specs, params, tape, weights, collect_grads(grads))
     grads[0]["w"] *= 1.01
 
     def objective():

@@ -21,10 +21,9 @@ import copy
 
 import numpy as np
 import pytest
-from fdcheck import collected_backward, fresh_stack
+from fdcheck import FD_DTYPE, collect_grads, fresh_stack
 
 import somatic_vae.layers as layers_module
-from somatic_vae.gradcheck import FD_DTYPE
 from somatic_vae.layers import (
     BN_EPSILON,
     BN_MOMENTUM,
@@ -36,6 +35,7 @@ from somatic_vae.layers import (
     Dropout,
     block_rows,
     sigmoid,
+    stack_backward,
     stack_forward,
     stack_size,
     stack_views,
@@ -225,7 +225,7 @@ def check_stack(specs, params, x, dout, seed, dtype=np.float64):
 
     grad = np.zeros(stack_size(specs), dtype)
     grads = stack_views(specs, grad)
-    dx = collected_backward(specs, params, tape, dout, grads)
+    dx = stack_backward(specs, params, tape, dout, collect_grads(grads))
     want_dx, want_grads = ref_stack_backward(specs, ref_params, caches, dout)
     assert_same_bytes(dx, want_dx, "input gradient")
     assert_trees_same_bytes(grads, want_grads, "parameter gradients")
@@ -325,7 +325,7 @@ def hooked_weight_blocks(spec, params, tape, dout):
             blocks.append((rows, grad.copy(), None if live is None else live.copy()))
 
     grads = stack_views([spec], np.zeros(stack_size([spec]), np.float32))
-    collected_backward([spec], params, tape, dout, grads, input_grad=False, spy=spy)
+    stack_backward([spec], params, tape, dout, collect_grads(grads, spy), input_grad=False)
     return blocks
 
 
@@ -408,7 +408,7 @@ def test_leaky_relu_matches_its_reference_at_every_accepted_slope(slope, length)
     out, tape = stack_forward([spec], [{}], x, TRAIN)
     want, cache = ref_forward(spec, {}, x, TRAIN, None)
     assert_same_bytes(out, want, "leaky forward")
-    dx = collected_backward([spec], [{}], tape, dout.reshape(2, length), [{}])
+    dx = stack_backward([spec], [{}], tape, dout.reshape(2, length), None)
     assert_same_bytes(dx, ref_backward(spec, {}, cache, dout.reshape(2, length))[0],
                       "leaky backward")
 
@@ -478,7 +478,7 @@ def test_stack_backward_twice_on_one_tape_writes_the_same_bytes():
     results = []
     for _ in range(2):
         grad = np.zeros(stack_size(specs))
-        dx = collected_backward(specs, params, tape, dout, stack_views(specs, grad))
+        dx = stack_backward(specs, params, tape, dout, collect_grads(stack_views(specs, grad)))
         results.append((grad.tobytes(), dx.tobytes()))
     assert results[0] == results[1]
     assert_trees_same_bytes((tape, dout), snapshot, "tape and upstream gradient")

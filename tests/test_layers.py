@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from fdcheck import collected_backward, fresh_stack, grad_check
+from fdcheck import collect_grads, fresh_stack, grad_check
 
 import somatic_vae.layers as layers_module
 from somatic_vae.layers import (
@@ -16,6 +16,7 @@ from somatic_vae.layers import (
     block_rows,
     layer_shapes,
     sigmoid,
+    stack_backward,
     stack_forward,
     stack_l1_penalty,
     stack_size,
@@ -25,7 +26,7 @@ from somatic_vae.layers import (
 
 def new_stack(specs, rng):
     """Freshly initialised layer tensors, and zeroed gradient views of one
-    flat vector for collected_backward."""
+    flat vector for collect_grads."""
     grads = stack_views(specs, np.zeros(stack_size(specs)))
     return fresh_stack(specs, rng)[0], grads
 
@@ -164,7 +165,7 @@ def test_relu_activation_forward_and_backward():
     # the gradient is zero at the kink
     out, tape = stack_forward([Activation("relu")], [{}], np.array([[-1.0, 0.0, 2.0]]), TRAIN)
     assert out.tolist() == [[0.0, 0.0, 2.0]]
-    dx = collected_backward([Activation("relu")], [{}], tape, np.full((1, 3), 3.0), [{}])
+    dx = stack_backward([Activation("relu")], [{}], tape, np.full((1, 3), 3.0), None)
     assert dx.tolist() == [[0.0, 0.0, 3.0]]
 
 
@@ -297,8 +298,8 @@ def test_backward_zero_upstream_gives_zero_grads():
         for g in grads:
             for arr in g.values():
                 arr[...] = 7.0  # stale values must be overwritten, not added to
-        dx = collected_backward(specs, params, tape, np.zeros((5, 3)), grads, input_grad,
-                                spy=lambda i, key, rows, grad, live: lives.append(live))
+        hook = collect_grads(grads, lambda i, key, rows, grad, live: lives.append(live))
+        dx = stack_backward(specs, params, tape, np.zeros((5, 3)), hook, input_grad)
         if input_grad:
             assert np.array_equal(dx, np.zeros((5, 4)))
         assert np.array_equal(grads[0]["w"], np.zeros((4, 3)))
@@ -316,7 +317,7 @@ def test_backward_single_dense_matches_hand_formulas():
     x = rng.standard_normal((6, 4))
     dout = rng.standard_normal((6, 3))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    dx = collected_backward(specs, params, tape, dout, grads)
+    dx = stack_backward(specs, params, tape, dout, collect_grads(grads))
     assert np.allclose(grads[0]["w"], x.T @ dout, rtol=1e-14)
     assert np.allclose(grads[0]["b"], dout.sum(axis=0), rtol=1e-14)
     assert np.allclose(dx, dout @ params[0]["w"].T, rtol=1e-14)
@@ -328,7 +329,7 @@ def test_backward_includes_l1_subgradient_with_sign_zero_zero():
     x = np.zeros((1, 2))
     _, grads = new_stack(specs, np.random.default_rng(0))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    collected_backward(specs, params, tape, np.zeros((1, 2)), grads)
+    stack_backward(specs, params, tape, np.zeros((1, 2)), collect_grads(grads))
     # data gradient is zero, so only the subgradient remains; sign(0) = 0
     assert np.allclose(grads[0]["w"], 0.1 * np.array([[1.0, -1.0], [0.0, 1.0]]))
 
@@ -341,8 +342,9 @@ def test_backward_without_input_grad_leaves_every_parameter_gradient_bit_identic
     x = rng.standard_normal((7, 6))
     dout = rng.standard_normal((7, 3))
     _, tape = stack_forward(specs, params, x, TRAIN)
-    assert collected_backward(specs, params, tape, dout, grads).shape == (7, 6)
-    assert collected_backward(specs, params, tape, dout, skipped, input_grad=False) is None
+    assert stack_backward(specs, params, tape, dout, collect_grads(grads)).shape == (7, 6)
+    skip = collect_grads(skipped)
+    assert stack_backward(specs, params, tape, dout, skip, input_grad=False) is None
     for g, s in zip(grads, skipped):
         assert g.keys() == s.keys()
         assert all(np.array_equal(g[key], s[key]) for key in g)
@@ -368,7 +370,7 @@ def steps_of_one_backward_pass(monkeypatch, grad_block, input_grad):
     dout = rng.standard_normal((7, 3)).astype(np.float32)
     _, tape = stack_forward(specs, params, x, TRAIN)
     want = stack_views(specs, np.zeros(stack_size(specs), np.float32))
-    want_dx = collected_backward(specs, params, tape, dout, want, input_grad)
+    want_dx = stack_backward(specs, params, tape, dout, collect_grads(want), input_grad)
     monkeypatch.setattr(layers_module, "GRAD_BLOCK", grad_block)
     got = stack_views(specs, np.zeros(stack_size(specs), np.float32))
     stepped = []
@@ -381,7 +383,7 @@ def steps_of_one_backward_pass(monkeypatch, grad_block, input_grad):
         assert not np.shares_memory(grad, theta)
         params[i][key][rows] = np.nan  # no later read may see the stepped tensors
 
-    dx = collected_backward(specs, params, tape, dout, got, input_grad, spy)
+    dx = stack_backward(specs, params, tape, dout, collect_grads(got, spy), input_grad)
     # each span once, layer by layer from the last: a Dense bias, then its
     # weights block by block; batch-norm gamma, then delta
     spans = []
@@ -437,8 +439,8 @@ def test_only_the_data_layer_hands_live_rows_to_the_hook(monkeypatch):
     assert not tape[2][:, 1:].any()
     for input_grad, want in ((True, []), (False, [0, 0])):
         lives = []
-        collected_backward(specs, params, tape, rng.standard_normal(out.shape), grads, input_grad,
-                           spy=lambda i, key, rows, grad, live: lives.append((i, live)))
+        hook = collect_grads(grads, lambda i, key, rows, grad, live: lives.append((i, live)))
+        stack_backward(specs, params, tape, rng.standard_normal(out.shape), hook, input_grad)
         assert [i for i, live in lives if live is not None] == want
 
 
@@ -447,7 +449,7 @@ def test_backward_requires_train_tape():
     params, grads = new_stack(specs, np.random.default_rng(0))
     _, tape = stack_forward(specs, params, np.ones((2, 2)), INFERENCE)
     with pytest.raises(ValueError, match="train"):
-        collected_backward(specs, params, tape, np.ones((2, 2)), grads)
+        stack_backward(specs, params, tape, np.ones((2, 2)), collect_grads(grads))
 
 
 def test_stack_l1_penalty_sums_dense_weights():

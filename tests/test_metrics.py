@@ -5,6 +5,7 @@ import pytest
 
 from somatic_vae.cohort import (
     SyntheticSpec,
+    align_labels,
     filter_low_frequency,
     generate_synthetic_cohort,
     holdout_split,
@@ -478,7 +479,8 @@ def test_binary_probe_parity_on_workload_shaped_cohorts(n, d, seed):
     spec = SyntheticSpec(n, d, 6, 0.01, 0.35, 40, seed)
     cohort, _ = filter_low_frequency(generate_synthetic_cohort(spec), 5)
     x = cohort.matrix
-    y = (cohort.label_array().astype(np.int64) < 3).astype(np.int64)
+    labels = align_labels(cohort.labels, cohort.sample_ids).astype(np.int64)
+    y = (labels < 3).astype(np.int64)
     split = holdout_split(n, 0.8, seed)
     tr, va = split.train_indices, split.val_indices
     dense = fit_probe(x[tr].astype(np.float64), y[tr])

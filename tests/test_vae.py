@@ -1,11 +1,14 @@
 """Model assembly, encoding/decoding, reparameterization, training loop."""
 
+import itertools
+import re
 import tracemalloc
 import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from fdcheck import collect_grads, compare_grads, vae_grads
 
 import somatic_vae.layers as layers_module
 import somatic_vae.vae as vae_module
@@ -18,7 +21,6 @@ from somatic_vae.cohort import (
     generate_synthetic_cohort,
     holdout_split,
 )
-from somatic_vae.gradcheck import compare_grads
 from somatic_vae.layers import (
     BUFFER_KEYS,
     Activation,
@@ -27,17 +29,15 @@ from somatic_vae.layers import (
     Dropout,
     block_rows,
     layer_shapes,
+    stack_views,
 )
-from somatic_vae.losses import BetaSchedule
+from somatic_vae.losses import BetaSchedule, reconstruction_loss
 from somatic_vae.optim import rmsprop_update
 from somatic_vae.seeding import sub_rng
 from somatic_vae.vae import (
     VaeConfig,
     _backward_train,
-    _bind,
-    _fd_objective,
     _forward_train,
-    _model_grads,
     _rmsprop_step,
     build_vae,
     count_parameters,
@@ -47,7 +47,6 @@ from somatic_vae.vae import (
     reconstruction_scores,
     row_chunks,
     train,
-    vae_grad_check,
 )
 from somatic_vae.metrics import mean_cosine_similarity, micro_f1
 
@@ -168,6 +167,30 @@ def test_validate_refuses_a_non_finite_real_naming_the_field(name, value):
         config = tiny_config(**{name: value})
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
         config.validate()
+
+
+@pytest.mark.parametrize("value, single", [(1e300, "inf"), (-1e300, "-inf"), (1e-300, "0.0"),
+                                           (1e-46, "0.0"), (-1e-46, "-0.0")])
+@pytest.mark.parametrize("name", [f.name for kind in (VaeConfig, BetaSchedule)
+                                  for f in fields(kind) if f.type is float])
+def test_validate_refuses_a_real_float32_turns_into_inf_or_0_naming_the_field(name, value, single):
+    # training computes in float32: epsilon 1e308 and learning rates 1e-320
+    # and 1e-46 used to train without moving theta, and l1_coefficient
+    # 1e300 to fail at batch 0 naming no option
+    if name in {f.name for f in fields(BetaSchedule)}:
+        config = tiny_config(beta_schedule=BetaSchedule(**{name: value}))
+    else:
+        config = tiny_config(**{name: value})
+    message = re.escape(f"{name} is {single} in float32, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config.validate()
+
+
+def test_validate_keeps_reals_float32_holds():
+    # the smallest float32 subnormal, the largest finite float32, and 0
+    tiny_config(learning_rate=1e-45, epsilon=float(np.finfo(np.float32).max),
+                l1_coefficient=0.0, dropout_rate=0.0,
+                beta_schedule=BetaSchedule(beta_max=1e-45)).validate()
 
 
 def test_build_is_deterministic_in_rng():
@@ -553,7 +576,9 @@ def assert_layer_steps_equal_one_step_over_theta(monkeypatch, config, cohort, mo
         _backward_train(fused, xb, 0.5, fwd, step)
         monkeypatch.setattr(layers_module, "GRAD_BLOCK", default)
         fwd = _forward_train(flat, xb, 0.5, rngs[1])
-        rmsprop_update(flat.theta, _model_grads(flat, xb, 0.5, fwd), flat_acc,
+        grad = np.zeros_like(flat.theta)
+        _backward_train(flat, xb, 0.5, fwd, collect_grads(stack_views(flat.specs, grad)))
+        rmsprop_update(flat.theta, grad, flat_acc,
                        lr=config.learning_rate, rho=config.rho, eps=config.epsilon)
         assert fused.theta.tobytes() == flat.theta.tobytes()
         assert fused_acc.tobytes() == flat_acc.tobytes()
@@ -788,27 +813,24 @@ def test_chunked_inference_matches_one_pass_byte_for_byte(d, latent):
 # ---------------------------------------------------------------- gradients
 
 
-def test_fd_objective_replays_the_recorded_pass():
-    # built before the pass, the objective rewinds the rng to the state the
-    # pass starts from, so each replay draws its dropout masks and noise
-    # again; a snapshot taken after the pass would replay other ones
-    config = tiny_config(dropout_rate=0.25, l1_coefficient=1e-3)
-    rng = sub_rng(0, "gradcheck")
-    built = build_vae(config, rng)
-    model = _bind(config, built.theta.astype(np.float64))
-    model.stats[...] = built.stats
-    x = (rng.random((4, config.input_dim)) < 0.3).astype(np.float64)
-    objective = _fd_objective(model, x, 0.5, rng)
-    fwd = _forward_train(model, x, 0.5, {"dropout": rng, "reparam": rng})
-    first = objective()
-    assert np.isclose(first, fwd["breakdown"].total, rtol=1e-12, atol=0.0)
-    assert objective() == first  # equal nonzero values: the same bits, padding aside
-
-
 def test_full_model_gradient_check_single_combo():
     config = tiny_config(l1_coefficient=1e-5)
-    report = vae_grad_check(config, beta=0.5)
+    report = compare_grads(*vae_grads(config, 0.5), 1e-5)
     assert report.passed, str(report)
+
+
+def test_full_model_gradient_check_refuses_a_replay_that_diverges(monkeypatch):
+    # a loss that draws from a fresh generator at each pass: the replay
+    # does not reproduce the recorded pass, and no report is made
+    seeds = itertools.count()
+
+    def scrambled(kind, probs, x):
+        scale = np.random.default_rng(next(seeds)).uniform(0.5, 1.0, probs.shape)
+        return reconstruction_loss(kind, probs * scale, x)
+
+    monkeypatch.setattr(vae_module, "reconstruction_loss", scrambled)
+    with pytest.raises(RuntimeError, match="replay diverged"):
+        vae_grads(tiny_config(), 0.5)
 
 
 def test_step_hook_layer_index_is_the_gradient_check_name(monkeypatch):
